@@ -23,13 +23,7 @@ from .analysis import (
 from .controller import (
     MODES,
     ControllerConfig,
-    EstimatorBank,
-    MeasurementView,
     consistent_errors,
-    estimator_control,
-    gradient_control,
-    measurement_view,
-    view_from_mu,
 )
 from .disturbance import (
     DisturbanceSpec,
@@ -51,7 +45,6 @@ from .rigidity import (
     InsertionStep,
     build_from_trace,
     edge_function,
-    incidence_H,
     is_infinitesimally_rigid,
     is_minimally_rigid,
     numeric_rank,
@@ -60,7 +53,6 @@ from .rigidity import (
     rigidity_matrix,
     s1_matrix,
     s2_matrix,
-    selector_J,
     trace_distances,
     trace_graph,
 )
@@ -98,7 +90,6 @@ __all__ = [
     "DIVERGENCE_GUARD",
     "DisturbanceSpec",
     "EdgeDisturbance",
-    "EstimatorBank",
     "ExosystemState",
     "FormationGraph",
     "Framework",
@@ -106,7 +97,6 @@ __all__ = [
     "InsertionStep",
     "InternalModelBasis",
     "MODES",
-    "MeasurementView",
     "RANK_TOL",
     "RunVerdict",
     "Scenario",
@@ -122,12 +112,9 @@ __all__ = [
     "consistent_errors",
     "default_basis",
     "edge_function",
-    "estimator_control",
     "exosystem_initial_state",
     "exosystem_output",
     "generate_scenario",
-    "gradient_control",
-    "incidence_H",
     "initial_state",
     "integrate",
     "is_hurwitz",
@@ -135,7 +122,6 @@ __all__ = [
     "is_minimally_rigid",
     "lambda_matrix",
     "load_scenario",
-    "measurement_view",
     "mu_closed_form",
     "numeric_rank",
     "propagate_exosystem",
@@ -149,11 +135,9 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "select_estimating_agents",
-    "selector_J",
     "stability_matrix",
     "trace_distances",
     "trace_graph",
     "transformed_coords",
-    "view_from_mu",
     "write_csv",
 ]

@@ -141,7 +141,11 @@ def cmd_run(args) -> int:
     )
     print(f"wrote {args.out}/trajectory.csv and {args.out}/verdict.json")
     if traj.diverged:
-        print(f"run diverged after {traj.times[-1]:.3f} s of simulated time", file=sys.stderr)
+        step = traj.divergence_step
+        print(
+            f"run diverged at step {step} (t = {step * sc.dt:.6g} s of simulated time)",
+            file=sys.stderr,
+        )
         return 2
     return 0
 

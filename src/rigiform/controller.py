@@ -1,4 +1,4 @@
-"""Distance-error feedback laws computed from per-edge endpoint readings.
+"""Controller configuration and the consistent distance errors.
 
 Agents measure squared distances along their incident edges.  The head of
 an edge is assumed to read the consistent value; the tail's reading may be
@@ -7,64 +7,27 @@ squared-error potential using those raw readings.  The estimator law runs
 one internal-model unit per edge, owned by the tail agent, that reproduces
 and cancels the tail-side corruption.
 
-Everything here is a pure function of positions and readings; integration
-lives in `sim`.
+This module holds the modes and the validated controller settings.  Both
+laws are implemented once, in `sim`'s closed-loop kernel, which also
+integrates them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .disturbance import DisturbanceSpec, InternalModelBasis, check_observability, mu_closed_form
+from .disturbance import InternalModelBasis, check_observability
 from .rigidity import Framework, edge_function
 
 MODES = ("gradient_only", "estimator")
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementView:
-    """Per-edge readings at both endpoints, already offset by the target.
-
-    tail_values[k] is what edge k's tail agent sees (possibly corrupted),
-    head_values[k] what its head agent sees.
-    """
-
-    tail_values: np.ndarray
-    head_values: np.ndarray
-
-    def __post_init__(self):
-        tail = np.array(self.tail_values, dtype=float)
-        head = np.array(self.head_values, dtype=float)
-        if tail.ndim != 1 or head.shape != tail.shape:
-            raise ValueError("tail and head readings must be equal-length vectors")
-        tail.setflags(write=False)
-        head.setflags(write=False)
-        object.__setattr__(self, "tail_values", tail)
-        object.__setattr__(self, "head_values", head)
-
-
 def consistent_errors(framework: Framework) -> np.ndarray:
     """Squared-distance errors with no disturbance: ||z_k||^2 - d_k^2."""
     return edge_function(framework) - framework.target_distances ** 2
-
-
-def view_from_mu(framework: Framework, mu) -> MeasurementView:
-    """Readings when the tail side is corrupted by the vector mu."""
-    e = consistent_errors(framework)
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != e.shape:
-        raise ValueError("mu must have one entry per edge")
-    return MeasurementView(e + mu, e)
-
-
-def measurement_view(framework: Framework, spec: DisturbanceSpec, t: float) -> MeasurementView:
-    if spec.edge_count != framework.graph.edge_count:
-        raise ValueError("disturbance edge count does not match the graph")
-    return view_from_mu(framework, mu_closed_form(spec, float(t)))
 
 
 @dataclass(frozen=True)
@@ -84,64 +47,3 @@ class ControllerConfig:
         object.__setattr__(self, "kappa", kappa)
         if self.mode == "estimator" and not check_observability(self.basis):
             raise ValueError("estimator mode needs an observable internal-model basis")
-
-
-@dataclass(frozen=True, eq=False)
-class EstimatorBank:
-    """One internal-model unit per edge; row k is edge k's unit state."""
-
-    basis: InternalModelBasis
-    xi: np.ndarray
-
-    def __post_init__(self):
-        xi = np.array(self.xi, dtype=float)
-        if xi.ndim != 2 or xi.shape[1] != self.basis.state_size:
-            raise ValueError("xi must be (edges, 2p+1)")
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def mu_hat(self) -> np.ndarray:
-        return self.xi @ self.basis.vector
-
-
-def _scatter_control(framework: Framework, tail_values, head_values) -> np.ndarray:
-    """Each edge pushes its tail along -z * tail reading and its head along
-    +z * head reading; rows accumulate per agent."""
-    g = framework.graph
-    z = framework.relative_vectors
-    tail_terms = -np.asarray(tail_values)[:, None] * z
-    head_terms = np.asarray(head_values)[:, None] * z
-    return g.tail_selector @ tail_terms + g.head_selector @ head_terms
-
-
-def gradient_control(framework: Framework, view: MeasurementView) -> np.ndarray:
-    """(n, dim) velocity commands from the raw readings."""
-    if view.tail_values.shape[0] != framework.graph.edge_count:
-        raise ValueError("view edge count does not match the graph")
-    return _scatter_control(framework, view.tail_values, view.head_values)
-
-
-def estimator_control(
-    framework: Framework,
-    view: MeasurementView,
-    bank: EstimatorBank,
-    config: ControllerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity commands plus the estimator-state derivative.
-
-    The tail reading is pre-compensated by the unit's current output; the
-    residual also drives the unit, scaled by kappa, through the output
-    vector.
-    """
-    edge_count = framework.graph.edge_count
-    if view.tail_values.shape[0] != edge_count:
-        raise ValueError("view edge count does not match the graph")
-    if bank.xi.shape[0] != edge_count:
-        raise ValueError("bank edge count does not match the graph")
-    residual = view.tail_values - bank.mu_hat
-    u = _scatter_control(framework, residual, view.head_values)
-    xi_dot = bank.xi @ bank.basis.dynamics_matrix.T + config.kappa * np.outer(
-        residual, bank.basis.vector
-    )
-    return u, xi_dot

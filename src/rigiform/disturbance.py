@@ -5,7 +5,7 @@ them by an offset plus sinusoids drawn from a shared list of frequencies.
 The same signal class is produced by an autonomous linear system, one block
 per edge: a constant channel plus a 2x2 rotation block per frequency.  A
 fixed output vector (b1, b2) reads the signal back out of the block state.
-The estimator in `controller` embeds a copy of these dynamics, so the
+The estimator in `sim`'s closed loop embeds a copy of these dynamics, so the
 representability and observability checks live here too.
 """
 

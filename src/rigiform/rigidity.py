@@ -4,7 +4,7 @@ A formation is an undirected graph embedded in the plane or in space.
 Each edge additionally carries one distinguished endpoint, its estimating
 agent, stored as the edge's tail.  The orientation never changes the
 geometry; it decides which endpoint owns the edge's measurement
-bookkeeping in the controller and analysis modules.
+bookkeeping in the closed loop (`sim`) and the analysis module.
 
 All matrices produced here follow the graph's edge order, so stacked
 quantities (errors, disturbances, estimator states) line up index for
@@ -78,22 +78,6 @@ class FormationGraph:
         a.setflags(write=False)
         return a
 
-    @cached_property
-    def tail_selector(self) -> np.ndarray:
-        """n x |E| scatter matrix; column k hits the tail of edge k."""
-        s = np.zeros((self.n, self.edge_count))
-        s[self.tails, np.arange(self.edge_count)] = 1.0
-        s.setflags(write=False)
-        return s
-
-    @cached_property
-    def head_selector(self) -> np.ndarray:
-        """n x |E| scatter matrix; column k hits the head of edge k."""
-        s = np.zeros((self.n, self.edge_count))
-        s[self.heads, np.arange(self.edge_count)] = 1.0
-        s.setflags(write=False)
-        return s
-
     def undirected_edges(self) -> frozenset:
         return frozenset(frozenset(e) for e in self.edges)
 
@@ -160,24 +144,6 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     out[rows, m * g.tails[:, None] + cols] = z
     out[rows, m * g.heads[:, None] + cols] = -z
     return out
-
-
-def incidence_H(graph: FormationGraph) -> np.ndarray:
-    """|E| x n oriented incidence rows: +1 at the tail, -1 at the head."""
-    out = np.zeros((graph.edge_count, graph.n))
-    rows = np.arange(graph.edge_count)
-    out[rows, graph.tails] = 1.0
-    out[rows, graph.heads] = -1.0
-    return out
-
-
-def selector_J(graph: FormationGraph, dim: int) -> np.ndarray:
-    """Tail-only block selector: the incidence rows with -1 zeroed, Kronecker I_dim."""
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    plus = np.zeros((graph.edge_count, graph.n))
-    plus[np.arange(graph.edge_count), graph.tails] = 1.0
-    return np.kron(plus, np.eye(dim))
 
 
 def s1_matrix(fw: Framework) -> np.ndarray:

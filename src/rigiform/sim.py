@@ -1,16 +1,19 @@
 """Fixed-step integration of the closed loop and run-level verdicts.
 
-The state is the triple (agent positions, estimator bank, signal
-generators).  Integration is classical fourth-order Runge-Kutta with a
-constant step, so a run is bitwise reproducible; adaptive stepping would
-trade that away for speed this problem does not need.  The generator block
-is integrated like everything else rather than sampled from its closed
-form; the closed form stays available as a test oracle.
+The closed-loop state is one flat float64 vector y = [x | xi | w]: agent
+positions (n, dim), estimator bank (E, q) and signal generators (E, q),
+each stored row-major.  `_ClosedLoop` is the only implementation of the
+control law: its edge terms give the derivative that `integrate` and
+`closed_loop_derivative` use and the columns a Trajectory records.
+Integration is classical fourth-order Runge-Kutta with a constant step,
+so a run is bitwise reproducible; adaptive stepping would trade that away
+for speed this problem does not need.  The generator block is integrated
+like everything else rather than sampled from its closed form; the closed
+form stays available as a test oracle.
 
-This module only needs duck-typed scenario objects exposing
-framework_initial / framework_target / basis / xi0_array, the disturbance
-spec, and the mode / kappa / dt / t_end / output_every fields, so it does
-not import the scenario machinery.
+Scenarios are duck-typed: framework_initial / framework_target / basis /
+xi0_array, the disturbance spec, and the mode / kappa / dt / t_end /
+output_every fields.
 """
 
 from __future__ import annotations
@@ -23,10 +26,16 @@ import numpy as np
 
 from .disturbance import exosystem_initial_state
 from .rigidity import is_infinitesimally_rigid
+from .scenario import ScenarioError
 
 # A run whose position norm passes this bound is declared divergent and
 # aborted with the samples recorded so far.
 DIVERGENCE_GUARD = 1e9
+# Caps checked before a run allocates its samples: the step count bounds
+# its time (a 4-agent step costs about 0.1 ms) and the recorded values,
+# float64 each, bound its memory.
+MAX_STEPS = 10_000_000
+MAX_RECORDED_VALUES = 50_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +71,8 @@ class Trajectory:
     alpha holds the compensated per-edge errors e + mu - mu_hat (what the
     estimating agent effectively acts on); estimator_gap holds the
     generator state minus the estimator state, per edge and sample.  A
-    diverged run keeps the samples recorded before the guard tripped.
+    diverged run keeps the samples recorded before the guard tripped, and
+    divergence_step is the step at which it tripped.
     """
 
     times: np.ndarray
@@ -74,8 +84,11 @@ class Trajectory:
     alpha: np.ndarray
     estimator_gap: np.ndarray
     diverged: bool
+    divergence_step: int | None = None
 
     def __post_init__(self):
+        if bool(self.diverged) != (self.divergence_step is not None):
+            raise ValueError("divergence_step is set exactly when the run diverged")
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty vector")
@@ -130,63 +143,84 @@ class RunVerdict:
             raise ValueError("an orbit verdict needs a positive steady speed")
 
 
-def _rk4_step(ys, dt, deriv):
-    """One classical Runge-Kutta step over a tuple of state arrays."""
-    k1 = deriv(ys)
-    k2 = deriv(tuple(y + 0.5 * dt * k for y, k in zip(ys, k1)))
-    k3 = deriv(tuple(y + 0.5 * dt * k for y, k in zip(ys, k2)))
-    k4 = deriv(tuple(y + dt * k for y, k in zip(ys, k3)))
-    sixth = dt / 6.0
-    return tuple(
-        y + sixth * (a + 2.0 * (b + c) + d)
-        for y, a, b, c, d in zip(ys, k1, k2, k3, k4)
-    )
+def _rk4_step(y, dt, deriv):
+    """One classical Runge-Kutta step of dy/dt = deriv(y)."""
+    k1 = deriv(y)
+    k2 = deriv(y + 0.5 * dt * k1)
+    k3 = deriv(y + 0.5 * dt * k2)
+    k4 = deriv(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _closed_loop(scenario):
-    """Derivative and observation closures over (x, xi, w) tuples.
+class _ClosedLoop:
+    """The closed loop of a scenario over one flat state vector
+    y = [x (n*dim) | xi (E*q) | w (E*q)].
 
-    Inlines the controller algebra instead of calling into `controller`;
-    the closures run four times per integration step, so they avoid
-    rebuilding Framework values millions of times per run.
+    Every edge k with relative vector z_k = x_tail - x_head reads the
+    consistent error e_k at its head and the biased e_k + mu_k at its tail,
+    where mu_k = b.w_k.  The head moves along +e_k z_k; the tail moves along
+    -r_k z_k, with r_k the biased reading itself (gradient mode) or that
+    reading minus the estimate mu_hat_k = b.xi_k (estimator mode), which
+    also drives the edge's unit: d(xi_k)/dt = Lambda xi_k + kappa r_k b.
+    Both moves are summed per agent by one bincount.
     """
-    fw = scenario.framework_initial()
-    g = fw.graph
-    tails, heads = g.tails, g.heads
-    tail_sel, head_sel = g.tail_selector, g.head_selector
-    d_sq = fw.target_distances ** 2
-    basis = scenario.basis()
-    b = basis.vector
-    lam_t = np.ascontiguousarray(basis.dynamics_matrix.T)
-    kappa = float(scenario.kappa)
-    estimator = scenario.mode == "estimator"
-    xi_rest = np.zeros((g.edge_count, basis.state_size))
-    xi_rest.setflags(write=False)
 
-    def deriv(ys):
-        x, xi, w = ys
-        z = x[tails] - x[heads]
-        e = np.einsum("kd,kd->k", z, z) - d_sq
-        residual = e + w @ b
-        if estimator:
-            residual = residual - xi @ b
-            xi_dot = xi @ lam_t + kappa * residual[:, None] * b
+    def __init__(self, scenario):
+        fw = scenario.framework_initial()
+        g = fw.graph
+        basis = scenario.basis()
+        self.n, self.dim = g.n, fw.dim
+        self.edge_count, self.q = g.edge_count, basis.state_size
+        self.nx = self.n * self.dim
+        self.ne = self.edge_count * self.q
+        self.tails, self.heads = g.tails, g.heads
+        # flat (agent, coordinate) slot of every tail push, then every head push
+        ends = np.concatenate([g.tails, g.heads])
+        self.slots = (ends[:, None] * self.dim + np.arange(self.dim)).ravel()
+        self.d_sq = fw.target_distances ** 2
+        self.b = basis.vector
+        self.lam_t = np.ascontiguousarray(basis.dynamics_matrix.T)
+        self.kappa = float(scenario.kappa)
+        self.estimator = scenario.mode == "estimator"
+
+    def pack(self, x, xi, w) -> np.ndarray:
+        return np.concatenate([np.ravel(x), np.ravel(xi), np.ravel(w)])
+
+    def split(self, y):
+        """(x, xi, w) views into a flat state or derivative."""
+        nx, ne = self.nx, self.ne
+        return (
+            y[:nx].reshape(self.n, self.dim),
+            y[nx:nx + ne].reshape(self.edge_count, self.q),
+            y[nx + ne:].reshape(self.edge_count, self.q),
+        )
+
+    def terms(self, y):
+        """(x, xi, w, e, mu, mu_hat, alpha, r, u) at y: the state views, the
+        per-edge terms, and the flat per-agent velocity u."""
+        x, xi, w = self.split(y)
+        z = x[self.tails] - x[self.heads]
+        e = np.einsum("kd,kd->k", z, z) - self.d_sq
+        mu = w @ self.b
+        mu_hat = xi @ self.b
+        biased = e + mu
+        alpha = biased - mu_hat
+        r = alpha if self.estimator else biased
+        pushes = np.concatenate([-r[:, None] * z, e[:, None] * z])
+        u = np.bincount(self.slots, weights=pushes.ravel(), minlength=self.nx)
+        return x, xi, w, e, mu, mu_hat, alpha, r, u
+
+    def __call__(self, y) -> np.ndarray:
+        _, xi, w, _, _, _, _, r, u = self.terms(y)
+        dy = np.empty_like(y)
+        dy[:self.nx] = u
+        _, xi_dot, w_dot = self.split(dy)
+        if self.estimator:
+            xi_dot[...] = xi @ self.lam_t + self.kappa * r[:, None] * self.b
         else:
-            xi_dot = xi_rest
-        u = tail_sel @ (-residual[:, None] * z) + head_sel @ (e[:, None] * z)
-        return u, xi_dot, w @ lam_t
-
-    def observe(x, xi, w):
-        z = x[tails] - x[heads]
-        e = np.einsum("kd,kd->k", z, z) - d_sq
-        mu = w @ b
-        mu_hat = xi @ b
-        alpha = e + mu - mu_hat
-        residual = alpha if estimator else e + mu
-        u = tail_sel @ (-residual[:, None] * z) + head_sel @ (e[:, None] * z)
-        return e, np.linalg.norm(u, axis=1), mu, mu_hat, alpha
-
-    return deriv, observe
+            xi_dot[...] = 0.0
+        w_dot[...] = w @ self.lam_t
+        return dy
 
 
 def initial_state(scenario) -> SimState:
@@ -204,15 +238,37 @@ def closed_loop_derivative(state: SimState, scenario):
     w = np.asarray(state.w, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(xi).all() and np.isfinite(w).all()):
         raise ValueError("state contains non-finite values")
-    fw = scenario.framework_initial()
-    basis = scenario.basis()
-    if x.shape != fw.positions.shape:
-        raise ValueError(f"x must have shape {fw.positions.shape}")
-    want = (fw.graph.edge_count, basis.state_size)
+    loop = _ClosedLoop(scenario)
+    if x.shape != (loop.n, loop.dim):
+        raise ValueError(f"x must have shape {(loop.n, loop.dim)}")
+    want = (loop.edge_count, loop.q)
     if xi.shape != want or w.shape != want:
         raise ValueError(f"xi and w must have shape {want}")
-    deriv, _ = _closed_loop(scenario)
-    return deriv((x, xi, w))
+    return loop.split(loop(loop.pack(x, xi, w)))
+
+
+def _step_count(scenario, values_per_sample: int) -> int:
+    """Steps of a run, once its grid is known to end on a recorded sample
+    at t_end and to stay under the step and recorded-value caps."""
+    dt, t_end, every = float(scenario.dt), float(scenario.t_end), int(scenario.output_every)
+    ratio = t_end / dt
+    if not ratio <= MAX_STEPS:
+        raise ScenarioError(f"t_end/dt is {ratio:.6g} steps, over the cap of {MAX_STEPS}")
+    steps = round(ratio)
+    if abs(steps * dt - t_end) > 1e-9 * t_end:
+        raise ScenarioError(f"t_end {t_end!r} is not a whole number of dt {dt!r} steps")
+    if steps % every:
+        raise ScenarioError(
+            f"{steps} steps is not a multiple of output_every {every}, "
+            "so the final state would not be recorded"
+        )
+    values = (steps // every + 1) * values_per_sample
+    if values > MAX_RECORDED_VALUES:
+        raise ScenarioError(
+            f"the run would record {values} values, over the cap of {MAX_RECORDED_VALUES}; "
+            "raise output_every or shorten t_end"
+        )
+    return steps
 
 
 def integrate(scenario) -> Trajectory:
@@ -220,7 +276,9 @@ def integrate(scenario) -> Trajectory:
 
     Warns when the scenario carries a target embedding that is not
     infinitesimally rigid; such runs are legal but cannot certify anything.
-    Aborts with a partial trajectory when the divergence guard trips.
+    Raises ScenarioError when the grid does not end on a recorded sample at
+    t_end or the run would pass a cap.  Aborts with a partial trajectory
+    when the divergence guard trips.
     """
     if scenario.target_positions is not None:
         rigid, _ = is_infinitesimally_rigid(scenario.framework_target())
@@ -230,44 +288,41 @@ def integrate(scenario) -> Trajectory:
                 RuntimeWarning,
                 stacklevel=2,
             )
-    deriv, observe = _closed_loop(scenario)
-    state0 = initial_state(scenario)
-    ys = (state0.x, state0.xi, state0.w)
+    loop = _ClosedLoop(scenario)
+    n, dim, edges, q = loop.n, loop.dim, loop.edge_count, loop.q
+    # per sample: t, positions, speeds, four edge columns, estimator gap
+    steps = _step_count(scenario, 1 + n * dim + n + 4 * edges + edges * q)
     dt = float(scenario.dt)
-    steps = int(round(scenario.t_end / dt))
     every = int(scenario.output_every)
+    count = steps // every + 1
+    positions = np.empty((count, n, dim))
+    errors, mu, mu_hat, alpha = (np.empty((count, edges)) for _ in range(4))
+    speeds = np.empty((count, n))
+    gap = np.empty((count, edges, q))
 
-    times, positions, errors, speeds = [], [], [], []
-    mu, mu_hat, alpha, gap = [], [], [], []
-
-    def record(step, ys):
-        x, xi, w = ys
-        e, spd, m, mh, al = observe(x, xi, w)
-        times.append(step * dt)
-        positions.append(x)
-        errors.append(e)
-        speeds.append(spd)
-        mu.append(m)
-        mu_hat.append(mh)
-        alpha.append(al)
-        gap.append(w - xi)
-
-    record(0, ys)
-    diverged = False
+    state0 = initial_state(scenario)
+    y = loop.pack(state0.x, state0.xi, state0.w)
+    divergence_step = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            ys = _rk4_step(ys, dt, deriv)
-            x, xi, w = ys
-            finite = np.isfinite(x).all() and np.isfinite(xi).all() and np.isfinite(w).all()
-            if not finite or float(np.linalg.norm(x)) > DIVERGENCE_GUARD:
-                diverged = True
-                break
+        for step in range(steps + 1):
+            if step:
+                y = _rk4_step(y, dt, loop)
+                if (not np.isfinite(y).all()
+                        or float(np.linalg.norm(y[:loop.nx])) > DIVERGENCE_GUARD):
+                    divergence_step = step
+                    count = (step - 1) // every + 1
+                    break
             if step % every == 0:
-                record(step, ys)
+                i = step // every
+                x, xi, w, errors[i], mu[i], mu_hat[i], alpha[i], _, u = loop.terms(y)
+                positions[i] = x
+                speeds[i] = np.linalg.norm(u.reshape(n, dim), axis=1)
+                gap[i] = w - xi
 
     return Trajectory(
-        np.array(times), np.array(positions), np.array(errors), np.array(speeds),
-        np.array(mu), np.array(mu_hat), np.array(alpha), np.array(gap), diverged,
+        np.arange(count) * every * dt, positions[:count], errors[:count], speeds[:count],
+        mu[:count], mu_hat[:count], alpha[:count], gap[:count],
+        divergence_step is not None, divergence_step,
     )
 
 
@@ -352,18 +407,18 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
         raise ValueError("output_every must be at least 1")
     lam_t = np.ascontiguousarray(basis.dynamics_matrix.T)
 
-    def deriv(ys):
-        return (ys[0] @ lam_t,)
+    def deriv(w):
+        return w @ lam_t
 
-    ys = (exosystem_initial_state(spec, basis).w,)
+    w = exosystem_initial_state(spec, basis).w
     steps = int(round(t_end / dt))
     times = [0.0]
-    states = [ys[0]]
+    states = [w]
     for step in range(1, steps + 1):
-        ys = _rk4_step(ys, dt, deriv)
+        w = _rk4_step(w, dt, deriv)
         if step % every == 0:
             times.append(step * dt)
-            states.append(ys[0])
+            states.append(w)
     return np.array(times), np.array(states)
 
 

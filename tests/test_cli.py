@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output files, and determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,8 +16,6 @@ def _write_scenario(path, sc):
 
 
 def _triangle_file(tmp_path, **overrides):
-    import dataclasses
-
     from test_sim import _triangle_scenario
 
     sc = _triangle_scenario()
@@ -104,6 +103,21 @@ def test_run_reports_divergence(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
     verdict = json.loads((out_dir / "verdict.json").read_text())
     assert verdict["diverged"] is True
+
+
+def test_run_reports_the_step_where_the_guard_tripped(tmp_path, capsys):
+    sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=5e-3)
+    path = _write_scenario(tmp_path / "fast.json", sc)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert "diverged at step 8 (t = 0.04 s of simulated time)" in capsys.readouterr().err
+
+
+def test_run_rejects_a_grid_that_drops_the_final_state(tmp_path, capsys):
+    path = _triangle_file(tmp_path, t_end=0.5, output_every=1000)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "not a multiple of output_every" in err
+    assert "Traceback" not in err
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Control-law behavior: gradient shape control and the estimator variant.
 
-Both laws are checked against their stacked matrix form, which is computed
-here from the selector matrices rather than reusing the library's loop.
+Both laws are probed through `closed_loop_derivative` at hand-built states
+and checked against their stacked matrix form, which is computed here from
+S1 and S2 rather than reusing the library's kernel.  A disturbance mu is
+set through the generator state's constant channel, w[k] = (mu_k, 0, ...),
+which the output vector reads back exactly because b1 = 1.
 """
 
 import numpy as np
@@ -11,24 +14,20 @@ from rigiform import (
     ControllerConfig,
     DisturbanceSpec,
     EdgeDisturbance,
-    EstimatorBank,
     FormationGraph,
     Framework,
     InternalModelBasis,
-    MeasurementView,
+    Scenario,
+    SimState,
+    closed_loop_derivative,
     consistent_errors,
     default_basis,
-    estimator_control,
     exosystem_initial_state,
-    gradient_control,
-    measurement_view,
-    mu_closed_form,
     random_trace,
     s1_matrix,
     s2_matrix,
     trace_distances,
     trace_graph,
-    view_from_mu,
 )
 
 
@@ -51,6 +50,32 @@ def _random_framework(rng, dim=2):
                      trace_distances(trace))
 
 
+def _rates(fw, mode="gradient_only", basis=None, kappa=1.0, mu=None, xi=None, w=None):
+    """(x_dot, xi_dot, w_dot) of the closed loop at the framework's positions."""
+    basis = basis if basis is not None else default_basis(())
+    edge_count = fw.graph.edge_count
+    p = basis.p
+    quiet = DisturbanceSpec(
+        basis.frequencies,
+        tuple(EdgeDisturbance(0.0, (0.0,) * p, (0.0,) * p) for _ in range(edge_count)),
+    )
+    sc = Scenario(
+        name="probe", dim=fw.dim, edges=fw.graph.edges,
+        distances=tuple(fw.target_distances),
+        initial_positions=tuple(map(tuple, fw.positions)), target_positions=None,
+        disturbance=quiet, mode=mode, kappa=kappa, b1=basis.b1, b2=basis.b2, xi0=None,
+        dt=1e-3, t_end=1.0, output_every=1,
+    )
+    shape = (edge_count, basis.state_size)
+    if w is None:
+        w = np.zeros(shape)
+        if mu is not None:
+            w[:, 0] = mu
+    if xi is None:
+        xi = np.zeros(shape)
+    return closed_loop_derivative(SimState(0.0, fw.positions, xi, w), sc)
+
+
 def test_consistent_errors_at_target_are_zero():
     fw = _right_triangle()
     assert np.array_equal(consistent_errors(fw), np.zeros(3))
@@ -62,24 +87,24 @@ def test_single_edge_error_literal():
     assert np.array_equal(consistent_errors(fw), np.array([3.0]))
 
 
-def test_view_from_mu_offsets_only_the_tail():
+def test_disturbance_offsets_only_the_tail():
+    # e = 3 at both ends; the tail acts on 3 + 19, the head on 3
     fw = _pair()
-    view = view_from_mu(fw, np.array([19.0]))
-    assert np.array_equal(view.tail_values, np.array([22.0]))
-    assert np.array_equal(view.head_values, np.array([3.0]))
+    x_dot, _, _ = _rates(fw, mu=[19.0])
+    assert np.array_equal(x_dot, np.array([[44.0, 0.0], [-6.0, 0.0]]))
 
 
 def test_two_agent_gradient_literal():
     # too far apart: both agents move toward each other along the edge
     fw = _pair()
-    u = gradient_control(fw, view_from_mu(fw, np.zeros(1)))
-    assert np.array_equal(u, np.array([[6.0, 0.0], [-6.0, 0.0]]))
+    x_dot, _, _ = _rates(fw)
+    assert np.array_equal(x_dot, np.array([[6.0, 0.0], [-6.0, 0.0]]))
 
 
 def test_gradient_is_zero_at_equilibrium():
     fw = _right_triangle()
-    u = gradient_control(fw, view_from_mu(fw, np.zeros(3)))
-    assert np.array_equal(u, np.zeros((3, 2)))
+    x_dot, _, _ = _rates(fw)
+    assert np.array_equal(x_dot, np.zeros((3, 2)))
 
 
 def test_gradient_matches_stacked_form():
@@ -87,46 +112,46 @@ def test_gradient_matches_stacked_form():
     for _ in range(5):
         fw = _random_framework(rng)
         mu = rng.uniform(-3.0, 3.0, fw.graph.edge_count)
-        view = view_from_mu(fw, mu)
-        u = gradient_control(fw, view).ravel()
+        x_dot, xi_dot, _ = _rates(fw, mu=mu)
         e = consistent_errors(fw)
         stacked = -s1_matrix(fw).T @ (e + mu) - s2_matrix(fw).T @ e
-        assert np.abs(u - stacked).max() < 1e-12 * max(1.0, np.abs(stacked).max())
+        assert np.abs(x_dot.ravel() - stacked).max() < 1e-12 * max(1.0, np.abs(stacked).max())
+        assert np.array_equal(xi_dot, np.zeros_like(xi_dot))
 
 
 def test_estimator_control_matches_stacked_form():
     rng = np.random.default_rng(22)
-    freqs = (1.0, 2.0)
-    basis = default_basis(freqs)
-    config = ControllerConfig("estimator", 2.5, basis)
-    for _ in range(5):
-        fw = _random_framework(rng)
-        E = fw.graph.edge_count
-        mu = rng.uniform(-3.0, 3.0, E)
-        xi = rng.standard_normal((E, basis.state_size))
-        bank = EstimatorBank(basis, xi)
-        u, xi_dot = estimator_control(fw, view_from_mu(fw, mu), bank, config)
-        e = consistent_errors(fw)
-        residual = e + mu - bank.mu_hat
-        stacked = -s1_matrix(fw).T @ residual - s2_matrix(fw).T @ e
-        assert np.abs(u.ravel() - stacked).max() < 1e-12 * max(1.0, np.abs(stacked).max())
-        for k in range(E):
-            want = basis.dynamics_matrix @ xi[k] + 2.5 * residual[k] * basis.vector
-            assert np.abs(xi_dot[k] - want).max() < 1e-14 * max(1.0, np.abs(want).max())
+    basis = default_basis((1.0, 2.0))
+    lam = basis.dynamics_matrix
+    for dim in (2, 3):
+        for _ in range(3):
+            fw = _random_framework(rng, dim)
+            E = fw.graph.edge_count
+            mu = rng.uniform(-3.0, 3.0, E)
+            xi = rng.standard_normal((E, basis.state_size))
+            x_dot, xi_dot, w_dot = _rates(fw, "estimator", basis, kappa=2.5, mu=mu, xi=xi)
+            e = consistent_errors(fw)
+            residual = e + mu - xi @ basis.vector
+            stacked = -s1_matrix(fw).T @ residual - s2_matrix(fw).T @ e
+            assert np.abs(x_dot.ravel() - stacked).max() < 1e-12 * max(1.0, np.abs(stacked).max())
+            for k in range(E):
+                want = lam @ xi[k] + 2.5 * residual[k] * basis.vector
+                assert np.abs(xi_dot[k] - want).max() < 1e-14 * max(1.0, np.abs(want).max())
+            # mu sits in the constant channel, which the generator leaves alone
+            assert np.array_equal(w_dot, np.zeros_like(w_dot))
 
 
 def test_offset_only_estimator_is_scalar_integrator():
+    # tail reads e + mu = 3 + 4, the unit holds 2: xi_dot = 7 - 2
     fw = _pair()
-    basis = default_basis(())
-    config = ControllerConfig("estimator", 1.0, basis)
-    bank = EstimatorBank(basis, np.array([[2.0]]))
-    view = MeasurementView(np.array([7.0]), np.array([3.0]))
-    _, xi_dot = estimator_control(fw, view, bank, config)
+    x_dot, xi_dot, _ = _rates(fw, "estimator", mu=[4.0], xi=np.array([[2.0]]))
     assert np.array_equal(xi_dot, np.array([[5.0]]))
+    assert np.array_equal(x_dot, np.array([[10.0, 0.0], [-6.0, 0.0]]))
 
 
 def test_exact_equilibrium_on_the_invariant_set():
-    # at target with estimator state matching the exosystem: u must vanish
+    # at target with estimator state matching the exosystem: x must stand
+    # still and the estimator must move exactly like the generator
     fw = _right_triangle()
     spec = DisturbanceSpec(
         (2.0,),
@@ -137,51 +162,39 @@ def test_exact_equilibrium_on_the_invariant_set():
         ),
     )
     basis = InternalModelBasis(1.0, (1.0, 0.0), (2.0,))
-    config = ControllerConfig("estimator", 1.0, basis)
-    bank = EstimatorBank(basis, exosystem_initial_state(spec, basis).w)
-    view = measurement_view(fw, spec, 0.0)
-    u, _ = estimator_control(fw, view, bank, config)
-    assert np.array_equal(u, np.zeros((3, 2)))
+    w = exosystem_initial_state(spec, basis).w
+    x_dot, xi_dot, w_dot = _rates(fw, "estimator", basis, xi=w, w=w)
+    assert np.array_equal(x_dot, np.zeros((3, 2)))
+    assert np.array_equal(xi_dot, w_dot)
 
 
 def test_control_is_local():
     # agent 2 never touches agent 4, so moving agent 4 cannot change u_2
     graph = FormationGraph(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
     pts = np.array([[0.1, 0.0], [1.2, 0.1], [1.0, 1.3], [-0.2, 0.9]])
-    fw = Framework(graph, 2, pts, np.ones(4))
     mu = np.array([0.3, -0.2, 0.5, 0.1])
-    before = gradient_control(fw, view_from_mu(fw, mu))
+    before, _, _ = _rates(Framework(graph, 2, pts, np.ones(4)), mu=mu)
     moved = pts.copy()
     moved[3] += (0.7, -0.4)
-    after = gradient_control(fw.at_positions(moved), view_from_mu(fw.at_positions(moved), mu))
+    after, _, _ = _rates(Framework(graph, 2, moved, np.ones(4)), mu=mu)
     assert np.array_equal(before[1], after[1])
     assert not np.array_equal(before[3], after[3])
 
 
 def test_mu_hat_is_linear_in_the_estimator_state():
+    # mu_hat = xi b is linear in xi, so both rates are affine in xi
     basis = default_basis((1.0, 3.0))
     rng = np.random.default_rng(23)
-    xi1 = rng.standard_normal((4, basis.state_size))
-    xi2 = rng.standard_normal((4, basis.state_size))
-    combo = EstimatorBank(basis, 2.0 * xi1 - 0.5 * xi2).mu_hat
-    parts = 2.0 * EstimatorBank(basis, xi1).mu_hat - 0.5 * EstimatorBank(basis, xi2).mu_hat
-    assert np.abs(combo - parts).max() < 1e-12 * max(1.0, np.abs(parts).max())
-
-
-def test_measurement_view_uses_closed_form_disturbance():
-    fw = _right_triangle()
-    spec = DisturbanceSpec(
-        (1.5,),
-        (
-            EdgeDisturbance(1.0, (0.5,), (0.2,)),
-            EdgeDisturbance(0.0, (0.0,), (0.0,)),
-            EdgeDisturbance(-0.3, (0.1,), (1.1,)),
-        ),
-    )
-    view = measurement_view(fw, spec, 0.7)
-    e = consistent_errors(fw)
-    assert np.array_equal(view.head_values, e)
-    assert np.abs(view.tail_values - (e + mu_closed_form(spec, 0.7))).max() < 1e-15
+    fw = _random_framework(rng)
+    xi1 = rng.standard_normal((fw.graph.edge_count, basis.state_size))
+    xi2 = rng.standard_normal((fw.graph.edge_count, basis.state_size))
+    combo = _rates(fw, "estimator", basis, xi=2.5 * xi1 - 1.5 * xi2)
+    parts = [
+        2.5 * a - 1.5 * b
+        for a, b in zip(_rates(fw, "estimator", basis, xi=xi1), _rates(fw, "estimator", basis, xi=xi2))
+    ]
+    for got, want in zip(combo, parts):
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_controller_config_validation():
@@ -200,18 +213,17 @@ def test_controller_config_validation():
 
 
 def test_view_and_bank_validation():
-    with pytest.raises(ValueError, match="equal-length vectors"):
-        MeasurementView(np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="equal-length vectors"):
-        MeasurementView(np.zeros(3), np.zeros(2))
-    basis = default_basis((1.0,))
+    # the per-edge generator state replaces the old measurement view and
+    # estimator bank; its shape is checked against the graph and the basis
     with pytest.raises(ValueError, match=r"\(edges, 2p\+1\)"):
-        EstimatorBank(basis, np.zeros((2, 5)))
+        SimState(0.0, np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"\(edges, 2p\+1\)"):
+        SimState(0.0, np.zeros((3, 2)), np.zeros(3), np.zeros(3))
     fw = _right_triangle()
-    short = MeasurementView(np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError, match="edge"):
-        gradient_control(fw, short)
-    config = ControllerConfig("estimator", 1.0, basis)
-    bank = EstimatorBank(basis, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="edge"):
-        estimator_control(fw, view_from_mu(fw, np.zeros(3)), bank, config)
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        _rates(fw, w=np.zeros((2, 1)), xi=np.zeros((2, 1)))
+    basis = default_basis((1.0,))
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        _rates(fw, mode="estimator", basis=basis, w=np.zeros((2, 3)), xi=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        _rates(fw, mode="estimator", basis=basis, w=np.zeros((3, 5)), xi=np.zeros((3, 5)))

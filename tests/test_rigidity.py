@@ -16,7 +16,6 @@ from rigiform import (
     InsertionStep,
     build_from_trace,
     edge_function,
-    incidence_H,
     is_infinitesimally_rigid,
     is_minimally_rigid,
     numeric_rank,
@@ -25,7 +24,6 @@ from rigiform import (
     rigidity_matrix,
     s1_matrix,
     s2_matrix,
-    selector_J,
     trace_distances,
     trace_graph,
 )
@@ -123,17 +121,27 @@ def test_rigidity_matrix_splits_into_tail_and_head_parts():
         assert not np.logical_and(s1 != 0.0, s2 != 0.0).any()
 
 
+def _incidence_rows(graph, head_value):
+    """|E| x n incidence rows: +1 at the tail, head_value at the head."""
+    out = np.zeros((graph.edge_count, graph.n))
+    rows = np.arange(graph.edge_count)
+    out[rows, graph.tails] = 1.0
+    out[rows, graph.heads] = head_value
+    return out
+
+
 def test_incidence_and_selector_identities():
+    # the paper's stacked forms: z = (H (x) I) x and tail positions = (J (x) I) x
     rng = np.random.default_rng(8)
     fw = _random_framework(rng, 2)
     graph, m = fw.graph, fw.dim
     x = fw.positions.ravel()
     z = fw.relative_vectors
 
-    picked = (np.kron(incidence_H(graph), np.eye(m)) @ x).reshape(-1, m)
+    picked = (np.kron(_incidence_rows(graph, -1.0), np.eye(m)) @ x).reshape(-1, m)
     assert np.array_equal(picked, z)
 
-    tails = (selector_J(graph, m) @ x).reshape(-1, m)
+    tails = (np.kron(_incidence_rows(graph, 0.0), np.eye(m)) @ x).reshape(-1, m)
     assert np.array_equal(tails, fw.positions[graph.tails])
 
 
@@ -344,20 +352,3 @@ def test_framework_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         Framework(graph, 2, bad, np.ones(3))
-
-
-def test_selectors_scatter_onto_endpoints():
-    fw = _triangle()
-    graph = fw.graph
-    weights = np.array([2.0, -3.0, 5.0])
-    gathered_t = graph.tail_selector @ np.zeros(3)  # shape check only
-    assert gathered_t.shape == (3,)
-    # tail_selector[i, k] == 1 iff agent i is the tail of edge k
-    for k, (t, h) in enumerate(graph.edges):
-        assert graph.tail_selector[t - 1, k] == 1.0
-        assert graph.head_selector[h - 1, k] == 1.0
-    per_agent = graph.tail_selector @ weights
-    expected = np.zeros(3)
-    for k, (t, _) in enumerate(graph.edges):
-        expected[t - 1] += weights[k]
-    assert np.array_equal(per_agent, expected)

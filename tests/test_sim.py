@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
     Scenario,
+    ScenarioError,
+    SimState,
     Trajectory,
     builtin_scenario,
     closed_loop_derivative,
@@ -22,6 +26,7 @@ from rigiform import (
     s1_matrix,
     write_csv,
 )
+from rigiform.sim import MAX_RECORDED_VALUES, MAX_STEPS
 
 _TRI_TARGET = ((0.0, 0.0), (2.0, 0.0), (1.0, 1.7))
 _TRI_EDGES = ((1, 2), (2, 3), (1, 3))
@@ -180,8 +185,69 @@ def test_divergence_guard_cuts_the_run_short():
     assert traj.diverged
     assert traj.sample_count < 20
     assert (np.diff(traj.times) > 0).all() or traj.sample_count == 1
+    assert traj.times[-1] < traj.divergence_step * sc.dt
     with pytest.raises(ValueError, match="window"):
         run_verdict(traj)
+
+
+def test_divergence_step_is_the_step_the_guard_tripped():
+    # dt = 5e-3 puts epuck2d's fastest mode outside RK4's stability region;
+    # the guard trips long before the first recorded sample after t = 0
+    sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=5e-3)
+    traj = integrate(sc)
+    assert traj.diverged
+    assert traj.divergence_step == 8
+    assert traj.sample_count == 1
+
+
+@pytest.mark.parametrize(
+    "t_end, every, reason",
+    [
+        (0.5, 1000, "multiple of output_every"),  # would record only t = 0
+        (0.0105, 1, "whole number"),  # 10.5 steps would move t_end
+    ],
+)
+def test_grid_must_end_on_a_recorded_sample_at_t_end(t_end, every, reason):
+    with pytest.raises(ScenarioError, match=reason):
+        integrate(_triangle_scenario(t_end=t_end, output_every=every))
+
+
+def test_caps_reject_a_run_before_it_allocates():
+    with pytest.raises(ScenarioError, match="steps, over the cap"):
+        integrate(_triangle_scenario(t_end=(MAX_STEPS + 10) * 1e-3, output_every=10))
+    with pytest.raises(ScenarioError, match="inf steps, over the cap"):
+        integrate(_triangle_scenario(dt=1e-300, t_end=1e300))
+    assert (MAX_STEPS + 1) * 28 > MAX_RECORDED_VALUES  # 28 values per triangle sample
+    with pytest.raises(ScenarioError, match="values, over the cap"):
+        integrate(_triangle_scenario(t_end=MAX_STEPS * 1e-3, output_every=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dt=st.sampled_from([1e-3, 4e-3, 0.05, 0.3]),
+    steps=st.integers(2, 300),
+    every=st.integers(1, 40),
+    fraction=st.sampled_from([0.0, 1e-12, 1e-6, 0.37]),
+    scale=st.sampled_from([1.0, 1e3]),
+    mode=st.sampled_from(["gradient_only", "estimator"]),
+)
+def test_accepted_runs_end_at_t_end_or_the_divergence_step(dt, steps, every, fraction, scale, mode):
+    sc = _triangle_scenario(
+        dt=dt, t_end=(steps + fraction) * dt, output_every=every, mode=mode,
+        initial_positions=((0.1 * scale, -0.2), (2.3 * scale, 0.3), (1.0, 1.9 * scale)),
+    )
+    try:
+        traj = integrate(sc)
+    except ScenarioError:
+        assert fraction >= 1e-6 or steps % every
+        return
+    assert fraction < 1e-6 and steps % every == 0
+    if traj.diverged:
+        assert 1 <= traj.divergence_step <= steps
+        assert traj.sample_count == (traj.divergence_step - 1) // every + 1
+    else:
+        assert traj.sample_count == steps // every + 1
+        assert abs(traj.times[-1] - sc.t_end) <= 1e-9 * sc.t_end
 
 
 def test_recorded_mu_tracks_closed_form():
@@ -206,6 +272,13 @@ def test_closed_loop_derivative_rejects_bad_state():
     broken = type(state)(t=0.0, x=bad_x, xi=np.asarray(state.xi), w=np.asarray(state.w))
     with pytest.raises(ValueError, match="finite"):
         closed_loop_derivative(broken, sc)
+    x, xi, w = np.asarray(state.x), np.asarray(state.xi), np.asarray(state.w)
+    with pytest.raises(ValueError, match="x must have shape"):
+        closed_loop_derivative(SimState(0.0, x[:2], xi, w), sc)
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        closed_loop_derivative(SimState(0.0, x, xi[:2], w[:2]), sc)
+    with pytest.raises(ValueError, match=r"\(edges, 2p\+1\)"):
+        SimState(0.0, x, xi, w[:2])
 
 
 def test_verdict_on_a_converged_run():
