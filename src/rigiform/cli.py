@@ -105,18 +105,19 @@ def _execute_run(sc, out_dir):
         "mode": sc.mode,
         "samples": traj.sample_count,
         "diverged": traj.diverged,
-        "final_error": float(np.linalg.norm(traj.errors[-1])),
+        "final_error": float(np.linalg.norm(traj.final_errors)),
         "converged": None,
         "rate": None,
         "rate_r_squared": None,
         "steady_speed": None,
         "orbit_detected": None,
+        "null_reason": None,
     }
     try:
         verdict = run_verdict(traj)
-    except ValueError:
-        verdict = None
-    if verdict is not None:
+    except ValueError as exc:
+        record["null_reason"] = str(exc)
+    else:
         record.update(
             converged=verdict.converged,
             final_error=verdict.final_error,

@@ -560,7 +560,8 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
     Draws construction traces until the embedding passes the rank test and
     the oriented error dynamics are Hurwitz, then wraps the formation with
     a small random initial offset and a random offset-plus-sinusoid
-    disturbance.  Deterministic per seed.
+    disturbance.  Deterministic per seed.  Raises ScenarioError when the
+    trace sampler stalls or no draw certifies.
 
     assignment selects the estimating-agent rule: "trace" follows the
     construction order; the triangle rules apply only to n = 3, dim = 2
@@ -584,7 +585,10 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
 
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        trace, pts = random_trace(n, dim, rng)
+        try:
+            trace, pts = random_trace(n, dim, rng)
+        except RuntimeError as exc:
+            raise ScenarioError(f"cannot place {n} agents: {exc} (seed {seed})") from exc
         distances = trace_distances(trace)
         if assignment == "trace":
             rule = AssignmentRule("henneberg_2d" if dim == 2 else "growth_3d")

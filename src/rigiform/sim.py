@@ -2,9 +2,12 @@
 
 The closed-loop state is one flat float64 vector y = [x | xi | w]: agent
 positions (n, dim), estimator bank (E, q) and signal generators (E, q),
-each stored row-major.  `_ClosedLoop` is the only implementation of the
-control law: its edge terms give the derivative that `integrate` and
-`closed_loop_derivative` use and the columns a Trajectory records.
+each stored row-major, so xi and w also form one (2, E, q) stack.
+`_ClosedLoop` is the only implementation of the control law: one
+evaluation returns the derivative that `integrate` and
+`closed_loop_derivative` use together with the edge columns a Trajectory
+records.  On a sampled step `integrate` records from the evaluation that
+also serves as the next step's k1, so every step costs four evaluations.
 Integration is classical fourth-order Runge-Kutta with a constant step,
 so a run is bitwise reproducible; adaptive stepping would trade that away
 for speed this problem does not need.  The generator block is integrated
@@ -72,7 +75,10 @@ class Trajectory:
     estimating agent effectively acts on); estimator_gap holds the
     generator state minus the estimator state, per edge and sample.  A
     diverged run keeps the samples recorded before the guard tripped, and
-    divergence_step is the step at which it tripped.
+    divergence_step is the step at which it tripped.  final_errors holds
+    the edge errors of the last state that passed the guard: the last
+    sample's (the default) unless the run diverged, when it is the state
+    one step before divergence_step.
     """
 
     times: np.ndarray
@@ -85,6 +91,7 @@ class Trajectory:
     estimator_gap: np.ndarray
     diverged: bool
     divergence_step: int | None = None
+    final_errors: np.ndarray | None = None
 
     def __post_init__(self):
         if bool(self.diverged) != (self.divergence_step is not None):
@@ -105,6 +112,11 @@ class Trajectory:
             if a.ndim != ndim or a.shape[0] != t_count:
                 raise ValueError(f"{name} must have {ndim} axes with one row per sample")
             arrays[name] = a
+        last = arrays["errors"][-1] if self.final_errors is None else self.final_errors
+        final_errors = np.array(last, dtype=float)
+        if final_errors.shape != arrays["errors"].shape[1:]:
+            raise ValueError("final_errors must hold one error per edge")
+        arrays["final_errors"] = final_errors
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         for name, a in arrays.items():
@@ -143,9 +155,8 @@ class RunVerdict:
             raise ValueError("an orbit verdict needs a positive steady speed")
 
 
-def _rk4_step(y, dt, deriv):
-    """One classical Runge-Kutta step of dy/dt = deriv(y)."""
-    k1 = deriv(y)
+def _rk4_step(y, dt, deriv, k1):
+    """One classical Runge-Kutta step of dy/dt = deriv(y), given k1 = deriv(y)."""
     k2 = deriv(y + 0.5 * dt * k1)
     k3 = deriv(y + 0.5 * dt * k2)
     k4 = deriv(y + dt * k3)
@@ -162,7 +173,12 @@ class _ClosedLoop:
     -r_k z_k, with r_k the biased reading itself (gradient mode) or that
     reading minus the estimate mu_hat_k = b.xi_k (estimator mode), which
     also drives the edge's unit: d(xi_k)/dt = Lambda xi_k + kappa r_k b.
-    Both moves are summed per agent by one bincount.
+
+    Gathering y at two precomputed flat index arrays yields the rows
+    [x_head - x_tail ; z], so every push is a row times its weight (r for
+    the tail rows, e for the head rows), and one bincount sums the pushes
+    per agent.  xi and w are read as one (2, E, q) stack, so (mu_hat, mu)
+    and both generator derivatives each take one matrix product.
     """
 
     def __init__(self, scenario):
@@ -173,11 +189,15 @@ class _ClosedLoop:
         self.edge_count, self.q = g.edge_count, basis.state_size
         self.nx = self.n * self.dim
         self.ne = self.edge_count * self.q
-        self.tails, self.heads = g.tails, g.heads
-        # flat (agent, coordinate) slot of every tail push, then every head push
-        ends = np.concatenate([g.tails, g.heads])
-        self.slots = (ends[:, None] * self.dim + np.arange(self.dim)).ravel()
-        self.d_sq = fw.target_distances ** 2
+        # flat slots of (agent, coordinate): tail rows read head - tail and
+        # push onto the tail, head rows read tail - head and push onto the head
+        coords = np.arange(self.dim)
+        heads = g.heads[:, None] * self.dim + coords
+        tails = g.tails[:, None] * self.dim + coords
+        self.plus_at = np.concatenate([heads, tails])
+        self.minus_at = np.concatenate([tails, heads])
+        self.slots = self.minus_at.ravel()
+        self.d_sq = np.tile(fw.target_distances ** 2, 2)  # one per gathered row
         self.b = basis.vector
         self.lam_t = np.ascontiguousarray(basis.dynamics_matrix.T)
         self.kappa = float(scenario.kappa)
@@ -195,32 +215,35 @@ class _ClosedLoop:
             y[nx + ne:].reshape(self.edge_count, self.q),
         )
 
-    def terms(self, y):
-        """(x, xi, w, e, mu, mu_hat, alpha, r, u) at y: the state views, the
-        per-edge terms, and the flat per-agent velocity u."""
-        x, xi, w = self.split(y)
-        z = x[self.tails] - x[self.heads]
-        e = np.einsum("kd,kd->k", z, z) - self.d_sq
-        mu = w @ self.b
-        mu_hat = xi @ self.b
-        biased = e + mu
-        alpha = biased - mu_hat
-        r = alpha if self.estimator else biased
-        pushes = np.concatenate([-r[:, None] * z, e[:, None] * z])
-        u = np.bincount(self.slots, weights=pushes.ravel(), minlength=self.nx)
-        return x, xi, w, e, mu, mu_hat, alpha, r, u
+    def evaluate(self, y):
+        """(dy, e, mu, mu_hat) at y: the derivative and the per-edge terms."""
+        edges, nx = self.edge_count, self.nx
+        rows = y[self.plus_at] - y[self.minus_at]
+        # both halves of rows have the same squared lengths: the head half
+        # keeps e, the tail half becomes each tail's weight r in place
+        weights = np.einsum("kd,kd->k", rows, rows) - self.d_sq
+        r, e = weights[:edges], weights[edges:]
+        banks = y[nx:].reshape(2, edges, self.q)
+        outputs = banks @ self.b
+        mu_hat, mu = outputs[0], outputs[1]  # unpacking would iterate the array: slower
+        r += mu
+        if self.estimator:
+            r -= mu_hat
+        dy = np.empty_like(y)
+        pushes = weights[:, None] * rows
+        dy[:nx] = np.bincount(self.slots, weights=pushes.ravel(), minlength=nx)
+        dbanks = dy[nx:].reshape(2, edges, self.q)
+        np.matmul(banks, self.lam_t, out=dbanks)
+        dxi = dbanks[0]
+        if self.estimator:
+            # kappa * r before b: folding kappa into b would round differently
+            dxi += self.kappa * r[:, None] * self.b
+        else:
+            dxi[...] = 0.0
+        return dy, e, mu, mu_hat
 
     def __call__(self, y) -> np.ndarray:
-        _, xi, w, _, _, _, _, r, u = self.terms(y)
-        dy = np.empty_like(y)
-        dy[:self.nx] = u
-        _, xi_dot, w_dot = self.split(dy)
-        if self.estimator:
-            xi_dot[...] = xi @ self.lam_t + self.kappa * r[:, None] * self.b
-        else:
-            xi_dot[...] = 0.0
-        w_dot[...] = w @ self.lam_t
-        return dy
+        return self.evaluate(y)[0]
 
 
 def initial_state(scenario) -> SimState:
@@ -278,7 +301,8 @@ def integrate(scenario) -> Trajectory:
     infinitesimally rigid; such runs are legal but cannot certify anything.
     Raises ScenarioError when the grid does not end on a recorded sample at
     t_end or the run would pass a cap.  Aborts with a partial trajectory
-    when the divergence guard trips.
+    when the divergence guard trips; its final_errors are then those of the
+    last state that passed the guard.
     """
     if scenario.target_positions is not None:
         rigid, _ = is_infinitesimally_rigid(scenario.framework_target())
@@ -306,23 +330,29 @@ def integrate(scenario) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
-                y = _rk4_step(y, dt, loop)
-                if (not np.isfinite(y).all()
-                        or float(np.linalg.norm(y[:loop.nx])) > DIVERGENCE_GUARD):
+                y_next = _rk4_step(y, dt, loop, k1)
+                if (not np.isfinite(y_next).all()
+                        or float(np.linalg.norm(y_next[:loop.nx])) > DIVERGENCE_GUARD):
                     divergence_step = step
                     count = (step - 1) // every + 1
                     break
+                y = y_next
+            # the evaluation at y is the next step's k1 and, on a sampled
+            # step, also the sample
+            k1, e, mu_y, mu_hat_y = loop.evaluate(y)
             if step % every == 0:
                 i = step // every
-                x, xi, w, errors[i], mu[i], mu_hat[i], alpha[i], _, u = loop.terms(y)
+                x, xi, w = loop.split(y)
                 positions[i] = x
-                speeds[i] = np.linalg.norm(u.reshape(n, dim), axis=1)
+                errors[i], mu[i], mu_hat[i] = e, mu_y, mu_hat_y
+                alpha[i] = e + mu_y - mu_hat_y
+                speeds[i] = np.linalg.norm(k1[:loop.nx].reshape(n, dim), axis=1)
                 gap[i] = w - xi
 
     return Trajectory(
         np.arange(count) * every * dt, positions[:count], errors[:count], speeds[:count],
         mu[:count], mu_hat[:count], alpha[:count], gap[:count],
-        divergence_step is not None, divergence_step,
+        divergence_step is not None, divergence_step, e,
     )
 
 
@@ -383,9 +413,11 @@ def run_verdict(traj: Trajectory, window_fraction: float = 0.2, tol: float = 1e-
     orbit = bool((means > 10.0 * tol).all() and (spreads <= 1e-3 * means).all())
     steady = float(means.mean()) if orbit else None
     rate, r_sq = _fit_exponential(traj.times, err_norms)
+    # a diverged run's last sample predates the last state that passed the guard
+    final_error = np.linalg.norm(traj.final_errors) if traj.diverged else err_norms[-1]
     return RunVerdict(
         converged=converged,
-        final_error=float(err_norms[-1]),
+        final_error=float(final_error),
         rate=rate,
         rate_r_squared=r_sq,
         steady_speed=steady,
@@ -415,7 +447,7 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     times = [0.0]
     states = [w]
     for step in range(1, steps + 1):
-        w = _rk4_step(w, dt, deriv)
+        w = _rk4_step(w, dt, deriv, deriv(w))
         if step % every == 0:
             times.append(step * dt)
             states.append(w)

@@ -80,6 +80,19 @@ def test_run_writes_trajectory_and_verdict(tmp_path, capsys):
     assert verdict["diverged"] is False
     assert "wall_seconds" not in verdict
     assert "final_error" in verdict and "converged" in verdict
+    assert verdict["null_reason"] is None
+
+
+def test_short_run_says_why_its_verdict_is_null(tmp_path):
+    path = _triangle_file(tmp_path, t_end=0.1)
+    out_dir = tmp_path / "out"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    verdict = json.loads((out_dir / "verdict.json").read_text())
+    assert verdict["samples"] == 11
+    assert verdict["converged"] is None and verdict["rate"] is None
+    assert verdict["null_reason"] == (
+        "analysis window holds 3 samples, need at least 50; run longer or sample more often"
+    )
 
 
 def test_run_mode_override(tmp_path):
@@ -110,6 +123,21 @@ def test_run_reports_the_step_where_the_guard_tripped(tmp_path, capsys):
     path = _write_scenario(tmp_path / "fast.json", sc)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert "diverged at step 8 (t = 0.04 s of simulated time)" in capsys.readouterr().err
+
+
+def test_diverged_run_reports_the_error_of_its_last_good_state(tmp_path):
+    # the guard trips at step 8, so step 7 is the last state that passed it
+    sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=5e-3)
+    path = _write_scenario(tmp_path / "fast.json", sc)
+    assert main(["run", path, "--out", str(tmp_path / "boom")]) == 2
+    short = _write_scenario(
+        tmp_path / "short.json", dataclasses.replace(sc, t_end=7 * sc.dt, output_every=7)
+    )
+    assert main(["run", short, "--out", str(tmp_path / "short")]) == 0
+    boom = json.loads((tmp_path / "boom" / "verdict.json").read_text())
+    want = json.loads((tmp_path / "short" / "verdict.json").read_text())
+    assert boom["samples"] == 1
+    assert boom["final_error"] == want["final_error"]
 
 
 def test_run_rejects_a_grid_that_drops_the_final_state(tmp_path, capsys):
@@ -190,6 +218,18 @@ def test_generate_rejects_bad_combinations(tmp_path, capsys):
     assert rc == 1
     assert "triangle" in capsys.readouterr().err
     assert main(["generate", "--n", "3", "--dim", "3", "--seed", "0", "--out", str(path)]) == 1
+
+
+def test_generate_reports_a_stalled_draw_in_one_line(tmp_path, monkeypatch, capsys):
+    def stall(n, dim, rng):
+        raise RuntimeError("2-D trace sampling stalled")
+
+    monkeypatch.setattr("rigiform.scenario.random_trace", stall)
+    path = tmp_path / "big.json"
+    assert main(["generate", "--n", "1000", "--dim", "2", "--seed", "0", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot place 1000 agents: 2-D trace sampling stalled (seed 0)\n"
+    assert not path.exists()
 
 
 def test_builtin_round_trip(tmp_path):

@@ -198,6 +198,10 @@ def test_divergence_step_is_the_step_the_guard_tripped():
     assert traj.diverged
     assert traj.divergence_step == 8
     assert traj.sample_count == 1
+    # the last state that passed the guard is step 7's, not the t = 0 sample
+    last_good = integrate(dataclasses.replace(sc, t_end=7 * sc.dt, output_every=7))
+    assert not last_good.diverged
+    assert np.array_equal(traj.final_errors, last_good.errors[-1])
 
 
 @pytest.mark.parametrize(
@@ -262,6 +266,55 @@ def test_alpha_column_is_consistent():
     assert np.array_equal(traj.alpha, traj.errors + traj.mu - traj.mu_hat)
     state = initial_state(_triangle_scenario())
     assert np.array_equal(traj.estimator_gap[0], np.asarray(state.w) - np.asarray(state.xi))
+
+
+def _law_by_edge(sc, x, xi, w):
+    """The control law one edge at a time: the head moves along +e z, the
+    tail along -r z, xi' = Lambda xi + kappa r b (estimator mode only) and
+    w' = Lambda w."""
+    basis = sc.basis()
+    b, lam = basis.vector, basis.dynamics_matrix
+    estimator = sc.mode == "estimator"
+    x_dot = np.zeros_like(x)
+    xi_dot = np.zeros_like(xi)
+    for k, (tail, head) in enumerate(sc.edges):
+        z = x[tail - 1] - x[head - 1]
+        e = z @ z - sc.distances[k] ** 2
+        r = e + b @ w[k]
+        if estimator:
+            r -= b @ xi[k]
+            xi_dot[k] = lam @ xi[k] + sc.kappa * r * b
+        x_dot[head - 1] += e * z
+        x_dot[tail - 1] -= r * z
+    return x_dot, xi_dot, np.array([lam @ row for row in w])
+
+
+@pytest.mark.parametrize("name", ["epuck2d", "tetra3d"])
+@pytest.mark.parametrize("mode", ["gradient_only", "estimator"])
+def test_kernel_matches_a_per_edge_loop(name, mode):
+    base = builtin_scenario(name)
+    b2 = tuple(0.4 + 0.3 * i if i % 2 else -0.7 + 0.2 * i for i in range(len(base.b2)))
+    sc = dataclasses.replace(base, mode=mode, kappa=0.37, b1=1.3, b2=b2)
+    rng = np.random.default_rng(7)
+    n, edges, q = len(sc.initial_positions), len(sc.edges), sc.basis().state_size
+    for _ in range(5):
+        x = np.asarray(sc.initial_positions) + rng.normal(scale=0.5, size=(n, sc.dim))
+        xi, w = rng.normal(size=(2, edges, q))
+        got = closed_loop_derivative(SimState(0.0, x, xi, w), sc)
+        for a, want in zip(got, _law_by_edge(sc, x, xi, w)):
+            assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sampling_stride_leaves_the_trajectory_bitwise_unchanged():
+    # a sampled step's evaluation also serves as the next step's k1, so
+    # sampling must not perturb a single bit of the state
+    sc = _triangle_scenario(kappa=0.37, t_end=1.2, output_every=1)
+    dense = integrate(sc)
+    sparse = integrate(dataclasses.replace(sc, output_every=40))
+    assert sparse.sample_count == 31
+    for name in ("positions", "errors", "speeds", "mu", "mu_hat", "alpha", "estimator_gap"):
+        assert np.array_equal(getattr(dense, name)[::40], getattr(sparse, name))
+    assert np.array_equal(dense.final_errors, sparse.final_errors)
 
 
 def test_closed_loop_derivative_rejects_bad_state():
@@ -330,6 +383,28 @@ def test_verdict_window_must_hold_enough_samples():
     )
     with pytest.raises(ValueError, match="window"):
         run_verdict(traj)
+
+
+def test_diverged_verdict_reports_the_last_state_that_passed_the_guard():
+    times = np.arange(300) * 0.1
+    zeros_e = np.zeros((300, 3))
+    traj = Trajectory(
+        times=times,
+        positions=np.zeros((300, 2, 2)),
+        errors=zeros_e,
+        speeds=np.zeros((300, 2)),
+        mu=zeros_e,
+        mu_hat=zeros_e,
+        alpha=zeros_e,
+        estimator_gap=np.zeros((300, 3, 3)),
+        diverged=True,
+        divergence_step=30_000,
+        final_errors=np.array([3.0, 0.0, 4.0]),
+    )
+    assert run_verdict(traj).final_error == 5.0
+    assert np.array_equal(dataclasses.replace(traj, final_errors=None).final_errors, zeros_e[-1])
+    with pytest.raises(ValueError, match="one error per edge"):
+        dataclasses.replace(traj, final_errors=np.zeros(2))
 
 
 def test_trajectory_validation():
