@@ -34,13 +34,19 @@ HURWITZ_TOL = 1e-9
 def is_hurwitz(matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
     """(verdict, spectral margin): margin is the largest eigenvalue real part,
     and the verdict requires it below -tol."""
+    return _hurwitz_spectrum(matrix, tol)[:2]
+
+
+def _hurwitz_spectrum(matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float, np.ndarray]:
+    """is_hurwitz's verdict and margin plus the spectrum they come from."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(m).all():
         raise ValueError("matrix must be finite")
-    margin = float(np.max(np.linalg.eigvals(m).real))
-    return margin < -tol, margin
+    spectrum = np.linalg.eigvals(m)
+    margin = float(np.max(spectrum.real))
+    return margin < -tol, margin, spectrum
 
 
 def stability_matrix(framework: Framework) -> np.ndarray:
@@ -223,8 +229,7 @@ def certify(
         oriented = select_estimating_agents(framework.graph, rule)
     fw = _with_orientation(framework, oriented)
     matrix = stability_matrix(fw)
-    spectrum = np.linalg.eigvals(matrix)
-    hurwitz, margin = is_hurwitz(matrix)
+    hurwitz, margin, spectrum = _hurwitz_spectrum(matrix)
     if not hurwitz:
         warnings.warn(
             f"error dynamics are not certified stable (margin {margin:.3e})",

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import is_hurwitz, stability_matrix
+# unused here, is_hurwitz stays importable: perfbench/tracing.py wraps it by name
+from .analysis import _hurwitz_spectrum, is_hurwitz, stability_matrix  # noqa: F401
 from .controller import MODES
 from .rigidity import is_infinitesimally_rigid, is_minimally_rigid, rigid_rank_target
 from .scenario import BUILTIN_NAMES, ScenarioError, builtin_scenario, generate_scenario, \
@@ -63,8 +64,7 @@ def cmd_check(args) -> int:
         # only repeat the report
         warnings.simplefilter("ignore", RuntimeWarning)
         matrix = stability_matrix(fw)
-    hurwitz, margin = is_hurwitz(matrix)
-    spectrum = np.linalg.eigvals(matrix)
+    hurwitz, margin, spectrum = _hurwitz_spectrum(matrix)
     order = np.lexsort((spectrum.imag, spectrum.real))
     certified = rigid and hurwitz
     record = {
@@ -144,7 +144,8 @@ def cmd_run(args) -> int:
     if traj.diverged:
         step = traj.divergence_step
         print(
-            f"run diverged at step {step} (t = {step * sc.dt:.6g} s of simulated time)",
+            f"run diverged at step {step} (t = {step * sc.dt:.6g} s of simulated time): "
+            f"{traj.divergence_reason}",
             file=sys.stderr,
         )
         return 2

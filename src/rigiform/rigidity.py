@@ -118,6 +118,11 @@ class Framework:
         z.setflags(write=False)
         return z
 
+    @cached_property
+    def rigidity_rank(self) -> int:
+        """Numeric rank of the rigidity matrix at RANK_TOL, computed once."""
+        return numeric_rank(rigidity_matrix(self))
+
     def at_positions(self, positions) -> "Framework":
         """Same graph and distances, different embedding."""
         return Framework(self.graph, self.dim, positions, self.target_distances)
@@ -201,7 +206,7 @@ def rigid_rank_target(n: int, dim: int) -> int:
 def is_infinitesimally_rigid(fw: Framework, tol: float = RANK_TOL) -> tuple[bool, int]:
     """Rank-based rigidity verdict plus the measured rank."""
     target = rigid_rank_target(fw.graph.n, fw.dim)
-    rank = numeric_rank(rigidity_matrix(fw), tol)
+    rank = fw.rigidity_rank if tol == RANK_TOL else numeric_rank(rigidity_matrix(fw), tol)
     return rank == target, rank
 
 
@@ -445,8 +450,10 @@ def build_from_trace(trace: ConstructionTrace, placement="positive", *, rng=None
     raise ValueError(f"could not realize the trace after {attempts} attempt(s): {failure}")
 
 
-def _min_gap(pts, cand) -> float:
-    return min(float(np.linalg.norm(cand - p)) for p in pts)
+def _min_gap(placed, cand) -> float:
+    # per row, the dot routine np.linalg.norm uses (einsum rounds differently): bitwise equal
+    d = placed - cand
+    return math.sqrt((d[:, None, :] @ d[:, :, None]).min())
 
 
 def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
@@ -459,11 +466,12 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
     if dim == 2:
         if n < 2:
             raise ValueError("2-D trace needs n >= 2")
-        pts = [np.zeros(2), np.array([float(rng.uniform(1.0, 2.0)), 0.0])]
+        pts = np.zeros((n, 2))  # rows below m are placed
+        pts[1, 0] = float(rng.uniform(1.0, 2.0))
         steps = []
-        for _ in range(n - 2):
+        for m in range(2, n):
             for _attempt in range(500):
-                a, b = sorted(int(v) for v in rng.choice(len(pts), size=2, replace=False))
+                a, b = sorted(int(v) for v in rng.choice(m, size=2, replace=False))
                 mid = 0.5 * (pts[a] + pts[b])
                 angle = float(rng.uniform(0.0, 2.0 * math.pi))
                 radius = float(rng.uniform(0.7, 1.5))
@@ -472,18 +480,18 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
                 off = cand - pts[a]
                 if 0.5 * abs(span[0] * off[1] - span[1] * off[0]) < 0.25:
                     continue
-                if _min_gap(pts, cand) < 0.35:
+                if _min_gap(pts[:m], cand) < 0.35:
                     continue
                 steps.append(InsertionStep(
                     (a + 1, b + 1),
                     (float(np.linalg.norm(cand - pts[a])), float(np.linalg.norm(cand - pts[b]))),
                 ))
-                pts.append(cand)
+                pts[m] = cand
                 break
             else:
                 raise RuntimeError("2-D trace sampling stalled")
         trace = ConstructionTrace(2, (float(np.linalg.norm(pts[1] - pts[0])),), tuple(steps))
-        return trace, np.array(pts)
+        return trace, pts
 
     if dim != 3:
         raise ValueError("dim must be 2 or 3")
@@ -507,24 +515,24 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
         raise RuntimeError("3-D seed sampling stalled")
 
     triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    pts = np.vstack([pts, np.empty((n - 4, 3))])  # rows below m are placed
     steps = []
-    for _ in range(n - 4):
+    for m in range(4, n):
         for _attempt in range(500):
             a, b, c = triangles[int(rng.integers(len(triangles)))]
             centroid = (pts[a] + pts[b] + pts[c]) / 3.0
             cand = centroid + rng.uniform(-1.4, 1.4, size=3)
-            if _min_gap(pts, cand) < 0.4:
+            if _min_gap(pts[:m], cand) < 0.4:
                 continue
             vol = abs(np.linalg.det(np.array([pts[b] - pts[a], pts[c] - pts[a], cand - pts[a]]))) / 6.0
             if vol < 0.3:
                 continue
-            new = len(pts)
             steps.append(InsertionStep(
                 (a + 1, b + 1, c + 1),
                 tuple(float(np.linalg.norm(cand - pts[v])) for v in (a, b, c)),
             ))
-            triangles.extend([(a, b, new), (a, c, new), (b, c, new)])
-            pts.append(cand)
+            triangles.extend([(a, b, m), (a, c, m), (b, c, m)])
+            pts[m] = cand
             break
         else:
             raise RuntimeError("3-D trace sampling stalled")
@@ -532,4 +540,4 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
     seed_pairs = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
     seed = tuple(float(np.linalg.norm(pts[i] - pts[j])) for i, j in seed_pairs)
     trace = ConstructionTrace(3, seed, tuple(steps))
-    return trace, np.array(pts)
+    return trace, pts

@@ -78,7 +78,8 @@ class Trajectory:
     divergence_step is the step at which it tripped.  final_errors holds
     the edge errors of the last state that passed the guard: the last
     sample's (the default) unless the run diverged, when it is the state
-    one step before divergence_step.
+    one step before divergence_step.  divergence_reason says what tripped
+    the guard: the non-finite blocks of the state, or the position norm.
     """
 
     times: np.ndarray
@@ -92,6 +93,7 @@ class Trajectory:
     diverged: bool
     divergence_step: int | None = None
     final_errors: np.ndarray | None = None
+    divergence_reason: str | None = None
 
     def __post_init__(self):
         if bool(self.diverged) != (self.divergence_step is not None):
@@ -245,6 +247,13 @@ class _ClosedLoop:
     def __call__(self, y) -> np.ndarray:
         return self.evaluate(y)[0]
 
+    def guard_reason(self, y) -> str:
+        """What trips the divergence guard at y: non-finite blocks first."""
+        bad = [k for k, b in zip(("x", "xi", "w"), self.split(y)) if not np.isfinite(b).all()]
+        if bad:
+            return f"non-finite {', '.join(bad)}"
+        return f"position norm {np.linalg.norm(y[:self.nx]):.6g} > guard {DIVERGENCE_GUARD:g}"
+
 
 def initial_state(scenario) -> SimState:
     """t = 0 state: scenario positions, configured (or zero) estimator bank,
@@ -326,14 +335,16 @@ def integrate(scenario) -> Trajectory:
 
     state0 = initial_state(scenario)
     y = loop.pack(state0.x, state0.xi, state0.w)
-    divergence_step = None
+    divergence_step = reason = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
                 y_next = _rk4_step(y, dt, loop, k1)
+                x_next = y_next[:loop.nx]
+                # sqrt(x.x) is exactly what np.linalg.norm computes, minus its overhead
                 if (not np.isfinite(y_next).all()
-                        or float(np.linalg.norm(y_next[:loop.nx])) > DIVERGENCE_GUARD):
-                    divergence_step = step
+                        or math.sqrt(x_next.dot(x_next)) > DIVERGENCE_GUARD):
+                    divergence_step, reason = step, loop.guard_reason(y_next)
                     count = (step - 1) // every + 1
                     break
                 y = y_next
@@ -352,7 +363,7 @@ def integrate(scenario) -> Trajectory:
     return Trajectory(
         np.arange(count) * every * dt, positions[:count], errors[:count], speeds[:count],
         mu[:count], mu_hat[:count], alpha[:count], gap[:count],
-        divergence_step is not None, divergence_step, e,
+        divergence_step is not None, divergence_step, e, reason,
     )
 
 

@@ -1,12 +1,25 @@
 """Command-line behavior: exit codes, output files, and determinism."""
 
 import dataclasses
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigiform import builtin_scenario, generate_scenario, load_scenario, save_scenario
+from rigiform import (
+    BUILTIN_NAMES,
+    builtin_scenario,
+    generate_scenario,
+    load_scenario,
+    save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from rigiform.cli import main
 
 
@@ -125,6 +138,24 @@ def test_run_reports_the_step_where_the_guard_tripped(tmp_path, capsys):
     assert "diverged at step 8 (t = 0.04 s of simulated time)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt, step, reason", [
+    # every block finite, but |x| overflows to inf
+    (5e-3, 8, "position norm inf > guard 1e+09"),
+    (2e-2, 2, "non-finite x, xi"),
+])
+def test_run_names_what_tripped_the_guard(tmp_path, capsys, dt, step, reason):
+    sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=dt)
+    path = _write_scenario(tmp_path / "fast.json", sc)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"run diverged at step {step} (t = {step * dt:.6g} s of simulated time): {reason}\n"
+    )
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert verdict["diverged"] is True
+    assert reason not in (tmp_path / "out" / "verdict.json").read_text()
+
+
 def test_diverged_run_reports_the_error_of_its_last_good_state(tmp_path):
     # the guard trips at step 8, so step 7 is the last state that passed it
     sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=5e-3)
@@ -232,6 +263,62 @@ def test_generate_reports_a_stalled_draw_in_one_line(tmp_path, monkeypatch, caps
     assert not path.exists()
 
 
+# sha256 of `generate --n N --dim D --seed S` output, recorded before the gap
+# test in random_trace was vectorized and the certification's rank and
+# spectrum were shared
+GENERATE_DIGESTS = {
+    (200, 2, 0): "e9144c0af28cbcff3bf7a319445d8bd4fd6696579a1302fd02d0fe5439db2c4b",
+    (250, 3, 0): "630c3f6259caca0359aadb40839bc4db58b7d576d916a235f962d94eb488421a",
+    (40, 3, 1): "94a477e8ed28ac7bb501932f8db6414f1b8e0d8f691f21681757d12fcd0c7751",
+    (4, 2, 5): "09888e95bfa5222619d24c431bb5cb8767166047fe2763de3857d65d05baade5",
+    (5, 3, 5): "a5e3dc6a09218ecd1b771e514c1cf16de93155fc17f25221bd1110e312eaeb1d",
+}
+
+
+@pytest.mark.parametrize("n, dim, seed", sorted(GENERATE_DIGESTS))
+def test_generate_output_is_byte_stable(tmp_path, n, dim, seed):
+    path = tmp_path / "gen.json"
+    argv = ["generate", "--n", str(n), "--dim", str(dim), "--seed", str(seed), "--out", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATE_DIGESTS[n, dim, seed]
+
+
+def _count_certification_work(monkeypatch, n, dim):
+    """Record the rigidity-matrix ranks, eigvals calls and trace draws made
+    from here on; ranks of other shapes (observability) are left out."""
+    import rigiform.rigidity as rigidity
+    import rigiform.scenario as scenario
+
+    counts = {"rank": 0, "eigvals": 0, "draws": 0}
+    shape = (rigidity.rigid_rank_target(n, dim), dim * n)
+
+    def wrap(key, fn, counts_call=lambda *a: True):
+        def counted(*args, **kwargs):
+            counts[key] += bool(counts_call(*args))
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(rigidity, "numeric_rank", wrap(
+        "rank", rigidity.numeric_rank, lambda m, *a: np.shape(m) == shape))
+    monkeypatch.setattr(np.linalg, "eigvals", wrap("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(scenario, "random_trace", wrap("draws", scenario.random_trace))
+    return counts
+
+
+def test_certification_makes_one_rank_and_one_spectrum(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "gen.json"
+    counts = _count_certification_work(monkeypatch, 30, 3)
+    assert main(["generate", "--n", "30", "--dim", "3", "--seed", "2", "--out", str(path)]) == 0
+    assert counts["draws"] >= 1
+    assert counts["rank"] == counts["draws"]  # one rigidity rank per draw
+    counts.update(rank=0, eigvals=0)
+    capsys.readouterr()
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+    assert counts["rank"] == 1
+    assert counts["eigvals"] == 1
+
+
 def test_builtin_round_trip(tmp_path):
     for name in ("epuck2d", "tetra3d"):
         sc = builtin_scenario(name)
@@ -245,6 +332,25 @@ def test_generated_round_trip(tmp_path):
     path = tmp_path / "g.json"
     save_scenario(sc, path)
     assert load_scenario(path) == sc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from(BUILTIN_NAMES).map(builtin_scenario),
+        st.builds(
+            lambda n, dim, seed: generate_scenario(max(n, dim + 1), dim, seed),
+            st.integers(3, 12), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1),
+        ),
+    )
+)
+def test_scenarios_round_trip_through_dict_and_file(source):
+    assert scenario_from_dict(scenario_to_dict(source)) == source
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save_scenario(source, first)
+        save_scenario(load_scenario(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_replicate_unknown_builtin(tmp_path, capsys):

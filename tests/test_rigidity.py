@@ -188,6 +188,48 @@ def test_rank_never_exceeds_target_even_with_spare_edges():
             assert numeric_rank(rigidity_matrix(fat)) == target
 
 
+def test_rank_is_computed_once_per_framework(monkeypatch):
+    import rigiform.rigidity as rigidity
+
+    calls = []
+
+    def counted(matrix, tol=rigidity.RANK_TOL):
+        calls.append(tol)
+        return numeric_rank(matrix, tol)
+
+    monkeypatch.setattr(rigidity, "numeric_rank", counted)
+    fw = _random_framework(np.random.default_rng(4), 3)
+    rigid, rank = is_infinitesimally_rigid(fw)
+    assert is_minimally_rigid(fw) == (rigid and fw.graph.edge_count == rank)
+    assert fw.rigidity_rank == rank
+    assert calls == [rigidity.RANK_TOL]
+    # another tolerance is another rank, never the cached one
+    assert is_infinitesimally_rigid(fw, tol=0.5)[1] <= rank
+    assert calls == [rigidity.RANK_TOL, 0.5]
+    assert is_infinitesimally_rigid(fw.at_positions(fw.positions))[1] == rank
+    assert len(calls) == 3
+
+
+def _min_gap_oracle(pts, cand):
+    return min(float(np.linalg.norm(cand - p)) for p in pts)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_min_gap_equals_the_per_point_norm_loop(dim):
+    from rigiform.rigidity import _min_gap
+
+    rng = np.random.default_rng(dim)
+    for m in [1, 2, 3, 4, 7, 31, 32, 33, 64, 100, 199, 255, 300]:
+        for _ in range(20):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            pts = rng.normal(size=(m, dim)) * scale
+            cand = rng.normal(size=dim) * scale
+            assert _min_gap(pts, cand) == _min_gap_oracle(pts, cand)
+    # a candidate on top of a placed point
+    pts = rng.uniform(-2.0, 2.0, size=(9, dim))
+    assert _min_gap(pts, pts[4].copy()) == 0.0
+
+
 def test_numeric_rank_basics():
     assert numeric_rank(np.zeros((3, 4))) == 0
     assert numeric_rank(np.eye(5)) == 5
