@@ -18,12 +18,6 @@ from .analysis import (
     is_hurwitz,
     select_estimating_agents,
     stability_matrix,
-    transformed_coords,
-)
-from .controller import (
-    MODES,
-    ControllerConfig,
-    consistent_errors,
 )
 from .disturbance import (
     DisturbanceSpec,
@@ -33,7 +27,6 @@ from .disturbance import (
     check_observability,
     default_basis,
     exosystem_initial_state,
-    exosystem_output,
     lambda_matrix,
     mu_closed_form,
 )
@@ -44,6 +37,7 @@ from .rigidity import (
     Framework,
     InsertionStep,
     build_from_trace,
+    consistent_errors,
     edge_function,
     is_infinitesimally_rigid,
     is_minimally_rigid,
@@ -51,13 +45,13 @@ from .rigidity import (
     random_trace,
     rigid_rank_target,
     rigidity_matrix,
-    s1_matrix,
     s2_matrix,
     trace_distances,
     trace_graph,
 )
 from .scenario import (
     BUILTIN_NAMES,
+    MODES,
     Scenario,
     ScenarioError,
     builtin_scenario,
@@ -70,10 +64,8 @@ from .scenario import (
 from .sim import (
     DIVERGENCE_GUARD,
     RunVerdict,
-    SimState,
     Trajectory,
     closed_loop_derivative,
-    initial_state,
     integrate,
     propagate_exosystem,
     run_verdict,
@@ -86,7 +78,6 @@ __all__ = [
     "AssignmentRule",
     "BUILTIN_NAMES",
     "ConstructionTrace",
-    "ControllerConfig",
     "DIVERGENCE_GUARD",
     "DisturbanceSpec",
     "EdgeDisturbance",
@@ -101,7 +92,6 @@ __all__ = [
     "RunVerdict",
     "Scenario",
     "ScenarioError",
-    "SimState",
     "StabilityReport",
     "Trajectory",
     "build_from_trace",
@@ -113,9 +103,7 @@ __all__ = [
     "default_basis",
     "edge_function",
     "exosystem_initial_state",
-    "exosystem_output",
     "generate_scenario",
-    "initial_state",
     "integrate",
     "is_hurwitz",
     "is_infinitesimally_rigid",
@@ -129,7 +117,6 @@ __all__ = [
     "rigid_rank_target",
     "rigidity_matrix",
     "run_verdict",
-    "s1_matrix",
     "s2_matrix",
     "save_scenario",
     "scenario_from_dict",
@@ -138,6 +125,5 @@ __all__ = [
     "stability_matrix",
     "trace_distances",
     "trace_graph",
-    "transformed_coords",
     "write_csv",
 ]

@@ -1,5 +1,4 @@
-"""Certification of target formations: spectra, estimator placement, and
-coordinates adapted to the closed loop.
+"""Certification of target formations: spectra and estimator placement.
 
 The gradient flow linearized at a target framework acts on the edge errors
 through an |E|-square matrix built from the rigidity and tail-scatter
@@ -17,11 +16,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .controller import consistent_errors
 from .rigidity import (
     ConstructionTrace,
     Framework,
     FormationGraph,
+    consistent_errors,
     is_infinitesimally_rigid,
     rigidity_matrix,
     s2_matrix,
@@ -241,18 +240,3 @@ def certify(
     spectrum.setflags(write=False)
     return fw, StabilityReport(matrix, spectrum, hurwitz, margin)
 
-
-def transformed_coords(framework: Framework, basis, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-loop state in error coordinates.
-
-    Returns (consistent errors, compensated errors, estimator deviation):
-    the second adds the disturbance output and subtracts the estimate, the
-    third is the generator state minus the estimator state.  `state` only
-    needs x, w, xi attributes shaped like sim.SimState.
-    """
-    fw = framework.at_positions(np.asarray(state.x, dtype=float))
-    e = consistent_errors(fw)
-    mu = np.asarray(state.w) @ basis.vector
-    mu_hat = np.asarray(state.xi) @ basis.vector
-    chi = np.asarray(state.w) - np.asarray(state.xi)
-    return e, e + mu - mu_hat, chi

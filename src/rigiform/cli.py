@@ -25,9 +25,8 @@ import numpy as np
 
 # unused here, is_hurwitz stays importable: perfbench/tracing.py wraps it by name
 from .analysis import _hurwitz_spectrum, is_hurwitz, stability_matrix  # noqa: F401
-from .controller import MODES
 from .rigidity import is_infinitesimally_rigid, is_minimally_rigid, rigid_rank_target
-from .scenario import BUILTIN_NAMES, ScenarioError, builtin_scenario, generate_scenario, \
+from .scenario import BUILTIN_NAMES, MODES, ScenarioError, builtin_scenario, generate_scenario, \
     load_scenario, save_scenario
 from .sim import integrate, run_verdict, write_csv
 

@@ -4,7 +4,8 @@ Each edge's two endpoints can disagree about the squared distance between
 them by an offset plus sinusoids drawn from a shared list of frequencies.
 The same signal class is produced by an autonomous linear system, one block
 per edge: a constant channel plus a 2x2 rotation block per frequency.  A
-fixed output vector (b1, b2) reads the signal back out of the block state.
+fixed output vector b = (b1, b2) reads the signal back out of the block
+state: mu = w @ basis.vector, row by row.
 The estimator in `sim`'s closed loop embeds a copy of these dynamics, so the
 representability and observability checks live here too.
 """
@@ -193,12 +194,18 @@ def default_basis(frequencies) -> InternalModelBasis:
 
 
 def check_observability(basis: InternalModelBasis, tol: float = RANK_TOL) -> bool:
-    """Full numeric rank of the stacked output/dynamics rows."""
+    """Full numeric rank of the stacked output/dynamics rows.
+
+    The dynamics are divided by the largest frequency when it exceeds 1:
+    that scales row j by its -j-th power, which keeps the rank and keeps
+    b Lambda^j finite however fast the tones are.
+    """
     q = basis.state_size
+    lam = basis.dynamics_matrix / max((1.0, *basis.frequencies))
     rows = np.empty((q, q))
     rows[0] = basis.vector
     for j in range(1, q):
-        rows[j] = rows[j - 1] @ basis.dynamics_matrix
+        rows[j] = rows[j - 1] @ lam
     return numeric_rank(rows, tol) == q
 
 
@@ -250,11 +257,6 @@ def exosystem_initial_state(spec: DisturbanceSpec, basis: InternalModelBasis) ->
         w[:, 1 + i] = (b_sin * amps * sin_ph + b_cos * amps * cos_ph) / den
         w[:, 1 + p + i] = (b_cos * amps * sin_ph - b_sin * amps * cos_ph) / den
     return ExosystemState(0.0, w)
-
-
-def exosystem_output(basis: InternalModelBasis, w) -> np.ndarray:
-    """Signal read out of stacked generator states (last axis is the block)."""
-    return np.asarray(w) @ basis.vector
 
 
 def mu_closed_form(spec: DisturbanceSpec, t):

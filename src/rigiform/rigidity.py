@@ -134,6 +134,11 @@ def edge_function(fw: Framework) -> np.ndarray:
     return np.einsum("kd,kd->k", z, z)
 
 
+def consistent_errors(fw: Framework) -> np.ndarray:
+    """Squared-distance errors with no disturbance: ||z_k||^2 - d_k^2."""
+    return edge_function(fw) - fw.target_distances ** 2
+
+
 def rigidity_matrix(fw: Framework) -> np.ndarray:
     """|E| x (dim*n) matrix with +z_k in the tail block and -z_k in the head block.
 
@@ -151,24 +156,9 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     return out
 
 
-def s1_matrix(fw: Framework) -> np.ndarray:
-    """Row k carries z_k in the tail block only (the estimating agent's share)."""
-    g = fw.graph
-    z = fw.relative_vectors
-    m = fw.dim
-    out = np.zeros((g.edge_count, m * g.n))
-    rows = np.arange(g.edge_count)[:, None]
-    cols = np.arange(m)[None, :]
-    out[rows, m * g.tails[:, None] + cols] = z
-    return out
-
-
 def s2_matrix(fw: Framework) -> np.ndarray:
-    """Row k carries -z_k in the head block only.
-
-    Supports are disjoint from s1_matrix, so s1_matrix + s2_matrix equals
-    rigidity_matrix exactly, not just to rounding.
-    """
+    """Row k carries -z_k in the head block only: rigidity_matrix with its
+    tail blocks (the estimating agents' share) zeroed, entry for entry."""
     g = fw.graph
     z = fw.relative_vectors
     m = fw.dim

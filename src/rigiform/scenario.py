@@ -3,9 +3,13 @@
 A scenario bundles the formation (edges with their estimating-agent
 orientation, prescribed distances, initial and optional target
 embeddings), the per-edge disturbance description, the controller
-configuration, and the integration grid.  Construction traces and
-assignment rules ride along optionally so generated formations stay
-auditable.
+settings (mode, gain kappa, output vector, initial estimator states), and
+the integration grid.  Construction traces and assignment rules ride along
+optionally so generated formations stay auditable.  Building a Scenario
+validates all of it; the closed loop starts from the scenario itself, at
+its initial positions, estimator states and the generator state that
+reproduces its disturbance.  `check` certifies the target embedding;
+`run` never reads it.
 
 Vertices are 1-based everywhere in files, matching the graph convention;
 frequency indices inside disturbance entries are 0-based positions into
@@ -25,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import AssignmentRule, is_hurwitz, select_estimating_agents, stability_matrix
-from .controller import MODES, ControllerConfig
-from .disturbance import DisturbanceSpec, EdgeDisturbance, InternalModelBasis
+from .disturbance import DisturbanceSpec, EdgeDisturbance, InternalModelBasis, check_observability
 from .rigidity import (
     ConstructionTrace,
     FormationGraph,
@@ -39,6 +42,7 @@ from .rigidity import (
 )
 
 BUILTIN_NAMES = ("epuck2d", "tetra3d")
+MODES = ("gradient_only", "estimator")
 
 
 class ScenarioError(ValueError):
@@ -102,8 +106,15 @@ class Scenario:
             object.__setattr__(self, "dt", float(self.dt))
             object.__setattr__(self, "t_end", float(self.t_end))
             object.__setattr__(self, "output_every", int(self.output_every))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed scenario field: {exc}") from exc
+        for field in ("initial_positions", "target_positions"):
+            rows = getattr(self, field)
+            if rows is not None and any(len(row) != self.dim for row in rows):
+                raise ScenarioError(f"every row of {field} needs {self.dim} coordinates")
+        target = self.target_positions
+        if target is not None and len(target) != len(self.initial_positions):
+            raise ScenarioError("target_positions needs one row per agent")
 
         if len(self.distances) != len(self.edges):
             raise ScenarioError("need exactly one distance per edge")
@@ -113,7 +124,14 @@ class Scenario:
             self.framework_initial()
             if self.target_positions is not None:
                 self.framework_target()
-            self.controller_config()
+            basis = self.basis()
+            if self.mode not in MODES:
+                raise ScenarioError(f"mode must be one of {MODES}")
+            if not math.isfinite(self.kappa) or self.kappa <= 0:
+                raise ScenarioError("kappa must be positive and finite")
+            # the gradient law never inverts the internal model
+            if self.mode == "estimator" and not check_observability(basis):
+                raise ScenarioError("estimator mode needs an observable internal-model basis")
         except ScenarioError:
             raise
         except ValueError as exc:
@@ -184,9 +202,6 @@ class Scenario:
     def basis(self) -> InternalModelBasis:
         return InternalModelBasis(self.b1, self.b2, self.disturbance.frequencies)
 
-    def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(self.mode, self.kappa, self.basis())
-
     def xi0_array(self) -> np.ndarray:
         if self.xi0 is None:
             return np.zeros((len(self.edges), self.basis().state_size))
@@ -220,7 +235,10 @@ def _reject_unknown(mapping, allowed, path):
 def _number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"scenario field '{path}': expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"scenario field '{path}': number out of float range") from None
 
 
 def _integer(value, path) -> int:
@@ -452,15 +470,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(data, fallback_name=path.stem)
 
 

@@ -2,7 +2,9 @@
 
 The closed-loop state is one flat float64 vector y = [x | xi | w]: agent
 positions (n, dim), estimator bank (E, q) and signal generators (E, q),
-each stored row-major, so xi and w also form one (2, E, q) stack.
+each stored row-major, so xi and w also form one (2, E, q) stack.  It is
+the only state layout: `integrate` packs y at t = 0 straight from the
+scenario, and `closed_loop_derivative` takes the three blocks as arrays.
 `_ClosedLoop` is the only implementation of the control law: one
 evaluation returns the derivative that `integrate` and
 `closed_loop_derivative` use together with the edge columns a Trajectory
@@ -14,21 +16,22 @@ for speed this problem does not need.  The generator block is integrated
 like everything else rather than sampled from its closed form; the closed
 form stays available as a test oracle.
 
-Scenarios are duck-typed: framework_initial / framework_target / basis /
-xi0_array, the disturbance spec, and the mode / kappa / dt / t_end /
-output_every fields.
+Scenarios are duck-typed: framework_initial / basis / xi0_array, the
+disturbance spec, and the mode / kappa / dt / t_end / output_every fields.
+Integration certifies nothing and never reads the target embedding;
+`check` does the certifying.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .disturbance import exosystem_initial_state
-from .rigidity import is_infinitesimally_rigid
+# unused here, is_infinitesimally_rigid stays importable: perfbench/tracing.py wraps it by name
+from .rigidity import is_infinitesimally_rigid  # noqa: F401
 from .scenario import ScenarioError
 
 # A run whose position norm passes this bound is declared divergent and
@@ -39,32 +42,6 @@ DIVERGENCE_GUARD = 1e9
 # float64 each, bound its memory.
 MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class SimState:
-    """Closed-loop state: time, positions (n, dim), estimator bank (E, q),
-    generator bank (E, q)."""
-
-    t: float
-    x: np.ndarray
-    xi: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        xi = np.array(self.xi, dtype=float)
-        w = np.array(self.w, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("x must be an (agents, dim) array")
-        if xi.ndim != 2 or w.shape != xi.shape:
-            raise ValueError("xi and w must be (edges, 2p+1) arrays of one shape")
-        for a in (x, xi, w):
-            a.setflags(write=False)
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,19 +232,11 @@ class _ClosedLoop:
         return f"position norm {np.linalg.norm(y[:self.nx]):.6g} > guard {DIVERGENCE_GUARD:g}"
 
 
-def initial_state(scenario) -> SimState:
-    """t = 0 state: scenario positions, configured (or zero) estimator bank,
-    and the generator state reproducing the scenario's disturbance."""
-    fw = scenario.framework_initial()
-    w = exosystem_initial_state(scenario.disturbance, scenario.basis()).w
-    return SimState(0.0, fw.positions, scenario.xi0_array(), w)
-
-
-def closed_loop_derivative(state: SimState, scenario):
-    """d/dt of (x, xi, w) at a state; rejects non-finite states."""
-    x = np.asarray(state.x, dtype=float)
-    xi = np.asarray(state.xi, dtype=float)
-    w = np.asarray(state.w, dtype=float)
+def closed_loop_derivative(x, xi, w, scenario):
+    """d/dt of the closed-loop state (x, xi, w): positions (n, dim) and the
+    estimator and generator banks (E, q) each.  Rejects non-finite or
+    misshapen blocks."""
+    x, xi, w = (np.asarray(a, dtype=float) for a in (x, xi, w))
     if not (np.isfinite(x).all() and np.isfinite(xi).all() and np.isfinite(w).all()):
         raise ValueError("state contains non-finite values")
     loop = _ClosedLoop(scenario)
@@ -279,10 +248,10 @@ def closed_loop_derivative(state: SimState, scenario):
     return loop.split(loop(loop.pack(x, xi, w)))
 
 
-def _step_count(scenario, values_per_sample: int) -> int:
-    """Steps of a run, once its grid is known to end on a recorded sample
-    at t_end and to stay under the step and recorded-value caps."""
-    dt, t_end, every = float(scenario.dt), float(scenario.t_end), int(scenario.output_every)
+def _step_count(dt: float, t_end: float, every: int, values_per_sample: int) -> int:
+    """Steps of a fixed-step run from 0 to t_end that records every
+    `every`-th state, once its grid is known to end on a recorded sample at
+    t_end and to stay under the step and recorded-value caps."""
     ratio = t_end / dt
     if not ratio <= MAX_STEPS:
         raise ScenarioError(f"t_end/dt is {ratio:.6g} steps, over the cap of {MAX_STEPS}")
@@ -306,35 +275,26 @@ def _step_count(scenario, values_per_sample: int) -> int:
 def integrate(scenario) -> Trajectory:
     """Run the scenario from t = 0 to t_end, sampling every output_every steps.
 
-    Warns when the scenario carries a target embedding that is not
-    infinitesimally rigid; such runs are legal but cannot certify anything.
     Raises ScenarioError when the grid does not end on a recorded sample at
     t_end or the run would pass a cap.  Aborts with a partial trajectory
     when the divergence guard trips; its final_errors are then those of the
     last state that passed the guard.
     """
-    if scenario.target_positions is not None:
-        rigid, _ = is_infinitesimally_rigid(scenario.framework_target())
-        if not rigid:
-            warnings.warn(
-                "target embedding is not infinitesimally rigid",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     loop = _ClosedLoop(scenario)
     n, dim, edges, q = loop.n, loop.dim, loop.edge_count, loop.q
-    # per sample: t, positions, speeds, four edge columns, estimator gap
-    steps = _step_count(scenario, 1 + n * dim + n + 4 * edges + edges * q)
     dt = float(scenario.dt)
     every = int(scenario.output_every)
+    # per sample: t, positions, speeds, four edge columns, estimator gap
+    steps = _step_count(dt, float(scenario.t_end), every,
+                        1 + n * dim + n + 4 * edges + edges * q)
     count = steps // every + 1
     positions = np.empty((count, n, dim))
     errors, mu, mu_hat, alpha = (np.empty((count, edges)) for _ in range(4))
     speeds = np.empty((count, n))
     gap = np.empty((count, edges, q))
 
-    state0 = initial_state(scenario)
-    y = loop.pack(state0.x, state0.xi, state0.w)
+    w0 = exosystem_initial_state(scenario.disturbance, scenario.basis()).w
+    y = loop.pack(scenario.framework_initial().positions, scenario.xi0_array(), w0)
     divergence_step = reason = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
@@ -441,7 +401,8 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     """Integrate the generator bank alone; returns (times, states (T, E, q)).
 
     Exists as the integration half of the closed-form/integration
-    cross-check; the closed loop embeds the same dynamics.
+    cross-check; the closed loop embeds the same dynamics.  The grid follows
+    integrate's rule: it must end on a recorded sample at t_end.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -454,7 +415,7 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
         return w @ lam_t
 
     w = exosystem_initial_state(spec, basis).w
-    steps = int(round(t_end / dt))
+    steps = _step_count(float(dt), float(t_end), every, 1 + w.size)
     times = [0.0]
     states = [w]
     for step in range(1, steps + 1):

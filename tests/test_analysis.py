@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import s1_matrix, transformed_coords
 from rigiform import (
     HURWITZ_TOL,
     AssignmentRule,
@@ -25,13 +26,11 @@ from rigiform import (
     is_hurwitz,
     random_trace,
     rigidity_matrix,
-    s1_matrix,
     s2_matrix,
     select_estimating_agents,
     stability_matrix,
     trace_distances,
     trace_graph,
-    transformed_coords,
 )
 
 
@@ -354,13 +353,7 @@ def test_transformed_coords_vanish_on_the_invariant_set():
     fw = sc.framework_target()
     basis = sc.basis()
     w0 = exosystem_initial_state(sc.disturbance, basis).w
-
-    class _State:
-        x = fw.positions
-        w = w0
-        xi = w0
-
-    e, alpha, theta = transformed_coords(fw, basis, _State)
+    e, alpha, theta = transformed_coords(fw, basis, fw.positions, w0, w0)
     assert np.abs(e).max() < 1e-10
     assert np.abs(alpha).max() < 1e-10
     assert np.array_equal(theta, np.zeros_like(w0))
@@ -369,11 +362,12 @@ def test_transformed_coords_vanish_on_the_invariant_set():
 def test_transformed_coords_match_measured_errors():
     import dataclasses
 
-    from rigiform import initial_state, integrate
+    from rigiform import integrate
 
     sc = dataclasses.replace(builtin_scenario("epuck2d"), t_end=0.5)
-    state = initial_state(sc)
-    e, alpha, theta = transformed_coords(sc.framework_initial(), sc.basis(), state)
+    fw = sc.framework_initial()
+    w0 = exosystem_initial_state(sc.disturbance, sc.basis()).w
+    e, alpha, theta = transformed_coords(fw, sc.basis(), fw.positions, sc.xi0_array(), w0)
     traj = integrate(sc)
     assert np.array_equal(e, traj.errors[0])
     assert np.array_equal(alpha, traj.alpha[0])

@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, output files, and determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import importlib
+import io
 import json
 import tempfile
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,3 +391,116 @@ def test_csv_positions_match_library_run(tmp_path):
     assert np.array_equal(
         data[:, 1:7], traj.positions.reshape(traj.sample_count, -1)
     )
+
+
+def test_deeply_nested_json_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["check", str(path)]) == 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("nested too deeply") == 2
+    assert len(err.splitlines()) == 2
+
+
+def test_run_does_not_certify_the_target(tmp_path, capsys):
+    # an all-zero target fails check, while run integrates from the initial
+    # positions without reading it, and says nothing about it
+    path = _triangle_file(tmp_path, target_positions=((0.0, 0.0),) * 3, t_end=0.1)
+    assert main(["check", path]) == 1
+    assert "does not satisfy its edge distances" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutated_scenario(data, command):
+    """A built-in's scenario dict with a few keys dropped or values replaced
+    by random JSON (NaN and +-Infinity included), or random bytes.  For run,
+    the sim section stays at 50 steps."""
+    if data.draw(st.integers(0, 9)) == 0:
+        return data.draw(st.binary(max_size=64))
+    doc = scenario_to_dict(builtin_scenario(data.draw(st.sampled_from(BUILTIN_NAMES))))
+    doc["sim"] = {"dt": 1e-3, "t_end": 0.05, "output_every": 1}
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = [p for p in _json_paths(doc) if not (command == "run" and p[:1] == ("sim",))]
+        path = data.draw(st.sampled_from(paths))
+        if not path:
+            doc = data.draw(_JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenario_files_exit_cleanly(command, data):
+    raw = _mutated_scenario(data, command)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_bytes(raw)
+        args = [command, str(path)] + (["--out", str(Path(tmp) / "out")] if command == "run" else [])
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")  # overflow in a diverging run is expected
+            assert main(args) in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["controller"].update(kappa=10 ** 400), "'controller.kappa': number out of float range"),
+    (lambda d: d["agents"][0].append(1.0), "every row of initial_positions needs 2 coordinates"),
+    (lambda d: d["target_positions"].pop(), "target_positions needs one row per agent"),
+], ids=["huge-int", "ragged-row", "short-target"])
+def test_malformed_numbers_and_rows_are_one_line_errors(tmp_path, capsys, edit, message):
+    data = scenario_to_dict(builtin_scenario("epuck2d"))
+    edit(data)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_non_utf8_file_names_itself(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: invalid start byte at byte 10\n"
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py patches these attributes by name; a missing one
+    # would only fail inside a traced benchmark run
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(source.read_text(), str(source), "exec"), module.__dict__)
+    entries = [entry[:2] for entry in module.WRAPPED + module.COUNTED]
+    assert ("rigiform.sim", "is_infinitesimally_rigid") in entries
+    for module_name, attr in entries:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)

@@ -10,21 +10,20 @@ which the output vector reads back exactly because b1 = 1.
 import numpy as np
 import pytest
 
+from oracles import s1_matrix
 from rigiform import (
-    ControllerConfig,
     DisturbanceSpec,
     EdgeDisturbance,
     FormationGraph,
     Framework,
     InternalModelBasis,
     Scenario,
-    SimState,
+    ScenarioError,
     closed_loop_derivative,
     consistent_errors,
     default_basis,
     exosystem_initial_state,
     random_trace,
-    s1_matrix,
     s2_matrix,
     trace_distances,
     trace_graph,
@@ -50,30 +49,34 @@ def _random_framework(rng, dim=2):
                      trace_distances(trace))
 
 
-def _rates(fw, mode="gradient_only", basis=None, kappa=1.0, mu=None, xi=None, w=None):
-    """(x_dot, xi_dot, w_dot) of the closed loop at the framework's positions."""
+def _probe(fw, mode="gradient_only", basis=None, kappa=1.0):
+    """A scenario on the framework's graph with no disturbance."""
     basis = basis if basis is not None else default_basis(())
-    edge_count = fw.graph.edge_count
     p = basis.p
     quiet = DisturbanceSpec(
         basis.frequencies,
-        tuple(EdgeDisturbance(0.0, (0.0,) * p, (0.0,) * p) for _ in range(edge_count)),
+        tuple(EdgeDisturbance(0.0, (0.0,) * p, (0.0,) * p) for _ in range(fw.graph.edge_count)),
     )
-    sc = Scenario(
+    return Scenario(
         name="probe", dim=fw.dim, edges=fw.graph.edges,
         distances=tuple(fw.target_distances),
         initial_positions=tuple(map(tuple, fw.positions)), target_positions=None,
         disturbance=quiet, mode=mode, kappa=kappa, b1=basis.b1, b2=basis.b2, xi0=None,
         dt=1e-3, t_end=1.0, output_every=1,
     )
-    shape = (edge_count, basis.state_size)
+
+
+def _rates(fw, mode="gradient_only", basis=None, kappa=1.0, mu=None, xi=None, w=None):
+    """(x_dot, xi_dot, w_dot) of the closed loop at the framework's positions."""
+    sc = _probe(fw, mode, basis, kappa)
+    shape = (fw.graph.edge_count, sc.basis().state_size)
     if w is None:
         w = np.zeros(shape)
         if mu is not None:
             w[:, 0] = mu
     if xi is None:
         xi = np.zeros(shape)
-    return closed_loop_derivative(SimState(0.0, fw.positions, xi, w), sc)
+    return closed_loop_derivative(fw.positions, xi, w, sc)
 
 
 def test_consistent_errors_at_target_are_zero():
@@ -198,28 +201,31 @@ def test_mu_hat_is_linear_in_the_estimator_state():
 
 
 def test_controller_config_validation():
+    # the scenario validates its controller settings: mode, kappa, and an
+    # observable internal model in estimator mode
+    fw = _right_triangle()
     basis = default_basis((1.0,))
-    with pytest.raises(ValueError, match="mode"):
-        ControllerConfig("pid", 1.0, basis)
-    with pytest.raises(ValueError, match="positive"):
-        ControllerConfig("estimator", 0.0, basis)
-    with pytest.raises(ValueError, match="positive"):
-        ControllerConfig("gradient_only", -2.0, basis)
+    with pytest.raises(ScenarioError, match="mode"):
+        _probe(fw, "pid", basis)
+    with pytest.raises(ScenarioError, match="positive"):
+        _probe(fw, "estimator", basis, kappa=0.0)
+    with pytest.raises(ScenarioError, match="positive"):
+        _probe(fw, "gradient_only", basis, kappa=-2.0)
     blind = InternalModelBasis(0.0, (1.0, 0.0), (1.0,))
-    with pytest.raises(ValueError, match="observab"):
-        ControllerConfig("estimator", 1.0, blind)
+    with pytest.raises(ScenarioError, match="observab"):
+        _probe(fw, "estimator", blind)
     # the gradient law never inverts the internal model, so it tolerates this
-    ControllerConfig("gradient_only", 1.0, blind)
+    _probe(fw, "gradient_only", blind)
 
 
 def test_view_and_bank_validation():
     # the per-edge generator state replaces the old measurement view and
     # estimator bank; its shape is checked against the graph and the basis
-    with pytest.raises(ValueError, match=r"\(edges, 2p\+1\)"):
-        SimState(0.0, np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError, match=r"\(edges, 2p\+1\)"):
-        SimState(0.0, np.zeros((3, 2)), np.zeros(3), np.zeros(3))
     fw = _right_triangle()
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        _rates(fw, xi=np.zeros((3, 1)), w=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        _rates(fw, xi=np.zeros(3), w=np.zeros(3))
     with pytest.raises(ValueError, match="xi and w must have shape"):
         _rates(fw, w=np.zeros((2, 1)), xi=np.zeros((2, 1)))
     basis = default_basis((1.0,))

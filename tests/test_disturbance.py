@@ -6,6 +6,7 @@ any closed-loop test depends on it.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from rigiform import (
     check_observability,
     default_basis,
     exosystem_initial_state,
-    exosystem_output,
     lambda_matrix,
     mu_closed_form,
     propagate_exosystem,
@@ -91,7 +91,7 @@ def test_initial_state_constant_disturbance():
     state = exosystem_initial_state(spec, basis)
     assert state.t == 0.0
     assert np.array_equal(state.w, np.array([[19.0]]))
-    assert np.array_equal(exosystem_output(basis, state.w), np.array([19.0]))
+    assert np.array_equal(state.w @ basis.vector, np.array([19.0]))
 
 
 def test_initial_state_pure_sine_literal():
@@ -145,7 +145,7 @@ def test_propagate_matches_closed_form():
     spec = _two_tone_spec()
     basis = default_basis(spec.frequencies)
     times, states = propagate_exosystem(spec, basis, t_end=20.0, dt=1e-3, output_every=20)
-    mu = exosystem_output(basis, states)
+    mu = states @ basis.vector
     assert np.abs(mu - mu_closed_form(spec, times)).max() < 1e-8
 
 
@@ -205,12 +205,21 @@ def test_mu_closed_form_scalar_matches_vector():
 
 
 def test_exosystem_output_broadcasts():
+    # mu = w @ b reads one signal per edge from any stack of generator states
     spec = _two_tone_spec()
     basis = default_basis(spec.frequencies)
     state = exosystem_initial_state(spec, basis)
-    single = exosystem_output(basis, state.w)
+    single = state.w @ basis.vector
     assert single.shape == (3,)
-    stacked = exosystem_output(basis, np.stack([state.w, state.w]))
+    stacked = np.stack([state.w, state.w]) @ basis.vector
     assert stacked.shape == (2, 3)
     assert np.array_equal(stacked[0], single)
     assert np.abs(single - mu_closed_form(spec, 0.0)).max() < 1e-12
+
+
+def test_observability_survives_huge_frequencies():
+    # b Lambda^j overflows at 1e200 rad/s unless the rows are rescaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_observability(InternalModelBasis(1.0, (1.0, 0.0), (1e200,)))
+        assert not check_observability(InternalModelBasis(1.0, (0.0, 0.0), (1e200,)))

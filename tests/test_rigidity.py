@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import s1_matrix
 from rigiform import (
     ConstructionTrace,
     FormationGraph,
@@ -22,7 +23,6 @@ from rigiform import (
     random_trace,
     rigid_rank_target,
     rigidity_matrix,
-    s1_matrix,
     s2_matrix,
     trace_distances,
     trace_graph,

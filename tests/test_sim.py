@@ -2,28 +2,30 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import s1_matrix
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
     Scenario,
     ScenarioError,
-    SimState,
     Trajectory,
     builtin_scenario,
     closed_loop_derivative,
+    consistent_errors,
+    default_basis,
     exosystem_initial_state,
-    initial_state,
     integrate,
     mu_closed_form,
+    propagate_exosystem,
     rigidity_matrix,
     run_verdict,
-    s1_matrix,
     write_csv,
 )
 from rigiform.sim import MAX_RECORDED_VALUES, MAX_STEPS
@@ -72,6 +74,12 @@ def _triangle_scenario(**overrides):
     )
     fields.update(overrides)
     return Scenario(**fields)
+
+
+def _initial_state(sc):
+    """(x, xi, w) at t = 0: what integrate starts from."""
+    w0 = exosystem_initial_state(sc.disturbance, sc.basis()).w
+    return sc.framework_initial().positions, sc.xi0_array(), w0
 
 
 def _gradient_clean(**overrides):
@@ -127,15 +135,11 @@ def test_potential_slope_identity():
     # d(phi)/dt along the flow equals -|R' e|^2 when mu is absent
     sc = _gradient_clean()
     rng = np.random.default_rng(41)
-    state = initial_state(sc)
+    x0, xi, w = _initial_state(sc)
     for _ in range(5):
-        x = np.asarray(state.x) + rng.uniform(-0.5, 0.5, (3, 2))
-        probe = dataclasses.replace(sc)  # same scenario, fresh state below
-        st = type(state)(t=0.0, x=x, xi=np.asarray(state.xi), w=np.asarray(state.w))
-        x_dot, _, _ = closed_loop_derivative(st, probe)
+        x = x0 + rng.uniform(-0.5, 0.5, (3, 2))
+        x_dot, _, _ = closed_loop_derivative(x, xi, w, sc)
         fw = sc.framework_target().at_positions(x)
-        from rigiform import consistent_errors
-
         e = consistent_errors(fw)
         r = rigidity_matrix(fw)
         lhs = e @ (r @ x_dot.ravel())
@@ -264,8 +268,8 @@ def test_recorded_mu_tracks_closed_form():
 def test_alpha_column_is_consistent():
     traj = integrate(_triangle_scenario())
     assert np.array_equal(traj.alpha, traj.errors + traj.mu - traj.mu_hat)
-    state = initial_state(_triangle_scenario())
-    assert np.array_equal(traj.estimator_gap[0], np.asarray(state.w) - np.asarray(state.xi))
+    _, xi, w = _initial_state(_triangle_scenario())
+    assert np.array_equal(traj.estimator_gap[0], w - xi)
 
 
 def _law_by_edge(sc, x, xi, w):
@@ -300,7 +304,7 @@ def test_kernel_matches_a_per_edge_loop(name, mode):
     for _ in range(5):
         x = np.asarray(sc.initial_positions) + rng.normal(scale=0.5, size=(n, sc.dim))
         xi, w = rng.normal(size=(2, edges, q))
-        got = closed_loop_derivative(SimState(0.0, x, xi, w), sc)
+        got = closed_loop_derivative(x, xi, w, sc)
         for a, want in zip(got, _law_by_edge(sc, x, xi, w)):
             assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -319,19 +323,22 @@ def test_sampling_stride_leaves_the_trajectory_bitwise_unchanged():
 
 def test_closed_loop_derivative_rejects_bad_state():
     sc = _triangle_scenario()
-    state = initial_state(sc)
-    bad_x = np.asarray(state.x).copy()
+    x, xi, w = _initial_state(sc)
+    bad_x = x.copy()
     bad_x[0, 0] = math.nan
-    broken = type(state)(t=0.0, x=bad_x, xi=np.asarray(state.xi), w=np.asarray(state.w))
     with pytest.raises(ValueError, match="finite"):
-        closed_loop_derivative(broken, sc)
-    x, xi, w = np.asarray(state.x), np.asarray(state.xi), np.asarray(state.w)
+        closed_loop_derivative(bad_x, xi, w, sc)
     with pytest.raises(ValueError, match="x must have shape"):
-        closed_loop_derivative(SimState(0.0, x[:2], xi, w), sc)
+        closed_loop_derivative(x[:2], xi, w, sc)
+    with pytest.raises(ValueError, match="x must have shape"):
+        closed_loop_derivative(x.ravel(), xi, w, sc)
     with pytest.raises(ValueError, match="xi and w must have shape"):
-        closed_loop_derivative(SimState(0.0, x, xi[:2], w[:2]), sc)
-    with pytest.raises(ValueError, match=r"\(edges, 2p\+1\)"):
-        SimState(0.0, x, xi, w[:2])
+        closed_loop_derivative(x, xi[:2], w[:2], sc)
+    # xi and w must also agree with each other, and be (edges, 2p+1) tables
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        closed_loop_derivative(x, xi, w[:2], sc)
+    with pytest.raises(ValueError, match="xi and w must have shape"):
+        closed_loop_derivative(x, xi.ravel(), w.ravel(), sc)
 
 
 def test_verdict_on_a_converged_run():
@@ -442,26 +449,43 @@ def test_csv_header_and_round_trip(tmp_path):
     assert np.array_equal(data[:, 19:22], traj.alpha)
 
 
-def test_integrate_warns_on_floppy_target():
-    sc = Scenario(
-        name="path",
-        dim=2,
-        edges=((1, 2), (2, 3)),
-        distances=(1.0, 1.0),
-        initial_positions=((0.0, 0.1), (1.0, -0.1), (2.0, 0.2)),
-        target_positions=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
-        disturbance=_zero_disturbance(2),
-        mode="gradient_only",
-        kappa=1.0,
-        b1=1.0,
-        b2=(1.0, 0.0),
-        xi0=None,
-        dt=1e-3,
-        t_end=0.1,
-        output_every=10,
-    )
-    with pytest.warns(RuntimeWarning, match="not infinitesimally rigid"):
-        integrate(sc)
+@pytest.mark.parametrize("target", ["dropped", "floppy", "zero"])
+def test_integrate_ignores_the_target(target):
+    # integrate never reads the target embedding, so dropping it or swapping
+    # in one that check rejects leaves every recorded bit unchanged, silently
+    sc = _triangle_scenario(t_end=0.5)
+    other = {
+        "dropped": None,
+        "floppy": ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),  # collinear: not rigid
+        "zero": ((0.0, 0.0),) * 3,  # misses every distance
+    }[target]
+    base = integrate(sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(dataclasses.replace(sc, target_positions=other))
+    for field in dataclasses.fields(Trajectory):
+        a, b = getattr(base, field.name), getattr(traj, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize(
+    "t_end, every, reason",
+    [
+        (0.0105, 1, "whole number"),  # 10.5 steps used to end at 0.01
+        (0.01, 3, "multiple of output_every"),  # 10 steps used to end at 0.009
+    ],
+)
+def test_propagate_exosystem_keeps_integrates_grid(t_end, every, reason):
+    spec = _zero_disturbance(2)
+    basis = default_basis(spec.frequencies)
+    with pytest.raises(ScenarioError, match=reason):
+        propagate_exosystem(spec, basis, t_end=t_end, dt=1e-3, output_every=every)
+    times, states = propagate_exosystem(spec, basis, t_end=0.012, dt=1e-3, output_every=3)
+    assert times.size == states.shape[0] == 5
+    assert times[-1] == 12 * 1e-3
 
 
 def test_builtin_epuck_smoke():
