@@ -13,7 +13,8 @@ loop deterministically, and ships a CLI around all of it.
 from .analysis import (
     HURWITZ_TOL,
     AssignmentRule,
-    StabilityReport,
+    Certificate,
+    certificate,
     certify,
     is_hurwitz,
     select_estimating_agents,
@@ -77,6 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssignmentRule",
     "BUILTIN_NAMES",
+    "Certificate",
     "ConstructionTrace",
     "DIVERGENCE_GUARD",
     "DisturbanceSpec",
@@ -92,10 +94,10 @@ __all__ = [
     "RunVerdict",
     "Scenario",
     "ScenarioError",
-    "StabilityReport",
     "Trajectory",
     "build_from_trace",
     "builtin_scenario",
+    "certificate",
     "certify",
     "check_observability",
     "closed_loop_derivative",

@@ -3,9 +3,10 @@
 The gradient flow linearized at a target framework acts on the edge errors
 through an |E|-square matrix built from the rigidity and tail-scatter
 operators.  Certifying a target means checking infinitesimal rigidity plus
-a negative spectral margin for that matrix.  Estimator placement rules map
-each edge to the agent that runs its internal-model unit, which fixes the
-edge orientations the controller uses.
+a negative spectral margin for that matrix, at the fixed RANK_TOL and
+HURWITZ_TOL; `certificate` alone makes that decision.  Estimator placement
+rules map each edge to the agent that runs its internal-model unit, which
+fixes the edge orientations the controller uses.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .rigidity import (
     FormationGraph,
     consistent_errors,
     is_infinitesimally_rigid,
+    is_minimally_rigid,
+    rigid_rank_target,
     rigidity_matrix,
     s2_matrix,
     trace_graph,
@@ -29,14 +32,17 @@ from .rigidity import (
 
 HURWITZ_TOL = 1e-9
 
+_NOT_RIGID = ("framework is not infinitesimally rigid; the error dynamics "
+              "cannot have a full negative spectrum")
 
-def is_hurwitz(matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
+
+def is_hurwitz(matrix) -> tuple[bool, float]:
     """(verdict, spectral margin): margin is the largest eigenvalue real part,
-    and the verdict requires it below -tol."""
-    return _hurwitz_spectrum(matrix, tol)[:2]
+    and the verdict requires it below -HURWITZ_TOL."""
+    return _hurwitz_spectrum(matrix)[:2]
 
 
-def _hurwitz_spectrum(matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float, np.ndarray]:
+def _hurwitz_spectrum(matrix) -> tuple[bool, float, np.ndarray]:
     """is_hurwitz's verdict and margin plus the spectrum they come from."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -45,7 +51,7 @@ def _hurwitz_spectrum(matrix, tol: float = HURWITZ_TOL) -> tuple[bool, float, np
         raise ValueError("matrix must be finite")
     spectrum = np.linalg.eigvals(m)
     margin = float(np.max(spectrum.real))
-    return margin < -tol, margin, spectrum
+    return margin < -HURWITZ_TOL, margin, spectrum
 
 
 def stability_matrix(framework: Framework) -> np.ndarray:
@@ -59,23 +65,46 @@ def stability_matrix(framework: Framework) -> np.ndarray:
     e = consistent_errors(framework)
     if np.max(np.abs(e)) >= 1e-9:
         raise ValueError("framework does not satisfy its edge distances")
-    rigid, _ = is_infinitesimally_rigid(framework)
-    if not rigid:
-        warnings.warn(
-            "framework is not infinitesimally rigid; the error dynamics "
-            "cannot have a full negative spectrum",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if not is_infinitesimally_rigid(framework)[0]:
+        warnings.warn(_NOT_RIGID, RuntimeWarning, stacklevel=2)
     return -rigidity_matrix(framework) @ s2_matrix(framework).T
 
 
 @dataclass(frozen=True, eq=False)
-class StabilityReport:
-    matrix: np.ndarray
-    spectrum: np.ndarray
+class Certificate:
+    """One target's certification, keyed as `check --json`: the rigidity
+    rank against the rank needed, and the verdict, margin and eigenvalues
+    (read-only, sorted by real, then imaginary part) of -R S2^T."""
+
+    rank: int
+    rank_needed: int
+    infinitesimally_rigid: bool
+    minimally_rigid: bool
     hurwitz: bool
     margin: float
+    spectrum: np.ndarray
+    certified: bool
+
+    def to_dict(self) -> dict:
+        """The fields as JSON values, the spectrum as [real, imag] pairs."""
+        return {**vars(self), "spectrum": [[float(v.real), float(v.imag)] for v in self.spectrum]}
+
+
+def certificate(framework: Framework) -> Certificate:
+    """Certify a target framework: one rank and one spectrum, at RANK_TOL
+    and HURWITZ_TOL.  Raises ValueError when the framework does not satisfy
+    its own distances."""
+    rigid, rank = is_infinitesimally_rigid(framework)
+    with warnings.catch_warnings():
+        # the record's rank already says when the target is not rigid
+        warnings.filterwarnings("ignore", _NOT_RIGID, RuntimeWarning)
+        matrix = stability_matrix(framework)
+    hurwitz, margin, spectrum = _hurwitz_spectrum(matrix)
+    spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
+    spectrum.setflags(write=False)
+    needed = rigid_rank_target(framework.graph.n, framework.dim)
+    return Certificate(rank, needed, rigid, is_minimally_rigid(framework), hurwitz, margin,
+                       spectrum, rigid and hurwitz)
 
 
 @dataclass(frozen=True)
@@ -216,27 +245,19 @@ def certify(
     framework: Framework,
     rule: AssignmentRule,
     trace: ConstructionTrace | None = None,
-) -> tuple[Framework, StabilityReport]:
-    """Orient a target framework by `rule` and report its error-dynamics
-    spectrum.  Warns (rather than failing) when the margin is not negative,
-    so callers can still inspect the report."""
-    if rule.kind in ("henneberg_2d", "growth_3d"):
-        if trace is None:
-            raise ValueError(f"{rule.kind} needs the construction trace")
-        oriented = select_estimating_agents(trace, rule)
-    else:
-        oriented = select_estimating_agents(framework.graph, rule)
+) -> tuple[Framework, Certificate]:
+    """Orient a target framework by `rule` and certify it.  Warns (rather
+    than failing) when it is not infinitesimally rigid or its margin is not
+    negative, so callers can still inspect the certificate."""
+    by_trace = rule.kind in ("henneberg_2d", "growth_3d")
+    if by_trace and trace is None:
+        raise ValueError(f"{rule.kind} needs the construction trace")
+    oriented = select_estimating_agents(trace if by_trace else framework.graph, rule)
     fw = _with_orientation(framework, oriented)
-    matrix = stability_matrix(fw)
-    hurwitz, margin, spectrum = _hurwitz_spectrum(matrix)
-    if not hurwitz:
-        warnings.warn(
-            f"error dynamics are not certified stable (margin {margin:.3e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    matrix = matrix.copy()
-    matrix.setflags(write=False)
-    spectrum.setflags(write=False)
-    return fw, StabilityReport(matrix, spectrum, hurwitz, margin)
-
+    cert = certificate(fw)
+    if not cert.infinitesimally_rigid:
+        warnings.warn(_NOT_RIGID, RuntimeWarning, stacklevel=2)
+    if not cert.hurwitz:
+        message = f"error dynamics are not certified stable (margin {cert.margin:.3e})"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    return fw, cert

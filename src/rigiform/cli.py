@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: check (certify a target), run (integrate one scenario),
-generate (emit a random certified scenario file), replicate (run a
-built-in scenario with and without the estimator and summarize the
+Subcommands: check (print a target's certificate), run (integrate one
+scenario), generate (emit a random certified scenario file), replicate
+(run a built-in scenario with and without the estimator and summarize the
 contrast).  Exit codes: 0 success or certified, 1 validation failure,
 2 divergence during integration.
 
@@ -18,14 +18,15 @@ import dataclasses
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-# unused here, is_hurwitz stays importable: perfbench/tracing.py wraps it by name
-from .analysis import _hurwitz_spectrum, is_hurwitz, stability_matrix  # noqa: F401
-from .rigidity import is_infinitesimally_rigid, is_minimally_rigid, rigid_rank_target
+from .analysis import certificate
+# unused here, these stay importable: perfbench/tracing.py wraps them by name
+from .analysis import (  # noqa: F401
+    is_hurwitz, is_infinitesimally_rigid, is_minimally_rigid, stability_matrix,
+)
 from .scenario import BUILTIN_NAMES, MODES, ScenarioError, builtin_scenario, generate_scenario, \
     load_scenario, save_scenario
 from .sim import integrate, run_verdict, write_csv
@@ -55,39 +56,19 @@ def _resolve_scenario(ref: str):
 def cmd_check(args) -> int:
     sc = _resolve_scenario(args.scenario)
     fw = sc.framework_target()
-    rigid, rank = is_infinitesimally_rigid(fw)
-    needed = rigid_rank_target(fw.graph.n, fw.dim)
-    minimal = is_minimally_rigid(fw)
-    with warnings.catch_warnings():
-        # a non-rigid target already fails certification; the warning would
-        # only repeat the report
-        warnings.simplefilter("ignore", RuntimeWarning)
-        matrix = stability_matrix(fw)
-    hurwitz, margin, spectrum = _hurwitz_spectrum(matrix)
-    order = np.lexsort((spectrum.imag, spectrum.real))
-    certified = rigid and hurwitz
-    record = {
-        "scenario": sc.name,
-        "rank": rank,
-        "rank_needed": needed,
-        "infinitesimally_rigid": rigid,
-        "minimally_rigid": minimal,
-        "hurwitz": hurwitz,
-        "margin": margin,
-        "spectrum": [[float(spectrum.real[i]), float(spectrum.imag[i])] for i in order],
-        "certified": certified,
-    }
+    cert = certificate(fw)
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(json.dumps({"scenario": sc.name, **cert.to_dict()}, indent=2, sort_keys=True))
     else:
-        rigidity = "infinitesimally rigid" if rigid else "not infinitesimally rigid"
-        if minimal:
+        rigidity = ("" if cert.infinitesimally_rigid else "not ") + "infinitesimally rigid"
+        if cert.minimally_rigid:
             rigidity += ", minimally rigid"
         print(f"scenario {sc.name}: {fw.graph.n} agents, {fw.graph.edge_count} edges, dim {fw.dim}")
-        print(f"rank {rank} of {needed} needed: {rigidity}")
-        print(f"stability margin {margin:.17g}: {'hurwitz' if hurwitz else 'not hurwitz'}")
-        print("certified" if certified else "not certified")
-    return 0 if certified else 1
+        print(f"rank {cert.rank} of {cert.rank_needed} needed: {rigidity}")
+        hurwitz = "hurwitz" if cert.hurwitz else "not hurwitz"
+        print(f"stability margin {cert.margin:.17g}: {hurwitz}")
+        print("certified" if cert.certified else "not certified")
+    return 0 if cert.certified else 1
 
 
 def _execute_run(sc, out_dir):
@@ -162,10 +143,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    if args.name not in BUILTIN_NAMES:
-        raise ScenarioError(
-            f"unknown built-in scenario '{args.name}' (available: {', '.join(BUILTIN_NAMES)})"
-        )
     base = builtin_scenario(args.name)
     out = Path(args.out)
     legs = {}
@@ -250,13 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rigidity import RANK_TOL, numeric_rank
+from .rigidity import numeric_rank
 
 
 def _checked_frequencies(frequencies) -> tuple[float, ...]:
@@ -193,7 +193,7 @@ def default_basis(frequencies) -> InternalModelBasis:
     return InternalModelBasis(1.0, (1.0,) * p + (0.0,) * p, freqs)
 
 
-def check_observability(basis: InternalModelBasis, tol: float = RANK_TOL) -> bool:
+def check_observability(basis: InternalModelBasis) -> bool:
     """Full numeric rank of the stacked output/dynamics rows.
 
     The dynamics are divided by the largest frequency when it exceeds 1:
@@ -206,7 +206,7 @@ def check_observability(basis: InternalModelBasis, tol: float = RANK_TOL) -> boo
     rows[0] = basis.vector
     for j in range(1, q):
         rows[j] = rows[j - 1] @ lam
-    return numeric_rank(rows, tol) == q
+    return numeric_rank(rows) == q
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,8 @@ import numpy as np
 # toward numeric rank.
 RANK_TOL = 1e-10
 
+PLACEMENT_ATTEMPTS = 100  # random placements build_from_trace tries
+
 # Relative slack below which an intersection construction is treated as
 # collinear/coplanar and rejected as a non-regular placement.
 _DEGENERACY_REL = 1e-9
@@ -169,15 +171,15 @@ def s2_matrix(fw: Framework) -> np.ndarray:
     return out
 
 
-def numeric_rank(matrix, tol: float = RANK_TOL) -> int:
-    """Count of singular values above the scaled threshold."""
+def numeric_rank(matrix) -> int:
+    """Count of singular values above RANK_TOL * sigma_max * max(shape)."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("rank is defined for 2-D matrices")
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0] * max(a.shape)))
+    return int(np.count_nonzero(s > RANK_TOL * s[0] * max(a.shape)))
 
 
 def rigid_rank_target(n: int, dim: int) -> int:
@@ -193,16 +195,15 @@ def rigid_rank_target(n: int, dim: int) -> int:
     raise ValueError("dim must be 2 or 3")
 
 
-def is_infinitesimally_rigid(fw: Framework, tol: float = RANK_TOL) -> tuple[bool, int]:
+def is_infinitesimally_rigid(fw: Framework) -> tuple[bool, int]:
     """Rank-based rigidity verdict plus the measured rank."""
-    target = rigid_rank_target(fw.graph.n, fw.dim)
-    rank = fw.rigidity_rank if tol == RANK_TOL else numeric_rank(rigidity_matrix(fw), tol)
-    return rank == target, rank
+    rank = fw.rigidity_rank
+    return rank == rigid_rank_target(fw.graph.n, fw.dim), rank
 
 
-def is_minimally_rigid(fw: Framework, tol: float = RANK_TOL) -> bool:
+def is_minimally_rigid(fw: Framework) -> bool:
     """Infinitesimally rigid with no spare edges."""
-    rigid, _ = is_infinitesimally_rigid(fw, tol)
+    rigid, _ = is_infinitesimally_rigid(fw)
     return rigid and fw.graph.edge_count == rigid_rank_target(fw.graph.n, fw.dim)
 
 
@@ -385,15 +386,14 @@ def _embed_trace(trace: ConstructionTrace, pick_sign):
     return np.array(pts)
 
 
-def build_from_trace(trace: ConstructionTrace, placement="positive", *, rng=None,
-                     max_retries: int = 100) -> Framework:
+def build_from_trace(trace: ConstructionTrace, placement="positive", *, rng=None) -> Framework:
     """Embed a trace and return the framework, verified infinitesimally rigid.
 
     placement is "positive" (every branch choice takes the positively
     oriented intersection, fully deterministic), "random" (branch signs
     drawn from rng and rejection-sampled against the rank test, at most
-    max_retries attempts), or an explicit (n, dim) coordinate array, which
-    is checked against the trace distances before the rank test.
+    PLACEMENT_ATTEMPTS attempts), or an explicit (n, dim) coordinate array,
+    which is checked against the trace distances before the rank test.
     """
     graph = trace_graph(trace)
     distances = np.array(trace_distances(trace))
@@ -409,19 +409,10 @@ def build_from_trace(trace: ConstructionTrace, placement="positive", *, rng=None
         return fw
 
     if placement == "positive":
-        attempts = 1
-
-        def pick_sign():
-            return 1.0
-
+        attempts, pick_sign = 1, lambda: 1.0
     elif placement == "random":
-        if rng is None:
-            rng = np.random.default_rng()
-        attempts = max(int(max_retries), 1)
-
-        def pick_sign():
-            return float(rng.choice((-1.0, 1.0)))
-
+        rng = np.random.default_rng() if rng is None else rng
+        attempts, pick_sign = PLACEMENT_ATTEMPTS, lambda: float(rng.choice((-1.0, 1.0)))
     else:
         raise ValueError("placement must be 'positive', 'random', or a coordinate array")
 

@@ -9,7 +9,9 @@ optionally so generated formations stay auditable.  Building a Scenario
 validates all of it; the closed loop starts from the scenario itself, at
 its initial positions, estimator states and the generator state that
 reproduces its disturbance.  `check` certifies the target embedding;
-`run` never reads it.
+`run` never reads it.  Distances and embeddings too large for the
+squared-distance errors to have a finite norm are rejected here, so the
+loop and the certification never overflow on them.
 
 Vertices are 1-based everywhere in files, matching the graph convention;
 frequency indices inside disturbance entries are 0-based positions into
@@ -28,14 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AssignmentRule, is_hurwitz, select_estimating_agents, stability_matrix
+from .analysis import AssignmentRule, certificate, select_estimating_agents
+# unused here, these stay importable: perfbench/tracing.py wraps them by name
+from .analysis import is_hurwitz, is_infinitesimally_rigid, stability_matrix  # noqa: F401
 from .disturbance import DisturbanceSpec, EdgeDisturbance, InternalModelBasis, check_observability
 from .rigidity import (
     ConstructionTrace,
     FormationGraph,
     Framework,
     InsertionStep,
-    is_infinitesimally_rigid,
+    edge_function,
     random_trace,
     trace_distances,
     trace_graph,
@@ -121,9 +125,10 @@ class Scenario:
         if not isinstance(self.disturbance, DisturbanceSpec):
             raise ScenarioError("disturbance must be a DisturbanceSpec")
         try:
-            self.framework_initial()
+            frameworks = {"initial_positions": self.framework_initial()}
             if self.target_positions is not None:
-                self.framework_target()
+                frameworks["target_positions"] = self.framework_target()
+            _reject_overflowing_squares(self.distances, frameworks)
             basis = self.basis()
             if self.mode not in MODES:
                 raise ScenarioError(f"mode must be one of {MODES}")
@@ -206,6 +211,19 @@ class Scenario:
         if self.xi0 is None:
             return np.zeros((len(self.edges), self.basis().state_size))
         return np.array(self.xi0, dtype=float)
+
+
+def _reject_overflowing_squares(distances, frameworks):
+    # runs report the error norm sqrt(e . e) of squared lengths: each field's
+    # sum of squared squares below half the float range keeps it finite
+    with np.errstate(over="ignore"):
+        squares = {"distances": np.square(distances)}
+        squares.update((field, edge_function(fw)) for field, fw in frameworks.items())
+        for field, sq in squares.items():
+            if not math.isfinite(2.0 * float(sq @ sq)):
+                k = int(np.argmax(sq))
+                raise ScenarioError(f"{field} too large: the squared length of edge {k + 1} "
+                                    f"({sq[k]:.3g}) overflows the error norm")
 
 
 def _expect_dict(value, path):
@@ -581,9 +599,9 @@ def builtin_scenario(name: str) -> Scenario:
 def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") -> Scenario:
     """Random minimally rigid scenario, certified before it is returned.
 
-    Draws construction traces until the embedding passes the rank test and
-    the oriented error dynamics are Hurwitz, then wraps the formation with
-    a small random initial offset and a random offset-plus-sinusoid
+    Draws construction traces until the oriented embedding is certified
+    (rank test and Hurwitz error dynamics), then wraps the formation with a
+    small random initial offset and a random offset-plus-sinusoid
     disturbance.  Deterministic per seed.  Raises ScenarioError when the
     trace sampler stalls or no draw certifies.
 
@@ -623,11 +641,7 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
             construction = None
             edges = select_estimating_agents(trace_graph(trace), rule)
         fw = Framework(FormationGraph(n, edges), dim, pts, np.array(distances))
-        rigid, _ = is_infinitesimally_rigid(fw)
-        if not rigid:
-            continue
-        hurwitz, _ = is_hurwitz(stability_matrix(fw))
-        if not hurwitz:
+        if not certificate(fw).certified:
             continue
         initial = pts + rng.uniform(-0.3, 0.3, size=pts.shape)
         entries = tuple(

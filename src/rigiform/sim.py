@@ -42,6 +42,8 @@ DIVERGENCE_GUARD = 1e9
 # float64 each, bound its memory.
 MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
+VERDICT_WINDOW = 0.2  # run_verdict reads this last share of the samples
+VERDICT_TOL = 1e-6  # errors and speeds below it there count as converged
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +114,7 @@ class Trajectory:
 class RunVerdict:
     """End-of-run classification.
 
-    converged: errors and speeds both below tol over the analysis window.
+    converged: errors and speeds both below VERDICT_TOL over the window.
     orbit_detected: every agent holds a nonzero speed with coefficient of
     variation below 1e-3 over the window (the steady collective motion a
     persistent uncompensated disturbance produces); steady_speed is then
@@ -363,13 +365,10 @@ def _fit_exponential(times, norms):
     return float(coef[0]), r_sq
 
 
-def run_verdict(traj: Trajectory, window_fraction: float = 0.2, tol: float = 1e-6) -> RunVerdict:
-    """Classify a finished run from its tail window (last window_fraction of
+def run_verdict(traj: Trajectory) -> RunVerdict:
+    """Classify a finished run from its tail window (last VERDICT_WINDOW of
     the samples, which must hold at least 50 of them)."""
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
-    count = traj.sample_count
-    window = math.ceil(window_fraction * count)
+    window = math.ceil(VERDICT_WINDOW * traj.sample_count)
     if window < 50:
         raise ValueError(
             f"analysis window holds {window} samples, need at least 50; "
@@ -378,10 +377,10 @@ def run_verdict(traj: Trajectory, window_fraction: float = 0.2, tol: float = 1e-
     err_norms = np.linalg.norm(traj.errors, axis=1)
     tail_err = err_norms[-window:]
     tail_speed = traj.speeds[-window:]
-    converged = bool(tail_err.max() < tol and tail_speed.max() < tol)
+    converged = bool(tail_err.max() < VERDICT_TOL and tail_speed.max() < VERDICT_TOL)
     means = tail_speed.mean(axis=0)
     spreads = tail_speed.std(axis=0)
-    orbit = bool((means > 10.0 * tol).all() and (spreads <= 1e-3 * means).all())
+    orbit = bool((means > 10.0 * VERDICT_TOL).all() and (spreads <= 1e-3 * means).all())
     steady = float(means.mean()) if orbit else None
     rate, r_sq = _fit_exponential(traj.times, err_norms)
     # a diverged run's last sample predates the last state that passed the guard

@@ -20,11 +20,16 @@ from rigiform import (
     Framework,
     InsertionStep,
     builtin_scenario,
+    certificate,
     certify,
     default_basis,
     exosystem_initial_state,
+    generate_scenario,
     is_hurwitz,
+    is_infinitesimally_rigid,
+    is_minimally_rigid,
     random_trace,
+    rigid_rank_target,
     rigidity_matrix,
     s2_matrix,
     select_estimating_agents,
@@ -131,7 +136,7 @@ def test_acyclic_triangle_zero_pattern():
         fw = _random_triangle(rng, edges=((2, 3), (3, 1), (1, 2)))
         oriented, report = certify(fw, rule)
         assert oriented.graph.edges == ((2, 3), (3, 1), (2, 1))
-        z = report.matrix
+        z = stability_matrix(oriented)
         for row, col in ((0, 1), (0, 2), (2, 0)):
             assert z[row, col] == 0.0
         for row, col in ((1, 0), (1, 2), (2, 1)):
@@ -244,7 +249,7 @@ def test_certify_warns_on_degenerate_triangle():
     fw = Framework(graph, 2, pts, [1.0, 1.0, 2.0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, report = certify(fw, AssignmentRule("triangle_cyclic"))
+        oriented, report = certify(fw, AssignmentRule("triangle_cyclic"))
     messages = [str(w.message) for w in caught]
     assert any("not infinitesimally rigid" in m for m in messages)
     assert any("not certified" in m for m in messages)
@@ -253,7 +258,8 @@ def test_certify_warns_on_degenerate_triangle():
         [1.0, -1.0, 0.0],
         [0.0, -2.0, -4.0],
     ])
-    assert np.array_equal(report.matrix, expected)
+    with pytest.warns(RuntimeWarning, match="not infinitesimally rigid"):
+        assert np.array_equal(stability_matrix(oriented), expected)
     assert not report.hurwitz
     assert report.margin > -HURWITZ_TOL
 
@@ -329,10 +335,10 @@ def test_triangle_spectrum_matches_cardano():
 def test_certify_reports_spectrum_of_its_matrix():
     rng = np.random.default_rng(39)
     fw = _random_triangle(rng)
-    _, report = certify(fw, AssignmentRule("triangle_cyclic"))
+    oriented, report = certify(fw, AssignmentRule("triangle_cyclic"))
     assert np.allclose(
         sorted(report.spectrum, key=lambda v: (v.real, v.imag)),
-        sorted(np.linalg.eigvals(report.matrix), key=lambda v: (v.real, v.imag)),
+        sorted(np.linalg.eigvals(stability_matrix(oriented)), key=lambda v: (v.real, v.imag)),
     )
     assert report.margin == max(v.real for v in report.spectrum)
 
@@ -372,3 +378,59 @@ def test_transformed_coords_match_measured_errors():
     assert np.array_equal(e, traj.errors[0])
     assert np.array_equal(alpha, traj.alpha[0])
     assert np.array_equal(theta, traj.estimator_gap[0])
+
+
+_CERTIFICATE_CASES = {
+    **{
+        name: lambda name=name: builtin_scenario(name).framework_target()
+        for name in ("epuck2d", "tetra3d")
+    },
+    **{
+        f"generated-{dim}d-n{n}-seed{seed}": (
+            lambda n=n, dim=dim, seed=seed: generate_scenario(n, dim, seed).framework_target()
+        )
+        for n, dim, seed in ((3, 2, 0), (12, 2, 1), (30, 2, 2), (4, 3, 0), (15, 3, 1), (30, 3, 2))
+    },
+    "floppy-square": lambda: _framework_on(
+        ((1, 2), (2, 3), (3, 4), (4, 1)), [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    ),
+    "collinear-triangle": lambda: _framework_on(
+        ((1, 2), (2, 3), (3, 1)), [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFICATE_CASES))
+def test_certificate_agrees_with_its_parts(case):
+    fw = _CERTIFICATE_CASES[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # certificate keeps the rigidity warning to itself
+        cert = certificate(fw)
+    rigid, rank = is_infinitesimally_rigid(fw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        matrix = stability_matrix(fw)
+    hurwitz, margin = is_hurwitz(matrix)
+    spectrum = np.linalg.eigvals(matrix)
+    spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
+    assert cert.rank == rank
+    assert cert.rank_needed == rigid_rank_target(fw.graph.n, fw.dim)
+    assert cert.infinitesimally_rigid is rigid
+    assert cert.minimally_rigid is is_minimally_rigid(fw)
+    assert cert.hurwitz is hurwitz
+    assert cert.margin == margin
+    assert np.array_equal(cert.spectrum, spectrum)
+    assert not cert.spectrum.flags.writeable
+    assert cert.certified is (rigid and hurwitz)
+    assert cert.certified is case.startswith(("epuck2d", "tetra3d", "generated"))
+    record = cert.to_dict()
+    assert record["spectrum"] == [[float(v.real), float(v.imag)] for v in spectrum]
+    assert {k: v for k, v in record.items() if k != "spectrum"} == {
+        "rank": rank,
+        "rank_needed": cert.rank_needed,
+        "infinitesimally_rigid": rigid,
+        "minimally_rigid": cert.minimally_rigid,
+        "hurwitz": hurwitz,
+        "margin": margin,
+        "certified": cert.certified,
+    }

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output files, and determinism."""
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -60,9 +61,8 @@ def test_check_json_output(capsys):
     assert len(record["spectrum"]) == 9
 
 
-def test_check_rejects_floppy_formation(tmp_path, capsys):
-    import dataclasses
-
+def _square_file(tmp_path):
+    """A unit square without a diagonal: floppy, but its matrix is Hurwitz."""
     from test_sim import _triangle_scenario, _zero_disturbance
 
     sc = dataclasses.replace(
@@ -75,9 +75,32 @@ def test_check_rejects_floppy_formation(tmp_path, capsys):
         disturbance=_zero_disturbance(4),
         mode="gradient_only",
     )
-    path = _write_scenario(tmp_path / "square.json", sc)
-    assert main(["check", path]) == 1
+    return _write_scenario(tmp_path / "square.json", sc)
+
+
+def test_check_rejects_floppy_formation(tmp_path, capsys):
+    assert main(["check", _square_file(tmp_path)]) == 1
     assert "not infinitesimally rigid" in capsys.readouterr().out
+
+
+# sha256 of `check` stdout (text and --json) and its exit code, recorded
+# before certification moved into analysis.certificate
+CHECK_DIGESTS = {
+    ("epuck2d", "--json"): ("ab52349c0d5b63e1fc303df7ef6f0bcc172d80860c02f77ff2f32986eba544dc", 0),
+    ("epuck2d", "text"): ("33a06d79d81a388ae0ff8e9469e2353ce1724b5d088af5cd47363048f8c52de8", 0),
+    ("tetra3d", "--json"): ("fc7fe18bccf84babc01cd1cc487b366b32f7206d731eb4bdea9b9b84591d46a6", 0),
+    ("tetra3d", "text"): ("996a734f597d35a6a354865d82e85ff84a3431bb9503b91e8d72ecbb296208c0", 0),
+    ("square", "--json"): ("d81e4b9d3159a48d99c21759a76adfcfc88898349398b4e2cf7509eba620d3ea", 1),
+    ("square", "text"): ("0cbaf0d1008465a0e68d5837aa8170d097b5f7105dc5f101377d3d99d52a5274", 1),
+}
+
+
+@pytest.mark.parametrize("name, form", sorted(CHECK_DIGESTS))
+def test_check_output_is_byte_stable(tmp_path, capsys, name, form):
+    ref = _square_file(tmp_path) if name == "square" else name
+    code = main(["check", ref] + (["--json"] if form == "--json" else []))
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == CHECK_DIGESTS[name, form]
 
 
 def test_check_requires_target_positions(tmp_path, capsys):
@@ -487,6 +510,35 @@ def test_malformed_numbers_and_rows_are_one_line_errors(tmp_path, capsys, edit, 
     assert len(err.splitlines()) == 1
 
 
+def _scaled(rows, factor):
+    return [[c * factor for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["edges"][0].update(distance=1e300), "distances"),
+    (lambda d: d["edges"][0].update(distance=1e100), "distances"),
+    (lambda d: d.update(agents=_scaled(d["agents"], 1e200)), "initial_positions"),
+    (lambda d: d.update(target_positions=_scaled(d["target_positions"], 1e200)), "target_positions"),
+], ids=["distance-1e300", "distance-1e100", "agents-x1e200", "target-x1e200"])
+def test_lengths_whose_squares_overflow_are_one_line_errors(tmp_path, capsys, command, edit, field):
+    # a distance of 1e100 squares to a finite 1e200, but the error norm
+    # sqrt(e . e) of the run would not be finite
+    data = scenario_to_dict(builtin_scenario("epuck2d"))
+    data["sim"].update(t_end=0.05, output_every=1)
+    edit(data)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)] + (["--out", str(out)] if command == "run" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} too large: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "verdict.json").exists()
+
+
 def test_non_utf8_file_names_itself(tmp_path, capsys):
     path = tmp_path / "binary.json"
     path.write_bytes(b'{"name": "\xff"}')
@@ -494,13 +546,46 @@ def test_non_utf8_file_names_itself(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: invalid start byte at byte 10\n"
 
 
-def test_benchmark_tracer_names_resolve():
-    # perfbench/tracing.py patches these attributes by name; a missing one
-    # would only fail inside a traced benchmark run
+def _tracer_entries():
+    """(module, attribute) pairs perfbench/tracing.py patches, read without
+    importing perfbench as a package."""
     source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     module = types.ModuleType("perfbench_tracing")
     exec(compile(source.read_text(), str(source), "exec"), module.__dict__)
-    entries = [entry[:2] for entry in module.WRAPPED + module.COUNTED]
+    return [entry[:2] for entry in module.WRAPPED + module.COUNTED]
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py patches these attributes by name; a missing one
+    # would only fail inside a traced benchmark run
+    entries = _tracer_entries()
     assert ("rigiform.sim", "is_infinitesimally_rigid") in entries
     for module_name, attr in entries:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_unused_imports_are_only_the_tracers():
+    # no linter runs here: an import a module never reads must be one the
+    # benchmark tracer patches in that module, so dead imports fail, and so
+    # do tracer-only imports once the tracer stops patching them
+    wrapped = set(_tracer_entries())
+    package = Path(__file__).resolve().parents[1] / "src" / "rigiform"
+    for path in sorted(package.glob("*.py")):
+        module = f"rigiform.{path.stem}" if path.stem != "__init__" else "rigiform"
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        unused = imported - used - exported
+        assert all((module, name) in wrapped for name in unused), (module, sorted(unused))
