@@ -1,12 +1,17 @@
 """Certification of target formations: spectra and estimator placement.
 
 The gradient flow linearized at a target framework acts on the edge errors
-through an |E|-square matrix built from the rigidity and tail-scatter
-operators.  Certifying a target means checking infinitesimal rigidity plus
-a negative spectral margin for that matrix, at the fixed RANK_TOL and
-HURWITZ_TOL; `certificate` alone makes that decision.  Estimator placement
-rules map each edge to the agent that runs its internal-model unit, which
-fixes the edge orientations the controller uses.
+through an |E|-square matrix -R S2^T built from the rigidity and
+tail-scatter operators.  Certifying a target means checking infinitesimal
+rigidity plus a negative spectral margin for that matrix, at the fixed
+RANK_TOL and HURWITZ_TOL; `certificate` alone makes that decision.  It
+never forms the |E|-square matrix: with edges grouped by the strongly
+connected component of their head, R and -R S2^T are block
+lower-triangular, so the spectrum is the union of the diagonal blocks'
+spectra and their ranks bound R's rank from below
+(`Framework.diagonal_blocks`).  Estimator placement rules map each edge to
+the agent that runs its internal-model unit, which fixes the edge
+orientations the controller uses.
 """
 
 from __future__ import annotations
@@ -39,35 +44,53 @@ _NOT_RIGID = ("framework is not infinitesimally rigid; the error dynamics "
 def is_hurwitz(matrix) -> tuple[bool, float]:
     """(verdict, spectral margin): margin is the largest eigenvalue real part,
     and the verdict requires it below -HURWITZ_TOL."""
-    return _hurwitz_spectrum(matrix)[:2]
-
-
-def _hurwitz_spectrum(matrix) -> tuple[bool, float, np.ndarray]:
-    """is_hurwitz's verdict and margin plus the spectrum they come from."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(m).all():
         raise ValueError("matrix must be finite")
-    spectrum = np.linalg.eigvals(m)
-    margin = float(np.max(spectrum.real))
-    return margin < -HURWITZ_TOL, margin, spectrum
+    margin = float(np.max(np.linalg.eigvals(m).real))
+    return margin < -HURWITZ_TOL, margin
+
+
+def _require_own_distances(framework: Framework) -> None:
+    """Raise ValueError unless every edge's squared length matches its
+    target's square to 1e-9 relative."""
+    e = consistent_errors(framework)
+    if not (np.abs(e) < 1e-9 * framework.target_distances ** 2).all():
+        raise ValueError("framework does not satisfy its edge distances")
 
 
 def stability_matrix(framework: Framework) -> np.ndarray:
     """|E|-square error-dynamics matrix -R S2^T at a target framework.
 
     Entry (k, l) couples edge k's error rate to edge l's error.  The
-    framework must satisfy its own distances (max |error| below 1e-9);
-    a rank-deficient framework only triggers a warning because the matrix
-    is still well defined there.
+    framework must satisfy its own distances (each squared length within
+    1e-9 relative of its target's); a rank-deficient framework only
+    triggers a warning because the matrix is still well defined there.
     """
-    e = consistent_errors(framework)
-    if np.max(np.abs(e)) >= 1e-9:
-        raise ValueError("framework does not satisfy its edge distances")
+    _require_own_distances(framework)
     if not is_infinitesimally_rigid(framework)[0]:
         warnings.warn(_NOT_RIGID, RuntimeWarning, stacklevel=2)
     return -rigidity_matrix(framework) @ s2_matrix(framework).T
+
+
+def _block_spectrum(framework: Framework) -> np.ndarray:
+    """Eigenvalues of -R S2^T: the union of its diagonal blocks' spectra.
+
+    A one-vertex block is -Z Z^T, whose eigenvalues are minus the squared
+    singular values of Z, already computed for the rank, and a zero for
+    each row past the dim-th; larger blocks take one eigvals per shape.
+    """
+    pieces = []
+    for stack in framework.diagonal_blocks:
+        count, rows, width = stack.rigidity.shape
+        if width == framework.dim:
+            sv = stack.singular_values
+            pieces += [-(sv * sv).ravel(), np.zeros(count * (rows - sv.shape[1]))]
+        else:
+            pieces.append(np.linalg.eigvals(-stack.rigidity @ stack.s2.transpose(0, 2, 1)).ravel())
+    return np.concatenate(pieces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +114,14 @@ class Certificate:
 
 
 def certificate(framework: Framework) -> Certificate:
-    """Certify a target framework: one rank and one spectrum, at RANK_TOL
-    and HURWITZ_TOL.  Raises ValueError when the framework does not satisfy
-    its own distances."""
+    """Certify a target framework from its diagonal blocks
+    (`Framework.diagonal_blocks`), at RANK_TOL and HURWITZ_TOL.  Raises
+    ValueError when the framework does not satisfy its own distances."""
+    _require_own_distances(framework)
     rigid, rank = is_infinitesimally_rigid(framework)
-    with warnings.catch_warnings():
-        # the record's rank already says when the target is not rigid
-        warnings.filterwarnings("ignore", _NOT_RIGID, RuntimeWarning)
-        matrix = stability_matrix(framework)
-    hurwitz, margin, spectrum = _hurwitz_spectrum(matrix)
+    spectrum = _block_spectrum(framework)
+    margin = float(np.max(spectrum.real))
+    hurwitz = margin < -HURWITZ_TOL
     spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
     spectrum.setflags(write=False)
     needed = rigid_rank_target(framework.graph.n, framework.dim)

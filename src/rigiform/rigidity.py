@@ -8,7 +8,10 @@ bookkeeping in the closed loop (`sim`) and the analysis module.
 
 All matrices produced here follow the graph's edge order, so stacked
 quantities (errors, disturbances, estimator states) line up index for
-index across the package.
+index across the package.  The rank test is structural: the orientation's
+strongly connected components split the rigidity matrix into diagonal
+blocks (`Framework.diagonal_blocks`), and only a formation whose blocks do
+not prove its rank takes a dense SVD.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,9 +84,6 @@ class FormationGraph:
         a.setflags(write=False)
         return a
 
-    def undirected_edges(self) -> frozenset:
-        return frozenset(frozenset(e) for e in self.edges)
-
 
 @dataclass(frozen=True, eq=False)
 class Framework:
@@ -121,9 +122,35 @@ class Framework:
         return z
 
     @cached_property
+    def diagonal_blocks(self) -> tuple["BlockStack", ...]:
+        """The rigidity matrix's diagonal blocks, stacked by shape.
+
+        Edges are grouped by the strongly connected component of their
+        head, columns by the component of their vertex.  An edge's tail
+        reaches its head, so its component precedes the head's in
+        topological order and R is block lower-triangular; so is -R S2^T,
+        whose entry (k, l) is nonzero only when head(l) is an endpoint of
+        edge k.  Computed once, with one SVD per distinct block shape.
+        """
+        return _diagonal_blocks(self)
+
+    @cached_property
     def rigidity_rank(self) -> int:
-        """Numeric rank of the rigidity matrix at RANK_TOL, computed once."""
-        return numeric_rank(rigidity_matrix(self))
+        """Rank of the rigidity matrix, computed once.
+
+        The diagonal blocks' ranks sum to a lower bound and the rigid rank
+        target is an upper bound, so when the blocks reach the target that
+        is the rank.  Otherwise it is numeric_rank of the dense matrix.
+        Block singular values count above RANK_TOL * ||R||_F * max(shape),
+        never a looser threshold than numeric_rank's sigma_max.
+        """
+        g = self.graph
+        z = self.relative_vectors
+        frobenius = math.sqrt(2.0 * np.einsum("kd,kd->", z, z))
+        tol = RANK_TOL * frobenius * max(g.edge_count, self.dim * g.n)
+        found = sum(int(np.count_nonzero(s.singular_values > tol)) for s in self.diagonal_blocks)
+        target = rigid_rank_target(g.n, self.dim)
+        return target if found >= target else numeric_rank(rigidity_matrix(self))
 
     def at_positions(self, positions) -> "Framework":
         """Same graph and distances, different embedding."""
@@ -180,6 +207,108 @@ def numeric_rank(matrix) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > RANK_TOL * s[0] * max(a.shape)))
+
+
+def strongly_connected_components(n: int, tails, heads) -> list[list[int]]:
+    """Strongly connected components of the directed graph on vertices
+    0..n-1 with arcs tails[k] -> heads[k] (Tarjan 1972, iterative).
+
+    Each component lists its vertices in increasing order.  Components come
+    in the order Tarjan closes them, which is reverse topological: no arc
+    runs from a component to an earlier one.
+    """
+    succ = [[] for _ in range(n)]
+    for t, h in zip(tails, heads):
+        succ[t].append(h)
+    index = [-1] * n  # discovery order
+    low = [0] * n
+    closed = [False] * n
+    stack = []
+    components = []
+    found = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    index[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if not closed[w]:  # still on the stack: in v's component or an ancestor's
+                    low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    component = stack[at:]
+                    del stack[at:]
+                    for w in component:
+                        closed[w] = True
+                    components.append(sorted(component))
+    return components
+
+
+class BlockStack(NamedTuple):
+    """The diagonal blocks of one shape (r edges, s vertices): for each
+    strongly connected component, the rows of R and S2 of the edges whose
+    heads lie in it, restricted to its vertices' columns, rows in edge and
+    columns in vertex order."""
+
+    rigidity: np.ndarray  # (B, r, dim*s)
+    s2: np.ndarray  # (B, r, dim*s): rigidity without the tail entries
+    singular_values: np.ndarray  # (B, min(r, dim*s)) of the rigidity blocks
+
+
+def _diagonal_blocks(fw: Framework) -> tuple[BlockStack, ...]:
+    g = fw.graph
+    m = fw.dim
+    z = fw.relative_vectors
+    components = strongly_connected_components(g.n, g.tails.tolist(), g.heads.tolist())
+    label = [0] * g.n
+    local = [0] * g.n  # a vertex's place among its component's columns
+    for c, vertices in enumerate(components):
+        for i, v in enumerate(vertices):
+            label[v], local[v] = c, i
+    in_edges = [[] for _ in components]  # rows of each block, in edge order
+    for k, h in enumerate(g.heads.tolist()):
+        in_edges[label[h]].append(k)
+    shapes = {}
+    for c, rows in enumerate(in_edges):
+        if rows:
+            shapes.setdefault((len(rows), len(components[c])), []).append(c)
+    stacks = []
+    for (r, s), members in sorted(shapes.items()):
+        edges = np.array([in_edges[c] for c in members], dtype=np.intp)
+        if s == 1:  # one vertex v: both blocks are -Z_v, its in-edges' z_k
+            rigidity = s2 = -z[edges]
+        else:
+            label_of, local_of = np.array(label), np.array(local)
+            heads, tails = g.heads[edges], g.tails[edges]
+            b = np.arange(len(members))[:, None, None]
+            i = np.arange(r)[None, :, None]
+            cols = np.arange(m)
+            # tails outside the component land in one spare column group, cut off below
+            tail_at = np.where(label_of[tails] == label_of[heads], local_of[tails], s)
+            wide = np.zeros((len(members), r, m * (s + 1)))
+            wide[b, i, m * local_of[heads][..., None] + cols] = -z[edges]
+            s2 = wide[..., : m * s].copy()
+            wide[b, i, m * tail_at[..., None] + cols] = z[edges]
+            rigidity = wide[..., : m * s]
+        stacks.append(BlockStack(rigidity, s2, np.linalg.svd(rigidity, compute_uv=False)))
+    return tuple(stacks)
 
 
 def rigid_rank_target(n: int, dim: int) -> int:

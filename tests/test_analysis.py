@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import s1_matrix, transformed_coords
+from oracles import block_spectrum, s1_matrix, transformed_coords
 from rigiform import (
     HURWITZ_TOL,
     AssignmentRule,
@@ -27,7 +27,7 @@ from rigiform import (
     generate_scenario,
     is_hurwitz,
     is_infinitesimally_rigid,
-    is_minimally_rigid,
+    numeric_rank,
     random_trace,
     rigid_rank_target,
     rigidity_matrix,
@@ -380,6 +380,24 @@ def test_transformed_coords_match_measured_errors():
     assert np.array_equal(theta, traj.estimator_gap[0])
 
 
+def _mixed_formation(dim, seed):
+    """A strongly connected seed (a directed 4-cycle with its diagonals:
+    one in 2-D, both in 3-D) grown by four vertex insertions whose edges
+    run from the anchors to the new vertex."""
+    rng = np.random.default_rng(seed)
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)] + ([(2, 4)] if dim == 3 else [])
+    triangles = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    for v in range(5, 9):
+        if dim == 2:
+            anchors = sorted(int(a) + 1 for a in rng.choice(v - 1, size=2, replace=False))
+        else:
+            anchors = triangles[int(rng.integers(len(triangles)))]
+            triangles += [(anchors[0], anchors[1], v), (anchors[0], anchors[2], v),
+                          (anchors[1], anchors[2], v)]
+        edges += [(a, v) for a in anchors]
+    return _framework_on(edges, rng.uniform(-2.0, 2.0, (8, dim)), dim)
+
+
 _CERTIFICATE_CASES = {
     **{
         name: lambda name=name: builtin_scenario(name).framework_target()
@@ -397,7 +415,31 @@ _CERTIFICATE_CASES = {
     "collinear-triangle": lambda: _framework_on(
         ((1, 2), (2, 3), (3, 1)), [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
     ),
+    # the cycle's own block sets the margin in 2-D: negative, then positive
+    "mixed-2d": lambda: _mixed_formation(2, 7),
+    "mixed-2d-unstable": lambda: _mixed_formation(2, 1),
+    "mixed-3d": lambda: _mixed_formation(3, 2),
 }
+_NOT_CERTIFIED = ("floppy-square", "collinear-triangle", "mixed-2d-unstable")
+
+# one strongly connected component spans the graph: the one block is the
+# whole matrix, so the certificate repeats the dense computation bit for bit
+_SINGLE_BLOCK = ("epuck2d", "floppy-square", "collinear-triangle")
+
+
+def test_certificate_counts_a_zero_per_in_edge_past_dim():
+    # vertex 4 takes three in-edges in the plane: -Z Z^T is 3x3 of rank 2
+    fw = _framework_on(((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)),
+                       [[0.0, 0.0], [2.0, 0.0], [1.0, 1.5], [1.2, 0.5]])
+    cert = certificate(fw)
+    hurwitz, margin = is_hurwitz(stability_matrix(fw))
+    assert (cert.rank, cert.infinitesimally_rigid, cert.minimally_rigid) == (5, True, False)
+    assert len(cert.spectrum) == fw.graph.edge_count
+    assert np.count_nonzero(cert.spectrum == 0.0) == 1 and cert.margin == 0.0
+    assert cert.hurwitz is hurwitz is False and abs(margin) < 1e-12
+    oracle = block_spectrum(fw)
+    oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
+    assert np.abs(cert.spectrum - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("case", sorted(_CERTIFICATE_CASES))
@@ -406,31 +448,42 @@ def test_certificate_agrees_with_its_parts(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # certificate keeps the rigidity warning to itself
         cert = certificate(fw)
-    rigid, rank = is_infinitesimally_rigid(fw)
+    rank = numeric_rank(rigidity_matrix(fw))  # dense, as the certificate did before blocks
+    needed = rigid_rank_target(fw.graph.n, fw.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         matrix = stability_matrix(fw)
     hurwitz, margin = is_hurwitz(matrix)
-    spectrum = np.linalg.eigvals(matrix)
-    spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
     assert cert.rank == rank
-    assert cert.rank_needed == rigid_rank_target(fw.graph.n, fw.dim)
-    assert cert.infinitesimally_rigid is rigid
-    assert cert.minimally_rigid is is_minimally_rigid(fw)
+    assert cert.rank_needed == needed
+    assert cert.infinitesimally_rigid is (rank == needed)
+    assert cert.minimally_rigid is (rank == needed == fw.graph.edge_count)
     assert cert.hurwitz is hurwitz
-    assert cert.margin == margin
-    assert np.array_equal(cert.spectrum, spectrum)
+    assert cert.certified is (rank == needed and hurwitz)
+    assert cert.certified is (case not in _NOT_CERTIFIED)
     assert not cert.spectrum.flags.writeable
-    assert cert.certified is (rigid and hurwitz)
-    assert cert.certified is case.startswith(("epuck2d", "tetra3d", "generated"))
+    if case in _SINGLE_BLOCK:
+        spectrum = np.linalg.eigvals(matrix)
+        spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
+        assert cert.margin == margin
+        assert np.array_equal(cert.spectrum, spectrum)
+    else:
+        # every entry outside the pattern the blocks rely on is exactly zero
+        g = fw.graph
+        coupled = (g.heads[None, :] == g.tails[:, None]) | (g.heads[None, :] == g.heads[:, None])
+        assert not matrix[~coupled].any()
+        oracle = block_spectrum(fw)
+        oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
+        assert np.all(np.abs(cert.spectrum - oracle) <= 1e-12 * np.abs(oracle))
+        assert abs(cert.margin - margin) <= 1e-10 * abs(margin)
     record = cert.to_dict()
-    assert record["spectrum"] == [[float(v.real), float(v.imag)] for v in spectrum]
+    assert record["spectrum"] == [[float(v.real), float(v.imag)] for v in cert.spectrum]
     assert {k: v for k, v in record.items() if k != "spectrum"} == {
         "rank": rank,
-        "rank_needed": cert.rank_needed,
-        "infinitesimally_rigid": rigid,
+        "rank_needed": needed,
+        "infinitesimally_rigid": cert.infinitesimally_rigid,
         "minimally_rigid": cert.minimally_rigid,
         "hurwitz": hurwitz,
-        "margin": margin,
+        "margin": cert.margin,
         "certified": cert.certified,
     }

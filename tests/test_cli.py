@@ -83,13 +83,35 @@ def test_check_rejects_floppy_formation(tmp_path, capsys):
     assert "not infinitesimally rigid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0, 1000.0, 1e6])
+def test_distance_test_is_relative_to_each_edge(tmp_path, capsys, scale):
+    sc = builtin_scenario("epuck2d")
+    scaled = dataclasses.replace(
+        sc,
+        distances=tuple(scale * d for d in sc.distances),
+        initial_positions=tuple(tuple(scale * c for c in row) for row in sc.initial_positions),
+        target_positions=tuple(tuple(scale * c for c in row) for row in sc.target_positions),
+    )
+    assert main(["check", "epuck2d"]) == 0
+    original = capsys.readouterr().out.splitlines()
+    assert main(["check", _write_scenario(tmp_path / "scaled.json", scaled)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [out[1], out[3]] == [original[1], original[3]]  # rank, rigidity and verdict
+    missed = (scaled.distances[0] * (1 + 1e-6),) + scaled.distances[1:]
+    off = dataclasses.replace(scaled, distances=missed)
+    assert main(["check", _write_scenario(tmp_path / "off.json", off)]) == 1
+    assert capsys.readouterr() == ("", "error: framework does not satisfy its edge distances\n")
+
+
 # sha256 of `check` stdout (text and --json) and its exit code, recorded
-# before certification moved into analysis.certificate
+# before certification moved into analysis.certificate; tetra3d's re-recorded
+# when its spectrum came from diagonal blocks (margin -12.499999999999996
+# became -12.499999999999998; exact -12.5)
 CHECK_DIGESTS = {
     ("epuck2d", "--json"): ("ab52349c0d5b63e1fc303df7ef6f0bcc172d80860c02f77ff2f32986eba544dc", 0),
     ("epuck2d", "text"): ("33a06d79d81a388ae0ff8e9469e2353ce1724b5d088af5cd47363048f8c52de8", 0),
-    ("tetra3d", "--json"): ("fc7fe18bccf84babc01cd1cc487b366b32f7206d731eb4bdea9b9b84591d46a6", 0),
-    ("tetra3d", "text"): ("996a734f597d35a6a354865d82e85ff84a3431bb9503b91e8d72ecbb296208c0", 0),
+    ("tetra3d", "--json"): ("9ee84ac5def8e8624525a3980feb69b570bb45ec71ba34bdf87250f1c99ba6e5", 0),
+    ("tetra3d", "text"): ("856e1b81cfc7c9542066429bbd2aa6cbb24e964bb5969c909399884134ac0380", 0),
     ("square", "--json"): ("d81e4b9d3159a48d99c21759a76adfcfc88898349398b4e2cf7509eba620d3ea", 1),
     ("square", "text"): ("0cbaf0d1008465a0e68d5837aa8170d097b5f7105dc5f101377d3d99d52a5274", 1),
 }
@@ -311,40 +333,56 @@ def test_generate_output_is_byte_stable(tmp_path, n, dim, seed):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATE_DIGESTS[n, dim, seed]
 
 
-def _count_certification_work(monkeypatch, n, dim):
-    """Record the rigidity-matrix ranks, eigvals calls and trace draws made
-    from here on; ranks of other shapes (observability) are left out."""
-    import rigiform.rigidity as rigidity
+def _record_decompositions(monkeypatch):
+    """Shapes of the arrays handed to np.linalg.svd and np.linalg.eigvals
+    from here on, and the count of trace draws."""
     import rigiform.scenario as scenario
 
-    counts = {"rank": 0, "eigvals": 0, "draws": 0}
-    shape = (rigidity.rigid_rank_target(n, dim), dim * n)
+    seen = {"svd": [], "eigvals": [], "draws": 0}
 
-    def wrap(key, fn, counts_call=lambda *a: True):
-        def counted(*args, **kwargs):
-            counts[key] += bool(counts_call(*args))
-            return fn(*args, **kwargs)
-        return counted
+    def recorded(key, fn):
+        def wrapper(a, *args, **kwargs):
+            seen[key].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(rigidity, "numeric_rank", wrap(
-        "rank", rigidity.numeric_rank, lambda m, *a: np.shape(m) == shape))
-    monkeypatch.setattr(np.linalg, "eigvals", wrap("eigvals", np.linalg.eigvals))
-    monkeypatch.setattr(scenario, "random_trace", wrap("draws", scenario.random_trace))
-    return counts
+    random_trace = scenario.random_trace
+
+    def draw(*args):
+        seen["draws"] += 1
+        return random_trace(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvals", recorded("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(scenario, "random_trace", draw)
+    return seen
 
 
-def test_certification_makes_one_rank_and_one_spectrum(tmp_path, monkeypatch, capsys):
+def test_generated_certification_decomposes_only_dim_wide_blocks(tmp_path, monkeypatch, capsys):
     path = tmp_path / "gen.json"
-    counts = _count_certification_work(monkeypatch, 30, 3)
+    seen = _record_decompositions(monkeypatch)
     assert main(["generate", "--n", "30", "--dim", "3", "--seed", "2", "--out", str(path)]) == 0
-    assert counts["draws"] >= 1
-    assert counts["rank"] == counts["draws"]  # one rigidity rank per draw
-    counts.update(rank=0, eigvals=0)
+    assert seen["draws"] >= 1
+    # one SVD per block shape: an edge into vertex 2, 3 or 4, or an insertion's three
+    assert sorted(shape[1:] for shape in seen["svd"] if len(shape) == 3) == \
+        [(1, 3), (2, 3), (3, 3)] * seen["draws"]
+    assert all(shape[-1] <= 3 for shape in seen["svd"] + seen["eigvals"])
     capsys.readouterr()
+    seen["svd"].clear()
     assert main(["check", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["certified"] is True
-    assert counts["rank"] == 1
-    assert counts["eigvals"] == 1
+    assert len(seen["svd"]) == 4  # three block shapes and the estimator's observability
+    assert all(shape[-1] <= 3 for shape in seen["svd"] + seen["eigvals"])
+
+
+def test_single_component_certification_makes_one_rank_and_one_spectrum(monkeypatch, capsys):
+    sc = builtin_scenario("epuck2d")
+    seen = _record_decompositions(monkeypatch)
+    assert main(["check", "epuck2d"]) == 0
+    rigidity_shape = (len(sc.edges), 2 * len(sc.target_positions))
+    assert [shape[-2:] for shape in seen["svd"]].count(rigidity_shape) == 1
+    assert [shape[-2:] for shape in seen["eigvals"]] == [(len(sc.edges),) * 2]
+    capsys.readouterr()
 
 
 def test_builtin_round_trip(tmp_path):

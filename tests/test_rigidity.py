@@ -191,20 +191,91 @@ def test_rank_never_exceeds_target_even_with_spare_edges():
 def test_rank_is_computed_once_per_framework(monkeypatch):
     import rigiform.rigidity as rigidity
 
-    calls = []
-
-    def counted(matrix):
-        calls.append(np.shape(matrix))
-        return numeric_rank(matrix)
-
-    monkeypatch.setattr(rigidity, "numeric_rank", counted)
+    builds, dense = [], []
+    monkeypatch.setattr(rigidity, "_diagonal_blocks",
+                        lambda fw, f=rigidity._diagonal_blocks: builds.append(fw) or f(fw))
+    monkeypatch.setattr(rigidity, "numeric_rank", lambda m: dense.append(m) or numeric_rank(m))
     fw = _random_framework(np.random.default_rng(4), 3)
     rigid, rank = is_infinitesimally_rigid(fw)
+    assert rigid and rank == numeric_rank(rigidity_matrix(fw))
     assert is_minimally_rigid(fw) == (rigid and fw.graph.edge_count == rank)
     assert fw.rigidity_rank == rank
-    assert calls == [rigidity_matrix(fw).shape]
-    assert is_infinitesimally_rigid(fw.at_positions(fw.positions))[1] == rank
-    assert len(calls) == 2
+    assert builds == [fw]
+    assert dense == []  # the blocks reached the target: no dense SVD
+    twin = fw.at_positions(fw.positions)
+    assert is_infinitesimally_rigid(twin)[1] == rank
+    assert builds == [fw, twin]
+
+
+def test_non_rigid_dag_falls_back_to_the_dense_rank(monkeypatch):
+    import rigiform.rigidity as rigidity
+
+    dense = []
+    monkeypatch.setattr(rigidity, "numeric_rank", lambda m: dense.append(m.shape) or numeric_rank(m))
+    rng = np.random.default_rng(6)
+    for dim in (2, 3):
+        trace, pts = random_trace(12, dim, rng)
+        graph = trace_graph(trace)
+        # acyclic: every tail precedes its head; the last inserted vertex
+        # loses an edge, so its block has dim - 1 rows
+        lean = FormationGraph(graph.n, graph.edges[:-1])
+        fw = Framework(lean, dim, pts, trace_distances(trace)[:-1])
+        assert all(t < h for t, h in lean.edges)
+        expected = numeric_rank(rigidity_matrix(fw))
+        assert expected == rigid_rank_target(12, dim) - 1
+        dense.clear()
+        assert fw.rigidity_rank == expected
+        assert dense == [(lean.edge_count, dim * lean.n)]
+    # a vertex placed on the line through its two anchors: a singular block
+    flat = _triangle(((0.0, 0.0), (2.0, 0.0), (1.0, 0.0)))
+    dense.clear()
+    assert is_infinitesimally_rigid(flat) == (False, 2)
+    assert dense == [(3, 6)]
+
+
+def _scc_partition(labels):
+    groups = {}
+    for v, c in enumerate(np.asarray(labels).tolist()):
+        groups.setdefault(c, set()).add(v)
+    return sorted(sorted(g) for g in groups.values())
+
+
+@pytest.mark.parametrize("acyclic", [True, False])
+def test_strongly_connected_components_match_scipy(acyclic):
+    from oracles import strong_components
+    from rigiform.rigidity import strongly_connected_components
+
+    rng = np.random.default_rng(7 + acyclic)
+    for n in [1, 2, 3, 5, 8, 13, 40, 100, 300]:
+        for _ in range(8):
+            arcs = int(rng.integers(0, 3 * n + 1))
+            tails = rng.integers(0, n, size=arcs)
+            heads = rng.integers(0, n, size=arcs)
+            if acyclic:  # arcs run forward in a random vertex order
+                rank = rng.permutation(n)
+                keep = rank[tails] != rank[heads]
+                forward = rank[tails[keep]] < rank[heads[keep]]
+                tails, heads = (np.where(forward, tails[keep], heads[keep]),
+                                np.where(forward, heads[keep], tails[keep]))
+            components = strongly_connected_components(n, tails.tolist(), heads.tolist())
+            assert all(c == sorted(c) for c in components)
+            assert sorted(components) == _scc_partition(strong_components(n, tails, heads))
+            if acyclic:
+                assert all(len(c) == 1 for c in components)
+            # reverse topological: no arc reaches a component closed earlier
+            order = np.empty(n, dtype=int)
+            for i, c in enumerate(components):
+                order[c] = i
+            assert (order[tails] >= order[heads]).all()
+
+
+def test_strongly_connected_components_run_past_the_recursion_limit():
+    from rigiform.rigidity import strongly_connected_components
+
+    n = 5000  # one directed cycle, deeper than any recursive search could go
+    ring = list(range(n))
+    assert strongly_connected_components(n, ring, ring[1:] + ring[:1]) == [ring]
+    assert strongly_connected_components(n, ring[:-1], ring[1:]) == [[v] for v in reversed(ring)]
 
 
 def _min_gap_oracle(pts, cand):
