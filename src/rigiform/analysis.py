@@ -32,7 +32,6 @@ from .rigidity import (
     rigid_rank_target,
     rigidity_matrix,
     s2_matrix,
-    trace_graph,
 )
 
 HURWITZ_TOL = 1e-9
@@ -235,8 +234,7 @@ def select_estimating_agents(source, rule: AssignmentRule) -> tuple[tuple[int, i
         want = 2 if rule.kind == "henneberg_2d" else 3
         if source.dim != want:
             raise ValueError(f"{rule.kind} needs a {want}-D trace")
-        graph = trace_graph(source)
-        return _orient(graph.edges, _trace_owners(source))
+        return _orient(source.edges, _trace_owners(source))
     if not isinstance(source, FormationGraph):
         raise ValueError(f"{rule.kind} needs a FormationGraph")
     if rule.kind == "tetrahedron":

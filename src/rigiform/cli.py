@@ -89,6 +89,7 @@ def _execute_run(sc, out_dir):
         "converged": None,
         "rate": None,
         "rate_r_squared": None,
+        "rate_null_reason": None,
         "steady_speed": None,
         "orbit_detected": None,
         "null_reason": None,
@@ -103,6 +104,7 @@ def _execute_run(sc, out_dir):
             final_error=verdict.final_error,
             rate=verdict.rate,
             rate_r_squared=verdict.rate_r_squared,
+            rate_null_reason=verdict.rate_null_reason,
             steady_speed=verdict.steady_speed,
             orbit_detected=verdict.orbit_detected,
         )

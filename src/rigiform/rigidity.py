@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -344,8 +345,8 @@ class InsertionStep:
     distances: tuple[float, ...]
 
     def __post_init__(self):
-        anchors = tuple(int(a) for a in self.anchors)
-        distances = tuple(float(d) for d in self.distances)
+        anchors = tuple(map(int, self.anchors))
+        distances = tuple(map(float, self.distances))
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "distances", distances)
         if len(anchors) not in (2, 3):
@@ -354,7 +355,7 @@ class InsertionStep:
             raise ValueError("step anchors must be distinct")
         if len(distances) != len(anchors):
             raise ValueError("one distance per anchor")
-        if any(not math.isfinite(d) or d <= 0 for d in distances):
+        if not all(map(math.isfinite, distances)) or min(distances) <= 0:
             raise ValueError("step distances must be positive and finite")
 
 
@@ -389,53 +390,51 @@ class ConstructionTrace:
         if any(not math.isfinite(d) or d <= 0 for d in seed):
             raise ValueError("seed distances must be positive and finite")
         seed_n = 2 if self.dim == 2 else 4
-        adjacency = {frozenset(e) for e in (((1, 2),) if self.dim == 2 else _SEED_EDGES_3D)}
-        next_vertex = seed_n + 1
-        for step in steps:
+        # (u, v) and (v, u) for every edge so far; only 3-D steps test it
+        adjacent = set(_SEED_EDGES_3D) | {(h, t) for t, h in _SEED_EDGES_3D}
+        for next_vertex, step in enumerate(steps, start=seed_n + 1):
             if not isinstance(step, InsertionStep):
                 raise ValueError("steps must be InsertionStep instances")
             if len(step.anchors) != self.dim:
                 raise ValueError(
                     f"step inserting vertex {next_vertex}: needs {self.dim} anchors"
                 )
-            if any(a < 1 or a >= next_vertex for a in step.anchors):
+            if min(step.anchors) < 1 or max(step.anchors) >= next_vertex:
                 raise ValueError(
                     f"step inserting vertex {next_vertex}: anchors must already exist"
                 )
             if self.dim == 3:
                 a, b, c = step.anchors
                 for pair in ((a, b), (a, c), (b, c)):
-                    if frozenset(pair) not in adjacency:
+                    if pair not in adjacent:
                         raise ValueError(
                             f"step inserting vertex {next_vertex}: anchors {pair} are not adjacent"
                         )
-            for a in step.anchors:
-                adjacency.add(frozenset((a, next_vertex)))
-            next_vertex += 1
+                adjacent.update(((a, next_vertex), (next_vertex, a), (b, next_vertex),
+                                 (next_vertex, b), (c, next_vertex), (next_vertex, c)))
 
     @property
     def n(self) -> int:
         return (2 if self.dim == 2 else 4) + len(self.steps)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(tail, head) pairs in construction order, computed once.
+
+        Every inserted edge is estimated by its anchor endpoint.  The 2-D
+        seed edge is estimated by vertex 1; the seed tetrahedron fixes tails
+        (1, 1, 2, 1, 2, 3), the same pattern the tetrahedron selection rule
+        in `analysis` produces.
+        """
+        edges = [(1, 2)] if self.dim == 2 else list(_SEED_EDGES_3D)
+        for vertex, step in enumerate(self.steps, start=3 if self.dim == 2 else 5):
+            edges.extend(zip(step.anchors, repeat(vertex)))
+        return tuple(edges)
+
 
 def trace_graph(trace: ConstructionTrace) -> FormationGraph:
-    """Oriented graph of a trace, edges in construction order.
-
-    Every inserted edge is estimated by its anchor endpoint.  The 2-D seed
-    edge is estimated by vertex 1; the seed tetrahedron fixes tails
-    (1, 1, 2, 1, 2, 3), the same pattern the tetrahedron selection rule in
-    `analysis` produces.
-    """
-    if trace.dim == 2:
-        edges = [(1, 2)]
-        next_vertex = 3
-    else:
-        edges = list(_SEED_EDGES_3D)
-        next_vertex = 5
-    for step in trace.steps:
-        edges.extend((a, next_vertex) for a in step.anchors)
-        next_vertex += 1
-    return FormationGraph(trace.n, tuple(edges))
+    """Oriented graph of a trace: its vertices and `trace.edges`."""
+    return FormationGraph(trace.n, trace.edges)
 
 
 def trace_distances(trace: ConstructionTrace) -> tuple[float, ...]:
@@ -566,6 +565,34 @@ def _min_gap(placed, cand) -> float:
     return math.sqrt((d[:, None, :] @ d[:, :, None]).min())
 
 
+_PROPOSALS_2D = 500  # per vertex, before the outward fallback takes over
+
+
+def _pair_proposal(placed, rng):
+    """Anchors: a random pair; candidate: a random step off their midpoint."""
+    a, b = sorted(int(v) for v in rng.choice(len(placed), size=2, replace=False))
+    mid = 0.5 * (placed[a] + placed[b])
+    angle = float(rng.uniform(0.0, 2.0 * math.pi))
+    radius = float(rng.uniform(0.7, 1.5))
+    return a, b, mid + radius * np.array([math.cos(angle), math.sin(angle)])
+
+
+def _outward_proposal(placed, rng):
+    """Anchors: the vertex furthest along a random direction and a random
+    other one; candidate: a step of 0.7 to 1.5 from the first, within 60
+    degrees of that direction.  The step gains at least half its length
+    along the direction, so no placed vertex lies within 0.35 of the
+    candidate, however crowded the formation is."""
+    direction = float(rng.uniform(0.0, 2.0 * math.pi))
+    a = int(np.argmax(placed @ np.array([math.cos(direction), math.sin(direction)])))
+    b = int(rng.integers(len(placed) - 1))
+    b += b >= a  # any vertex but a
+    angle = direction + float(rng.uniform(-math.pi / 3.0, math.pi / 3.0))
+    radius = float(rng.uniform(0.7, 1.5))
+    cand = placed[a] + radius * np.array([math.cos(angle), math.sin(angle)])
+    return min(a, b), max(a, b), cand
+
+
 def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
     """Random trace on n vertices together with an embedding realizing it.
 
@@ -580,12 +607,9 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
         pts[1, 0] = float(rng.uniform(1.0, 2.0))
         steps = []
         for m in range(2, n):
-            for _attempt in range(500):
-                a, b = sorted(int(v) for v in rng.choice(m, size=2, replace=False))
-                mid = 0.5 * (pts[a] + pts[b])
-                angle = float(rng.uniform(0.0, 2.0 * math.pi))
-                radius = float(rng.uniform(0.7, 1.5))
-                cand = mid + radius * np.array([math.cos(angle), math.sin(angle)])
+            for attempt in range(2 * _PROPOSALS_2D):
+                propose = _pair_proposal if attempt < _PROPOSALS_2D else _outward_proposal
+                a, b, cand = propose(pts[:m], rng)
                 span = pts[b] - pts[a]
                 off = cand - pts[a]
                 if 0.5 * abs(span[0] * off[1] - span[1] * off[0]) < 0.25:

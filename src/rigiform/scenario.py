@@ -18,6 +18,14 @@ frequency indices inside disturbance entries are 0-based positions into
 the shared frequency list.  Serialization is canonical (sorted keys,
 two-space indent, trailing newline) so identical scenarios produce
 identical bytes.
+
+Loading a file costs one pass over each of its lists: the parsers accept
+a well-formed list with whole-list type and key scans and convert it with
+C-level maps, and name a field (`edges[3].tail`) only when a scan finds
+something amiss, by walking that list in file order to the first
+offender.  Building the Scenario then validates the formation graph
+once: the construction trace's edges, computed once per trace, serve both
+the edge check and the orientation check.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +57,11 @@ from .rigidity import (
 
 BUILTIN_NAMES = ("epuck2d", "tetra3d")
 MODES = ("gradient_only", "estimator")
+
+
+def _float_rows(rows):
+    """Rows of numbers as a tuple of float tuples, converted by C-level maps."""
+    return tuple(map(tuple, map(map, repeat(float), rows)))
 
 
 class ScenarioError(ValueError):
@@ -86,27 +101,15 @@ class Scenario:
             object.__setattr__(
                 self, "edges", tuple((int(t), int(h)) for t, h in self.edges)
             )
-            object.__setattr__(
-                self, "distances", tuple(float(d) for d in self.distances)
-            )
-            object.__setattr__(
-                self,
-                "initial_positions",
-                tuple(tuple(float(c) for c in row) for row in self.initial_positions),
-            )
+            object.__setattr__(self, "distances", tuple(map(float, self.distances)))
+            object.__setattr__(self, "initial_positions", _float_rows(self.initial_positions))
             if self.target_positions is not None:
-                object.__setattr__(
-                    self,
-                    "target_positions",
-                    tuple(tuple(float(c) for c in row) for row in self.target_positions),
-                )
+                object.__setattr__(self, "target_positions", _float_rows(self.target_positions))
             object.__setattr__(self, "kappa", float(self.kappa))
             object.__setattr__(self, "b1", float(self.b1))
-            object.__setattr__(self, "b2", tuple(float(v) for v in self.b2))
+            object.__setattr__(self, "b2", tuple(map(float, self.b2)))
             if self.xi0 is not None:
-                object.__setattr__(
-                    self, "xi0", tuple(tuple(float(c) for c in row) for row in self.xi0)
-                )
+                object.__setattr__(self, "xi0", _float_rows(self.xi0))
             object.__setattr__(self, "dt", float(self.dt))
             object.__setattr__(self, "t_end", float(self.t_end))
             object.__setattr__(self, "output_every", int(self.output_every))
@@ -114,7 +117,7 @@ class Scenario:
             raise ScenarioError(f"malformed scenario field: {exc}") from exc
         for field in ("initial_positions", "target_positions"):
             rows = getattr(self, field)
-            if rows is not None and any(len(row) != self.dim for row in rows):
+            if rows is not None and not {self.dim}.issuperset(map(len, rows)):
                 raise ScenarioError(f"every row of {field} needs {self.dim} coordinates")
         target = self.target_positions
         if target is not None and len(target) != len(self.initial_positions):
@@ -148,9 +151,9 @@ class Scenario:
             )
         if self.xi0 is not None:
             q = 2 * len(self.disturbance.frequencies) + 1
-            if len(self.xi0) != len(self.edges) or any(len(r) != q for r in self.xi0):
+            if len(self.xi0) != len(self.edges) or not {q}.issuperset(map(len, self.xi0)):
                 raise ScenarioError(f"xi0 must be {len(self.edges)} rows of {q} values")
-            if not all(math.isfinite(v) for row in self.xi0 for v in row):
+            if not all(map(math.isfinite, chain.from_iterable(self.xi0))):
                 raise ScenarioError("xi0 must be finite")
         if not math.isfinite(self.dt) or self.dt <= 0:
             raise ScenarioError("dt must be positive and finite")
@@ -164,7 +167,7 @@ class Scenario:
                 raise ScenarioError("construction must be a ConstructionTrace")
             if self.construction.dim != self.dim:
                 raise ScenarioError("construction trace dimension differs from the scenario's")
-            if trace_graph(self.construction).edges != self.edges:
+            if self.construction.edges != self.edges:
                 raise ScenarioError("construction trace does not produce the scenario's edges")
             if trace_distances(self.construction) != self.distances:
                 raise ScenarioError("construction trace distances differ from the scenario's")
@@ -226,145 +229,280 @@ def _reject_overflowing_squares(distances, frameworks):
                                     f"({sq[k]:.3g}) overflows the error norm")
 
 
+# Each parser accepts a well-formed list with whole-list scans (exact types,
+# keys against a frozenset) and C-level conversions, and builds a field's
+# path only to raise: when a scan or a conversion finds something amiss, a
+# walk over the items in file order (the _check_* functions) raises at the
+# first offender.  A walk also passes subclasses of int, float, list and
+# dict, which the exact-type scans refuse and the conversions accept.
+_NUMBERS = frozenset((int, float))  # bool is neither
+_INTS = frozenset((int,))
+_LISTS = frozenset((list,))
+_TOP = ("scenario",)
+_SCENARIO_KEYS = frozenset(("name", "dim", "agents", "edges", "target_positions", "disturbance",
+                            "controller", "sim", "construction", "assignment"))
+_EDGE_KEYS = frozenset(("tail", "head", "distance"))
+_DISTURBANCE_KEYS = frozenset(("frequencies", "edges"))
+_ENTRY_KEYS = frozenset(("alpha", "sinusoids"))
+_SINUSOID_KEYS = frozenset(("freq_index", "amplitude", "phase"))
+_CONTROLLER_KEYS = frozenset(("mode", "kappa", "b1", "b2", "xi0"))
+_SIM_KEYS = frozenset(("dt", "t_end", "output_every"))
+_CONSTRUCTION_KEYS = frozenset(("seed_distances", "steps"))
+_STEP_KEYS = frozenset(("anchors", "distances"))
+_ASSIGNMENT_KEYS = frozenset(("kind", "root", "third"))
+
+
+def _error(path, problem) -> ScenarioError:
+    """("disturbance", "edges", 3, "alpha") -> field 'disturbance.edges[3].alpha'."""
+    field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return ScenarioError(f"scenario field '{field[1:]}': {problem}")
+
+
 def _expect_dict(value, path):
     if not isinstance(value, dict):
-        raise ScenarioError(f"scenario field '{path}': expected an object")
+        raise _error(path, "expected an object")
     return value
 
 
 def _expect_list(value, path):
     if not isinstance(value, list):
-        raise ScenarioError(f"scenario field '{path}': expected a list")
+        raise _error(path, "expected a list")
     return value
 
 
 def _require(mapping, key, path):
     if key not in mapping:
-        raise ScenarioError(f"scenario field '{path}': missing key '{key}'")
+        raise _error(path, f"missing key '{key}'")
     return mapping[key]
 
 
 def _reject_unknown(mapping, allowed, path):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ScenarioError(f"scenario field '{path}': unknown key(s) {unknown}")
+    if not allowed.issuperset(mapping):
+        raise _error(path, f"unknown key(s) {sorted(set(mapping) - allowed)}")
 
 
 def _number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"scenario field '{path}': expected a number")
+        raise _error(path, "expected a number")
     try:
         return float(value)
     except OverflowError:
-        raise ScenarioError(f"scenario field '{path}': number out of float range") from None
+        raise _error(path, "number out of float range") from None
 
 
 def _integer(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"scenario field '{path}': expected an integer")
+        raise _error(path, "expected an integer")
     return value
 
 
+def _check_numbers(values, path):
+    for i, v in enumerate(values):
+        _number(v, path + (i,))
+
+
+def _columns(items, allowed, keys):
+    """One list per key of its values across a list of objects, or None
+    when an item is not an object, has a key outside `allowed` or lacks
+    one of `keys` (which a walk then names)."""
+    if not (all(map(isinstance, items, repeat(dict))) and all(map(allowed.issuperset, items))):
+        return None
+    try:
+        return [list(map(itemgetter(key), items)) for key in keys]
+    except KeyError:
+        return None
+
+
 def _number_list(value, path):
-    return tuple(
-        _number(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(value, path))
-    )
+    values = _expect_list(value, path)
+    if not _NUMBERS.issuperset(map(type, values)):
+        _check_numbers(values, path)
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        _check_numbers(values, path)
+        raise
+
+
+def _check_rows(rows, path):
+    for i, row in enumerate(rows):
+        _check_numbers(_expect_list(row, path + (i,)), path + (i,))
 
 
 def _matrix(value, path):
-    return tuple(
-        _number_list(row, f"{path}[{i}]") for i, row in enumerate(_expect_list(value, path))
-    )
+    rows = _expect_list(value, path)
+    if not (_LISTS.issuperset(map(type, rows))
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
+        _check_rows(rows, path)
+    try:
+        return _float_rows(rows)
+    except OverflowError:
+        _check_rows(rows, path)
+        raise
 
 
-def _parse_disturbance(value, path="disturbance") -> DisturbanceSpec:
-    value = _expect_dict(value, path)
-    _reject_unknown(value, ("frequencies", "edges"), path)
-    freqs = _number_list(_require(value, "frequencies", path), f"{path}.frequencies")
-    entries = []
-    for i, item in enumerate(_expect_list(_require(value, "edges", path), f"{path}.edges")):
-        epath = f"{path}.edges[{i}]"
-        item = _expect_dict(item, epath)
-        _reject_unknown(item, ("alpha", "sinusoids"), epath)
-        offset = _number(_require(item, "alpha", epath), f"{epath}.alpha")
-        amplitudes = [0.0] * len(freqs)
-        phases = [0.0] * len(freqs)
+def _check_edges(items):
+    for i, item in enumerate(items):
+        path = ("edges", i)
+        item = _expect_dict(item, path)
+        _reject_unknown(item, _EDGE_KEYS, path)
+        _integer(_require(item, "tail", path), path + ("tail",))
+        _integer(_require(item, "head", path), path + ("head",))
+        _number(_require(item, "distance", path), path + ("distance",))
+
+
+def _parse_edges(value):
+    """(edges, distances) of the scenario's edge list."""
+    items = _expect_list(value, ("edges",))
+    columns = _columns(items, _EDGE_KEYS, ("tail", "head", "distance"))
+    if columns is None or not (_INTS.issuperset(map(type, columns[0]))
+                               and _INTS.issuperset(map(type, columns[1]))
+                               and _NUMBERS.issuperset(map(type, columns[2]))):
+        _check_edges(items)
+    tails, heads, distances = columns
+    try:
+        return tuple(zip(tails, heads)), tuple(map(float, distances))
+    except OverflowError:
+        _check_edges(items)
+        raise
+
+
+def _check_entries(items, p):
+    """Walk the disturbance's edge entries, each as far as its EdgeDisturbance."""
+    for i, item in enumerate(items):
+        path = ("disturbance", "edges", i)
+        item = _expect_dict(item, path)
+        _reject_unknown(item, _ENTRY_KEYS, path)
+        offset = _number(_require(item, "alpha", path), path + ("alpha",))
+        amplitudes = [0.0] * p
+        phases = [0.0] * p
         seen = set()
-        for j, sin in enumerate(_expect_list(item.get("sinusoids", []), f"{epath}.sinusoids")):
-            spath = f"{epath}.sinusoids[{j}]"
+        for j, sin in enumerate(_expect_list(item.get("sinusoids", []), path + ("sinusoids",))):
+            spath = path + ("sinusoids", j)
             sin = _expect_dict(sin, spath)
-            _reject_unknown(sin, ("freq_index", "amplitude", "phase"), spath)
-            idx = _integer(_require(sin, "freq_index", spath), f"{spath}.freq_index")
-            if not 0 <= idx < len(freqs):
-                raise ScenarioError(
-                    f"scenario field '{spath}.freq_index': out of range 0..{len(freqs) - 1}"
-                )
+            _reject_unknown(sin, _SINUSOID_KEYS, spath)
+            idx = _integer(_require(sin, "freq_index", spath), spath + ("freq_index",))
+            if not 0 <= idx < p:
+                raise _error(spath + ("freq_index",), f"out of range 0..{p - 1}")
             if idx in seen:
-                raise ScenarioError(f"scenario field '{spath}': duplicate freq_index {idx}")
+                raise _error(spath, f"duplicate freq_index {idx}")
             seen.add(idx)
-            amplitudes[idx] = _number(_require(sin, "amplitude", spath), f"{spath}.amplitude")
-            phases[idx] = _number(sin.get("phase", 0.0), f"{spath}.phase")
+            amplitudes[idx] = _number(_require(sin, "amplitude", spath), spath + ("amplitude",))
+            phases[idx] = _number(sin.get("phase", 0.0), spath + ("phase",))
         try:
-            entries.append(EdgeDisturbance(offset, tuple(amplitudes), tuple(phases)))
+            EdgeDisturbance(offset, tuple(amplitudes), tuple(phases))
         except ValueError as exc:
-            raise ScenarioError(f"scenario field '{epath}': {exc}") from exc
+            raise _error(path, exc) from exc
+
+
+def _entries(items, p):
+    """One EdgeDisturbance per edge entry: the entries' sinusoids are
+    scanned as one flat list and placed into (entries, p) tables at once."""
+    columns = _columns(items, _ENTRY_KEYS, ("alpha",))
+    if columns is None:
+        _check_entries(items, p)
+    (alphas,) = columns
+    lists = list(map(dict.get, items, repeat("sinusoids"), repeat([])))
+    if not (_NUMBERS.issuperset(map(type, alphas)) and _LISTS.issuperset(map(type, lists))):
+        _check_entries(items, p)
+    sinusoids = list(chain.from_iterable(lists))
+    fields = _columns(sinusoids, _SINUSOID_KEYS, ("freq_index", "amplitude"))
+    if fields is None:
+        _check_entries(items, p)
+    index, amplitudes = fields
+    phases = list(map(dict.get, sinusoids, repeat("phase"), repeat(0.0)))
+    owner = list(chain.from_iterable(map(repeat, range(len(items)), map(len, lists))))
+    if not (_INTS.issuperset(map(type, index)) and _NUMBERS.issuperset(map(type, amplitudes))
+            and _NUMBERS.issuperset(map(type, phases))
+            and (not index or (min(index) >= 0 and max(index) < p))
+            and len(set(zip(owner, index))) == len(index)):
+        _check_entries(items, p)
     try:
-        return DisturbanceSpec(freqs, tuple(entries))
-    except ValueError as exc:
-        raise ScenarioError(f"scenario field '{path}': {exc}") from exc
+        tables = np.zeros((2, len(items), p))
+        tables[0, owner, index] = list(map(float, amplitudes))
+        tables[1, owner, index] = list(map(float, phases))
+        return tuple(map(EdgeDisturbance, alphas, *tables.tolist()))
+    except (OverflowError, ValueError):
+        _check_entries(items, p)
+        raise
 
 
-def _parse_construction(value, dim, path="construction") -> ConstructionTrace:
+def _parse_disturbance(value) -> DisturbanceSpec:
+    path = ("disturbance",)
     value = _expect_dict(value, path)
-    _reject_unknown(value, ("seed_distances", "steps"), path)
-    seed = _number_list(_require(value, "seed_distances", path), f"{path}.seed_distances")
-    steps = []
-    for i, item in enumerate(_expect_list(value.get("steps", []), f"{path}.steps")):
-        spath = f"{path}.steps[{i}]"
-        item = _expect_dict(item, spath)
-        _reject_unknown(item, ("anchors", "distances"), spath)
-        anchors = tuple(
-            _integer(a, f"{spath}.anchors[{j}]")
-            for j, a in enumerate(_expect_list(_require(item, "anchors", spath), f"{spath}.anchors"))
-        )
-        dists = _number_list(_require(item, "distances", spath), f"{spath}.distances")
+    _reject_unknown(value, _DISTURBANCE_KEYS, path)
+    freqs = _number_list(_require(value, "frequencies", path), path + ("frequencies",))
+    items = _expect_list(_require(value, "edges", path), path + ("edges",))
+    entries = _entries(items, len(freqs))
+    try:
+        return DisturbanceSpec(freqs, entries)
+    except ValueError as exc:
+        raise _error(path, exc) from exc
+
+
+def _check_steps(items):
+    """Walk the construction's steps, each as far as its InsertionStep."""
+    for i, item in enumerate(items):
+        path = ("construction", "steps", i)
+        item = _expect_dict(item, path)
+        _reject_unknown(item, _STEP_KEYS, path)
+        anchors = _expect_list(_require(item, "anchors", path), path + ("anchors",))
+        for j, a in enumerate(anchors):
+            _integer(a, path + ("anchors", j))
+        distances = _number_list(_require(item, "distances", path), path + ("distances",))
         try:
-            steps.append(InsertionStep(anchors, dists))
+            InsertionStep(tuple(anchors), distances)
         except ValueError as exc:
-            raise ScenarioError(f"scenario field '{spath}': {exc}") from exc
-    try:
-        return ConstructionTrace(dim, seed, tuple(steps))
-    except ValueError as exc:
-        raise ScenarioError(f"scenario field '{path}': {exc}") from exc
+            raise _error(path, exc) from exc
 
 
-def _parse_assignment(value, path="assignment") -> AssignmentRule:
+def _parse_construction(value, dim) -> ConstructionTrace:
+    path = ("construction",)
     value = _expect_dict(value, path)
-    _reject_unknown(value, ("kind", "root", "third"), path)
+    _reject_unknown(value, _CONSTRUCTION_KEYS, path)
+    seed = _number_list(_require(value, "seed_distances", path), path + ("seed_distances",))
+    items = _expect_list(value.get("steps", []), path + ("steps",))
+    columns = _columns(items, _STEP_KEYS, ("anchors", "distances"))
+    if columns is None or not (_LISTS.issuperset(map(type, columns[0]))
+                               and _LISTS.issuperset(map(type, columns[1]))
+                               and _INTS.issuperset(map(type, chain.from_iterable(columns[0])))
+                               and _NUMBERS.issuperset(map(type, chain.from_iterable(columns[1])))):
+        _check_steps(items)
+    anchors, distances = columns
+    try:
+        steps = tuple(map(InsertionStep, anchors, distances))
+    except (OverflowError, ValueError):
+        _check_steps(items)
+        raise
+    try:
+        return ConstructionTrace(dim, seed, steps)
+    except ValueError as exc:
+        raise _error(path, exc) from exc
+
+
+def _parse_assignment(value) -> AssignmentRule:
+    path = ("assignment",)
+    value = _expect_dict(value, path)
+    _reject_unknown(value, _ASSIGNMENT_KEYS, path)
     kind = _require(value, "kind", path)
     if not isinstance(kind, str):
-        raise ScenarioError(f"scenario field '{path}.kind': expected a string")
+        raise _error(path + ("kind",), "expected a string")
     root = value.get("root")
     third = value.get("third")
     if root is not None:
-        root = _integer(root, f"{path}.root")
+        root = _integer(root, path + ("root",))
     if third is not None:
-        third = _integer(third, f"{path}.third")
+        third = _integer(third, path + ("third",))
     try:
         return AssignmentRule(kind, root, third)
     except ValueError as exc:
-        raise ScenarioError(f"scenario field '{path}': {exc}") from exc
+        raise _error(path, exc) from exc
 
 
 def scenario_from_dict(data, fallback_name: str | None = None) -> Scenario:
     """Build and fully validate a Scenario from parsed JSON data."""
-    data = _expect_dict(data, "scenario")
-    _reject_unknown(
-        data,
-        ("name", "dim", "agents", "edges", "target_positions", "disturbance",
-         "controller", "sim", "construction", "assignment"),
-        "scenario",
-    )
+    data = _expect_dict(data, _TOP)
+    _reject_unknown(data, _SCENARIO_KEYS, _TOP)
     if "name" in data:
         name = data["name"]
         if not isinstance(name, str) or not name:
@@ -373,40 +511,33 @@ def scenario_from_dict(data, fallback_name: str | None = None) -> Scenario:
         name = fallback_name
     else:
         raise ScenarioError("scenario field 'name': missing")
-    dim = _integer(_require(data, "dim", "scenario"), "dim")
-    agents = _matrix(_require(data, "agents", "scenario"), "agents")
-    edges, distances = [], []
-    for i, item in enumerate(_expect_list(_require(data, "edges", "scenario"), "edges")):
-        path = f"edges[{i}]"
-        item = _expect_dict(item, path)
-        _reject_unknown(item, ("tail", "head", "distance"), path)
-        edges.append((
-            _integer(_require(item, "tail", path), f"{path}.tail"),
-            _integer(_require(item, "head", path), f"{path}.head"),
-        ))
-        distances.append(_number(_require(item, "distance", path), f"{path}.distance"))
+    dim = _integer(_require(data, "dim", _TOP), ("dim",))
+    agents = _matrix(_require(data, "agents", _TOP), ("agents",))
+    edges, distances = _parse_edges(_require(data, "edges", _TOP))
     target = data.get("target_positions")
     if target is not None:
-        target = _matrix(target, "target_positions")
-    disturbance = _parse_disturbance(_require(data, "disturbance", "scenario"))
+        target = _matrix(target, ("target_positions",))
+    disturbance = _parse_disturbance(_require(data, "disturbance", _TOP))
 
-    ctl = _expect_dict(_require(data, "controller", "scenario"), "controller")
-    _reject_unknown(ctl, ("mode", "kappa", "b1", "b2", "xi0"), "controller")
-    mode = _require(ctl, "mode", "controller")
+    path = ("controller",)
+    ctl = _expect_dict(_require(data, "controller", _TOP), path)
+    _reject_unknown(ctl, _CONTROLLER_KEYS, path)
+    mode = _require(ctl, "mode", path)
     if mode not in MODES:
-        raise ScenarioError(f"scenario field 'controller.mode': must be one of {MODES}")
-    kappa = _number(_require(ctl, "kappa", "controller"), "controller.kappa")
-    b1 = _number(_require(ctl, "b1", "controller"), "controller.b1")
-    b2 = _number_list(_require(ctl, "b2", "controller"), "controller.b2")
+        raise _error(path + ("mode",), f"must be one of {MODES}")
+    kappa = _number(_require(ctl, "kappa", path), path + ("kappa",))
+    b1 = _number(_require(ctl, "b1", path), path + ("b1",))
+    b2 = _number_list(_require(ctl, "b2", path), path + ("b2",))
     xi0 = ctl.get("xi0")
     if xi0 is not None:
-        xi0 = _matrix(xi0, "controller.xi0")
+        xi0 = _matrix(xi0, path + ("xi0",))
 
-    sim_d = _expect_dict(_require(data, "sim", "scenario"), "sim")
-    _reject_unknown(sim_d, ("dt", "t_end", "output_every"), "sim")
-    dt = _number(_require(sim_d, "dt", "sim"), "sim.dt")
-    t_end = _number(_require(sim_d, "t_end", "sim"), "sim.t_end")
-    output_every = _integer(_require(sim_d, "output_every", "sim"), "sim.output_every")
+    path = ("sim",)
+    sim_d = _expect_dict(_require(data, "sim", _TOP), path)
+    _reject_unknown(sim_d, _SIM_KEYS, path)
+    dt = _number(_require(sim_d, "dt", path), path + ("dt",))
+    t_end = _number(_require(sim_d, "t_end", path), path + ("t_end",))
+    output_every = _integer(_require(sim_d, "output_every", path), path + ("output_every",))
 
     construction = data.get("construction")
     if construction is not None:
@@ -416,7 +547,7 @@ def scenario_from_dict(data, fallback_name: str | None = None) -> Scenario:
         assignment = _parse_assignment(assignment)
 
     return Scenario(
-        name=name, dim=dim, edges=tuple(edges), distances=tuple(distances),
+        name=name, dim=dim, edges=edges, distances=distances,
         initial_positions=agents, target_positions=target, disturbance=disturbance,
         mode=mode, kappa=kappa, b1=b1, b2=b2, xi0=xi0,
         dt=dt, t_end=t_end, output_every=output_every,

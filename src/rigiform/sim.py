@@ -44,6 +44,7 @@ MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
 VERDICT_WINDOW = 0.2  # run_verdict reads this last share of the samples
 VERDICT_TOL = 1e-6  # errors and speeds below it there count as converged
+_CSV_BLOCK_VALUES = 1 << 16  # write_csv stages at most this many values (or one row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +78,7 @@ class Trajectory:
     def __post_init__(self):
         if bool(self.diverged) != (self.divergence_step is not None):
             raise ValueError("divergence_step is set exactly when the run diverged")
-        times = np.array(self.times, dtype=float)
+        times = _frozen(self.times)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty vector")
         gaps = np.diff(times)
@@ -89,25 +90,35 @@ class Trajectory:
         arrays = {}
         for name, ndim in (("positions", 3), ("errors", 2), ("speeds", 2),
                            ("mu", 2), ("mu_hat", 2), ("alpha", 2), ("estimator_gap", 3)):
-            a = np.array(getattr(self, name), dtype=float)
+            a = _frozen(getattr(self, name))
             if a.ndim != ndim or a.shape[0] != t_count:
                 raise ValueError(f"{name} must have {ndim} axes with one row per sample")
             arrays[name] = a
         last = arrays["errors"][-1] if self.final_errors is None else self.final_errors
-        final_errors = np.array(last, dtype=float)
+        final_errors = _frozen(last)
         if final_errors.shape != arrays["errors"].shape[1:]:
             raise ValueError("final_errors must hold one error per edge")
         arrays["final_errors"] = final_errors
-        times.setflags(write=False)
         object.__setattr__(self, "times", times)
         for name, a in arrays.items():
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "diverged", bool(self.diverged))
 
     @property
     def sample_count(self) -> int:
         return self.times.size
+
+
+def _frozen(values) -> np.ndarray:
+    """values as a read-only float64 array: the array itself when neither
+    it nor the array owning its memory can be written, else a copy."""
+    if type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable:
+        owner = values if values.base is None else values.base
+        if type(owner) is np.ndarray and not owner.flags.writeable:
+            return values
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,9 @@ class RunVerdict:
     persistent uncompensated disturbance produces); steady_speed is then
     the common speed.  rate and rate_r_squared describe a least-squares
     line through log||e|| over the decaying stretch, absent when the run
-    starts trivially or never decays.
+    starts trivially or never decays; rate_null_reason then names the
+    reason, one fixed string per exit of the fit, and is None when rate is
+    set.
     """
 
     converged: bool
@@ -130,6 +143,7 @@ class RunVerdict:
     steady_speed: float | None
     orbit_detected: bool
     diverged: bool
+    rate_null_reason: str | None = None
 
     def __post_init__(self):
         if self.orbit_detected and not (self.steady_speed and self.steady_speed > 0):
@@ -322,6 +336,8 @@ def integrate(scenario) -> Trajectory:
                 speeds[i] = np.linalg.norm(k1[:loop.nx].reshape(n, dim), axis=1)
                 gap[i] = w - xi
 
+    for buffer in (positions, errors, speeds, mu, mu_hat, alpha, gap):
+        buffer.setflags(write=False)  # the Trajectory keeps them without a copy
     return Trajectory(
         np.arange(count) * every * dt, positions[:count], errors[:count], speeds[:count],
         mu[:count], mu_hat[:count], alpha[:count], gap[:count],
@@ -334,24 +350,26 @@ def _fit_exponential(times, norms):
 
     The window starts where ||e|| first drops below a tenth of its initial
     value and ends where it first reaches 1e-8 (or at the last sample).
-    Returns (None, None) for trivial starts or windows under 10 points.
+    Returns (rate, r_squared, None), or (None, None, reason) where reason
+    names the exit that left no fit.
     """
     e0 = norms[0]
     if not np.isfinite(e0) or e0 <= 1e-8:
-        return None, None
+        return None, None, "error norm starts non-finite or at most 1e-8"
     started = np.nonzero(norms <= e0 / 10.0)[0]
     if started.size == 0:
-        return None, None
+        return None, None, "error norm never falls to a tenth of its start"
     floored = np.nonzero(norms <= 1e-8)[0]
     i0 = int(started[0])
     i1 = int(floored[0]) if floored.size else norms.size - 1
     if i1 <= i0:
-        return None, None
+        return None, None, "decay window is empty: error norm reaches 1e-8 no later than " \
+                           "a tenth of its start"
     t = times[i0:i1 + 1]
     y = norms[i0:i1 + 1]
     keep = y > 0.0
     if int(keep.sum()) < 10:
-        return None, None
+        return None, None, "decay window holds fewer than 10 positive error norms"
     t = t[keep]
     y = np.log(y[keep])
     design = np.stack([t, np.ones_like(t)], axis=1)
@@ -360,9 +378,9 @@ def _fit_exponential(times, norms):
     total = y - y.mean()
     ss_tot = float(total @ total)
     if ss_tot == 0.0:
-        return None, None
+        return None, None, "log error norm is flat over the decay window"
     r_sq = 1.0 - float(residual @ residual) / ss_tot
-    return float(coef[0]), r_sq
+    return float(coef[0]), r_sq, None
 
 
 def run_verdict(traj: Trajectory) -> RunVerdict:
@@ -382,7 +400,7 @@ def run_verdict(traj: Trajectory) -> RunVerdict:
     spreads = tail_speed.std(axis=0)
     orbit = bool((means > 10.0 * VERDICT_TOL).all() and (spreads <= 1e-3 * means).all())
     steady = float(means.mean()) if orbit else None
-    rate, r_sq = _fit_exponential(traj.times, err_norms)
+    rate, r_sq, rate_null_reason = _fit_exponential(traj.times, err_norms)
     # a diverged run's last sample predates the last state that passed the guard
     final_error = np.linalg.norm(traj.final_errors) if traj.diverged else err_norms[-1]
     return RunVerdict(
@@ -393,6 +411,7 @@ def run_verdict(traj: Trajectory) -> RunVerdict:
         steady_speed=steady,
         orbit_detected=orbit,
         diverged=traj.diverged,
+        rate_null_reason=rate_null_reason,
     )
 
 
@@ -427,7 +446,9 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
 
 def write_csv(traj: Trajectory, path) -> None:
     """One row per sample: t, positions (agent-major), errors, speeds, mu,
-    mu_hat, alpha; 17 significant digits so values round-trip exactly."""
+    mu_hat, alpha; 17 significant digits so values round-trip exactly.
+    Rows are formatted a block at a time, so the whole run is never staged
+    as one table."""
     t_count, n, m = traj.positions.shape
     e_count = traj.errors.shape[1]
     names = ["t"]
@@ -437,13 +458,18 @@ def write_csv(traj: Trajectory, path) -> None:
     names += [f"mu_{k}" for k in range(1, e_count + 1)]
     names += [f"muhat_{k}" for k in range(1, e_count + 1)]
     names += [f"alpha_{k}" for k in range(1, e_count + 1)]
-    data = np.column_stack([
-        traj.times,
-        traj.positions.reshape(t_count, n * m),
-        traj.errors,
-        traj.speeds,
-        traj.mu,
-        traj.mu_hat,
-        traj.alpha,
-    ])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    step = max(1, _CSV_BLOCK_VALUES // len(names))
+    with open(path, "w", encoding="latin1") as fh:  # np.savetxt's encoding
+        fh.write(",".join(names) + "\n")
+        for start in range(0, t_count, step):
+            rows = slice(start, start + step)
+            block = np.column_stack([
+                traj.times[rows],
+                traj.positions[rows].reshape(-1, n * m),
+                traj.errors[rows],
+                traj.speeds[rows],
+                traj.mu[rows],
+                traj.mu_hat[rows],
+                traj.alpha[rows],
+            ])
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",")

@@ -144,6 +144,8 @@ def test_run_writes_trajectory_and_verdict(tmp_path, capsys):
     assert "wall_seconds" not in verdict
     assert "final_error" in verdict and "converged" in verdict
     assert verdict["null_reason"] is None
+    # exactly one of the fitted rate and the reason it is missing
+    assert (verdict["rate"] is None) != (verdict["rate_null_reason"] is None)
 
 
 def test_short_run_says_why_its_verdict_is_null(tmp_path):
@@ -153,6 +155,7 @@ def test_short_run_says_why_its_verdict_is_null(tmp_path):
     verdict = json.loads((out_dir / "verdict.json").read_text())
     assert verdict["samples"] == 11
     assert verdict["converged"] is None and verdict["rate"] is None
+    assert verdict["rate_null_reason"] is None  # no fit ran: null_reason says why
     assert verdict["null_reason"] == (
         "analysis window holds 3 samples, need at least 50; run longer or sample more often"
     )
@@ -331,6 +334,17 @@ def test_generate_output_is_byte_stable(tmp_path, n, dim, seed):
     argv = ["generate", "--n", str(n), "--dim", str(dim), "--seed", str(seed), "--out", str(path)]
     assert main(argv) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATE_DIGESTS[n, dim, seed]
+
+
+def test_2d_generation_steps_outward_once_the_pair_proposals_stall(tmp_path, capsys):
+    # seed 0 rejected 500 pair proposals for one of its 900 vertices, which
+    # used to end the draw with "2-D trace sampling stalled"
+    path = tmp_path / "big.json"
+    assert main(["generate", "--n", "900", "--dim", "2", "--seed", "0", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(path), "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["certified"] is True and record["rank"] == 2 * 900 - 3
 
 
 def _record_decompositions(monkeypatch):

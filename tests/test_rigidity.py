@@ -462,3 +462,17 @@ def test_framework_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         Framework(graph, 2, bad, np.ones(3))
+
+
+def test_outward_proposal_clears_every_placed_vertex():
+    # however crowded the placed vertices, the fallback's candidate keeps
+    # the sampler's 0.35 separation from all of them
+    from rigiform.rigidity import _min_gap, _outward_proposal
+
+    rng = np.random.default_rng(7)
+    for m in (2, 3, 50, 400):
+        placed = rng.uniform(-3.0, 3.0, size=(m, 2))
+        for _ in range(50):
+            a, b, cand = _outward_proposal(placed, rng)
+            assert 0 <= a < b < m
+            assert _min_gap(placed, cand) >= 0.35

@@ -1,0 +1,248 @@
+"""Loading scenario files: the exact one-line error of every parse branch,
+and how much validation one load builds."""
+
+import json
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+
+from rigiform import (
+    DisturbanceSpec,
+    EdgeDisturbance,
+    FormationGraph,
+    builtin_scenario,
+    generate_scenario,
+    load_scenario,
+    save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+from rigiform.cli import main
+
+
+def _tetra():
+    """tetra3d's file contents with a zero xi0, so every section is present."""
+    data = scenario_to_dict(builtin_scenario("tetra3d"))
+    data["controller"]["xi0"] = [[0.0, 0.0, 0.0] for _ in data["edges"]]
+    return data
+
+
+def _set(path, value):
+    """An edit that sets data[path[0]][path[1]]... to value."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return edit
+
+
+def _both(*edits):
+    def edit(data):
+        for e in edits:
+            e(data)
+    return edit
+
+
+def _second_sinusoid(index):
+    def edit(data):
+        entry = data["disturbance"]["edges"][4]
+        entry["sinusoids"].append({"freq_index": index, "amplitude": 0.5, "phase": 0.0})
+    return edit
+
+
+# One malformed edit per parse branch and the stderr line `check` prints.
+# The messages are the format's contract: a faster loader must keep each one.
+GOLDEN = {
+    "agents-string": (_set(("agents", 1, 0), "x"),
+                      "scenario field 'agents[1][0]': expected a number"),
+    "agents-bool": (_set(("agents", 3, 2), True),
+                    "scenario field 'agents[3][2]': expected a number"),
+    "agents-first-of-two": (_both(_set(("agents", 2, 0), None), _set(("agents", 0, 1), "y")),
+                            "scenario field 'agents[0][1]': expected a number"),
+    "agents-row-not-list": (_set(("agents", 2), 5),
+                            "scenario field 'agents[2]': expected a list"),
+    "agents-not-list": (_set(("agents",), {"a": 1}),
+                        "scenario field 'agents': expected a list"),
+    "agents-huge": (_set(("agents", 4, 1), 10 ** 400),
+                    "scenario field 'agents[4][1]': number out of float range"),
+    "target-null": (_set(("target_positions", 2, 1), None),
+                    "scenario field 'target_positions[2][1]': expected a number"),
+    "target-row-not-list": (_set(("target_positions", 0), "row"),
+                            "scenario field 'target_positions[0]': expected a list"),
+    "xi0-bool": (_set(("controller", "xi0", 3, 2), False),
+                 "scenario field 'controller.xi0[3][2]': expected a number"),
+    "xi0-list": (_set(("controller", "xi0", 8, 0), [1.0]),
+                 "scenario field 'controller.xi0[8][0]': expected a number"),
+    "b2-string": (_set(("controller", "b2", 1), "0"),
+                  "scenario field 'controller.b2[1]': expected a number"),
+    "tail-bool": (_set(("edges", 2, "tail"), True),
+                  "scenario field 'edges[2].tail': expected an integer"),
+    "tail-float": (_set(("edges", 1, "tail"), 1.0),
+                   "scenario field 'edges[1].tail': expected an integer"),
+    "head-string": (_set(("edges", 5, "head"), "4"),
+                    "scenario field 'edges[5].head': expected an integer"),
+    "distance-bool": (_set(("edges", 0, "distance"), False),
+                      "scenario field 'edges[0].distance': expected a number"),
+    "distance-huge": (_set(("edges", 6, "distance"), -10 ** 400),
+                      "scenario field 'edges[6].distance': number out of float range"),
+    "edge-not-object": (_set(("edges", 3), [1, 2, 5.0]),
+                        "scenario field 'edges[3]': expected an object"),
+    "edge-first-of-two": (_both(_set(("edges", 7, "head"), 2.5), _drop(("edges", 4, "tail"))),
+                          "scenario field 'edges[4]': missing key 'tail'"),
+    "edges-not-list": (_set(("edges",), "none"), "scenario field 'edges': expected a list"),
+    "unknown-top": (_set(("mystery",), 1), "scenario field 'scenario': unknown key(s) ['mystery']"),
+    "unknown-edge": (_set(("edges", 3, "weight"), 1.0),
+                     "scenario field 'edges[3]': unknown key(s) ['weight']"),
+    "unknown-disturbance-edge": (_both(_set(("disturbance", "edges", 1, "beta"), 0),
+                                       _set(("disturbance", "edges", 1, "a"), 0)),
+                                 "scenario field 'disturbance.edges[1]': unknown key(s) ['a', 'beta']"),
+    "unknown-sinusoid": (_set(("disturbance", "edges", 2, "sinusoids", 0, "freq"), 1.0),
+                         "scenario field 'disturbance.edges[2].sinusoids[0]': unknown key(s) ['freq']"),
+    "unknown-step": (_set(("construction", "steps", 0, "vertex"), 5),
+                     "scenario field 'construction.steps[0]': unknown key(s) ['vertex']"),
+    "missing-top": (_drop(("dim",)), "scenario field 'scenario': missing key 'dim'"),
+    "missing-edge": (_drop(("edges", 8, "distance")),
+                     "scenario field 'edges[8]': missing key 'distance'"),
+    "missing-disturbance-edge": (_drop(("disturbance", "edges", 7, "alpha")),
+                                 "scenario field 'disturbance.edges[7]': missing key 'alpha'"),
+    "missing-sinusoid": (_drop(("disturbance", "edges", 3, "sinusoids", 0, "amplitude")),
+                         "scenario field 'disturbance.edges[3].sinusoids[0]': "
+                         "missing key 'amplitude'"),
+    "missing-freq-index": (_drop(("disturbance", "edges", 0, "sinusoids", 0, "freq_index")),
+                           "scenario field 'disturbance.edges[0].sinusoids[0]': "
+                           "missing key 'freq_index'"),
+    "missing-step": (_drop(("construction", "steps", 0, "anchors")),
+                     "scenario field 'construction.steps[0]': missing key 'anchors'"),
+    "alpha-huge": (_set(("disturbance", "edges", 5, "alpha"), 10 ** 400),
+                   "scenario field 'disturbance.edges[5].alpha': number out of float range"),
+    "alpha-string": (_set(("disturbance", "edges", 5, "alpha"), "1"),
+                     "scenario field 'disturbance.edges[5].alpha': expected a number"),
+    "amplitude-bool": (_set(("disturbance", "edges", 6, "sinusoids", 0, "amplitude"), True),
+                       "scenario field 'disturbance.edges[6].sinusoids[0].amplitude': "
+                       "expected a number"),
+    "phase-huge": (_set(("disturbance", "edges", 6, "sinusoids", 0, "phase"), 10 ** 400),
+                   "scenario field 'disturbance.edges[6].sinusoids[0].phase': "
+                   "number out of float range"),
+    "freq-index-float": (_set(("disturbance", "edges", 1, "sinusoids", 0, "freq_index"), 0.0),
+                         "scenario field 'disturbance.edges[1].sinusoids[0].freq_index': "
+                         "expected an integer"),
+    "freq-index-range": (_set(("disturbance", "edges", 4, "sinusoids", 0, "freq_index"), 1),
+                         "scenario field 'disturbance.edges[4].sinusoids[0].freq_index': "
+                         "out of range 0..0"),
+    "freq-index-negative": (_set(("disturbance", "edges", 4, "sinusoids", 0, "freq_index"), -1),
+                            "scenario field 'disturbance.edges[4].sinusoids[0].freq_index': "
+                            "out of range 0..0"),
+    "freq-index-duplicate": (_second_sinusoid(0),
+                             "scenario field 'disturbance.edges[4].sinusoids[1]': "
+                             "duplicate freq_index 0"),
+    "sinusoids-not-list": (_set(("disturbance", "edges", 2, "sinusoids"), {}),
+                           "scenario field 'disturbance.edges[2].sinusoids': expected a list"),
+    "sinusoid-not-object": (_set(("disturbance", "edges", 2, "sinusoids", 0), 0),
+                            "scenario field 'disturbance.edges[2].sinusoids[0]': "
+                            "expected an object"),
+    "disturbance-edge-not-object": (_set(("disturbance", "edges", 0), None),
+                                    "scenario field 'disturbance.edges[0]': expected an object"),
+    "frequency-string": (_set(("disturbance", "frequencies", 0), "1"),
+                         "scenario field 'disturbance.frequencies[0]': expected a number"),
+    "anchors-float": (_set(("construction", "steps", 0, "anchors", 1), 2.0),
+                      "scenario field 'construction.steps[0].anchors[1]': expected an integer"),
+    "anchors-bool": (_set(("construction", "steps", 0, "anchors", 0), True),
+                     "scenario field 'construction.steps[0].anchors[0]': expected an integer"),
+    "anchors-not-list": (_set(("construction", "steps", 0, "anchors"), 3),
+                         "scenario field 'construction.steps[0].anchors': expected a list"),
+    "step-not-object": (_set(("construction", "steps", 0), []),
+                        "scenario field 'construction.steps[0]': expected an object"),
+    "seed-distance-huge": (_set(("construction", "seed_distances", 2), 10 ** 400),
+                           "scenario field 'construction.seed_distances[2]': "
+                           "number out of float range"),
+    "step-distance-huge": (_set(("construction", "steps", 0, "distances", 1), 10 ** 400),
+                           "scenario field 'construction.steps[0].distances[1]': "
+                           "number out of float range"),
+    "step-distance-null": (_set(("construction", "steps", 0, "distances", 0), None),
+                           "scenario field 'construction.steps[0].distances[0]': "
+                           "expected a number"),
+    "unknown-before-missing": (_both(_drop(("edges", 2, "head")), _set(("edges", 2, "w"), 0)),
+                               "scenario field 'edges[2]': unknown key(s) ['w']"),
+    # value checks of the built records, in file order with the parse checks
+    "alpha-nan": (_set(("disturbance", "edges", 3, "alpha"), float("nan")),
+                  "scenario field 'disturbance.edges[3]': offset must be finite"),
+    "alpha-nan-before-bad-type": (_both(_set(("disturbance", "edges", 3, "alpha"), float("inf")),
+                                        _set(("disturbance", "edges", 5, "alpha"), "1")),
+                                  "scenario field 'disturbance.edges[3]': offset must be finite"),
+    "phase-inf": (_set(("disturbance", "edges", 2, "sinusoids", 0, "phase"), float("-inf")),
+                  "scenario field 'disturbance.edges[2]': amplitudes and phases must be finite"),
+    "frequency-negative": (_set(("disturbance", "frequencies", 0), -1.0),
+                           "scenario field 'disturbance': frequencies must be positive and finite"),
+    "anchors-repeated": (_set(("construction", "steps", 0, "anchors"), [1, 1, 2]),
+                         "scenario field 'construction.steps[0]': step anchors must be distinct"),
+    "anchor-not-yet-placed": (_set(("construction", "steps", 0, "anchors"), [1, 2, 5]),
+                              "scenario field 'construction': "
+                              "step inserting vertex 5: anchors must already exist"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_each_parse_branch_names_its_offender(tmp_path, capsys, case):
+    edit, message = GOLDEN[case]
+    data = _tetra()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_golden_base_file_loads(tmp_path, capsys):
+    path = tmp_path / "tetra.json"
+    path.write_text(json.dumps(_tetra()))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_one_load_builds_one_graph_and_one_disturbance_per_edge(tmp_path, monkeypatch):
+    path = tmp_path / "gen.json"
+    save_scenario(generate_scenario(250, 3, 0), path)
+    calls = {FormationGraph: 0, EdgeDisturbance: 0, DisturbanceSpec: 0}
+    for cls in calls:
+        def counted(self, cls=cls, original=cls.__post_init__):
+            calls[cls] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    sc = load_scenario(path)
+    sc.framework_initial()
+    sc.framework_target()
+    assert calls == {FormationGraph: 1, EdgeDisturbance: len(sc.edges), DisturbanceSpec: 1}
+
+
+class _Int(int):
+    pass
+
+
+class _Rows(list):
+    pass
+
+
+def test_subclassed_json_values_load_like_plain_ones():
+    # the fast scans test exact types; subclasses of dict, list, int and
+    # float are still accepted as they always were
+    data = _tetra()
+    plain = scenario_from_dict(data)
+    assert scenario_from_dict(json.loads(json.dumps(data), object_pairs_hook=OrderedDict)) == plain
+    data["agents"] = _Rows(_Rows(np.float64(c) for c in row) for row in data["agents"])
+    for edge in data["edges"]:
+        edge["tail"], edge["distance"] = _Int(edge["tail"]), np.float64(edge["distance"])
+    for entry in data["disturbance"]["edges"]:
+        entry["alpha"] = np.float64(entry["alpha"])
+        for sin in entry["sinusoids"]:
+            sin["freq_index"], sin["phase"] = _Int(sin["freq_index"]), np.float64(sin["phase"])
+    data["construction"]["steps"][0]["anchors"] = _Rows(map(_Int, [1, 2, 3]))
+    assert scenario_from_dict(data) == plain

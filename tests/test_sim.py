@@ -374,6 +374,46 @@ def test_verdict_detects_steady_orbits():
     assert not verdict.converged
 
 
+def _verdict_of_norms(norms):
+    """run_verdict of a 300-sample run whose error norm follows `norms`
+    (one nonzero edge), every agent at rest."""
+    norms = np.concatenate([norms, np.full(300 - len(norms), norms[-1])])
+    errors = np.zeros((300, 3))
+    errors[:, 0] = norms
+    return run_verdict(Trajectory(
+        times=np.arange(300) * 0.1,
+        positions=np.zeros((300, 2, 2)),
+        errors=errors,
+        speeds=np.zeros((300, 2)),
+        mu=np.zeros((300, 3)),
+        mu_hat=np.zeros((300, 3)),
+        alpha=errors,
+        estimator_gap=np.zeros((300, 3, 3)),
+        diverged=False,
+    ))
+
+
+@pytest.mark.parametrize("norms, reason", [
+    ([0.0], "error norm starts non-finite or at most 1e-8"),
+    ([math.nan], "error norm starts non-finite or at most 1e-8"),
+    ([0.5], "error norm never falls to a tenth of its start"),
+    ([5e-8, 2e-8, 5e-9],
+     "decay window is empty: error norm reaches 1e-8 no later than a tenth of its start"),
+    ([1.0, 0.05, 0.04, 0.03, 0.0], "decay window holds fewer than 10 positive error norms"),
+    ([10.0, 1.0], "log error norm is flat over the decay window"),
+], ids=["zero-start", "nan-start", "no-decade", "empty-window", "few-points", "flat"])
+def test_verdict_names_why_rate_is_null(norms, reason):
+    verdict = _verdict_of_norms(np.array(norms))
+    assert verdict.rate is None and verdict.rate_r_squared is None
+    assert verdict.rate_null_reason == reason
+
+
+def test_rate_null_reason_is_none_when_rate_is_set():
+    verdict = _verdict_of_norms(np.exp(-np.arange(300) * 0.1))
+    assert verdict.rate == pytest.approx(-1.0)
+    assert verdict.rate_null_reason is None
+
+
 def test_verdict_window_must_hold_enough_samples():
     times = np.arange(100) * 0.1
     zeros_e = np.zeros((100, 3))
