@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -182,7 +183,9 @@ def cmd_replicate(args) -> int:
     return 2 if diverged else 0
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused after it."""
     parser = _Parser(
         prog="rigiform",
         description="Simulate and certify distance-based formation control "
@@ -225,8 +228,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError

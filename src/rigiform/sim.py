@@ -20,6 +20,13 @@ Scenarios are duck-typed: framework_initial / basis / xi0_array, the
 disturbance spec, and the mode / kappa / dt / t_end / output_every fields.
 Integration certifies nothing and never reads the target embedding;
 `check` does the certifying.
+
+`write_csv` prints every value exactly as '%.17g' does, but with numpy
+array operations rather than one Python format call per value: the
+private `_g17` module reads the 17 digits off a long double product and
+lays the text out through lookup tables built on the first write, and
+hands the few values whose rounding that product cannot settle, and inf
+and nan, to Python's '%.17g'.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
 VERDICT_WINDOW = 0.2  # run_verdict reads this last share of the samples
 VERDICT_TOL = 1e-6  # errors and speeds below it there count as converged
-_CSV_BLOCK_VALUES = 1 << 16  # write_csv stages at most this many values (or one row)
+_CSV_BLOCK_VALUES = 1 << 12  # write_csv formats at most this many values at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,9 +453,9 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
 
 def write_csv(traj: Trajectory, path) -> None:
     """One row per sample: t, positions (agent-major), errors, speeds, mu,
-    mu_hat, alpha; 17 significant digits so values round-trip exactly.
-    Rows are formatted a block at a time, so the whole run is never staged
-    as one table."""
+    mu_hat, alpha; each value printed as '%.17g' prints it, so values
+    round-trip exactly.  Rows are gathered a block at a time and formatted
+    by _g17.text, so the whole run is never staged as one table."""
     t_count, n, m = traj.positions.shape
     e_count = traj.errors.shape[1]
     names = ["t"]
@@ -458,9 +465,13 @@ def write_csv(traj: Trajectory, path) -> None:
     names += [f"mu_{k}" for k in range(1, e_count + 1)]
     names += [f"muhat_{k}" for k in range(1, e_count + 1)]
     names += [f"alpha_{k}" for k in range(1, e_count + 1)]
-    step = max(1, _CSV_BLOCK_VALUES // len(names))
-    with open(path, "w", encoding="latin1") as fh:  # np.savetxt's encoding
-        fh.write(",".join(names) + "\n")
+    # imported here: an interpreter that writes no CSV never loads or compiles it
+    from . import _g17
+
+    columns = len(names)
+    step = max(1, _CSV_BLOCK_VALUES // columns)
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         for start in range(0, t_count, step):
             rows = slice(start, start + step)
             block = np.column_stack([
@@ -471,5 +482,6 @@ def write_csv(traj: Trajectory, path) -> None:
                 traj.mu[rows],
                 traj.mu_hat[rows],
                 traj.alpha[rows],
-            ])
-            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+            ]).ravel()
+            for first in range(0, block.size, _CSV_BLOCK_VALUES):
+                fh.write(_g17.text(block[first:first + _CSV_BLOCK_VALUES], columns, first))

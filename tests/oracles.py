@@ -1,6 +1,9 @@
 """Test-only oracles: stacked-matrix forms of quantities the library
 computes edge by edge inside its closed-loop kernel or block by block in
-its certificate."""
+its certificate, and the np.savetxt trajectory writer its vectorised
+'%.17g' formatter replaced."""
+
+import io
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -48,3 +51,39 @@ def block_spectrum(fw: Framework) -> np.ndarray:
     edge_label = strong_components(g.n, g.tails, g.heads)[g.heads]
     blocks = [np.flatnonzero(edge_label == c) for c in np.unique(edge_label)]
     return np.concatenate([np.linalg.eigvals(matrix[np.ix_(k, k)]) for k in blocks])
+
+
+def savetxt_text(table) -> bytes:
+    """The rows of a 2-D float array as np.savetxt prints them with '%.17g'
+    and commas."""
+    out = io.StringIO()
+    np.savetxt(out, table, fmt="%.17g", delimiter=",")
+    return out.getvalue().encode("latin1")
+
+
+def savetxt_write_csv(traj, path) -> None:
+    """sim.write_csv as it was when np.savetxt formatted the rows."""
+    t_count, n, m = traj.positions.shape
+    e_count = traj.errors.shape[1]
+    names = ["t"]
+    names += [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, m + 1)]
+    names += [f"e_{k}" for k in range(1, e_count + 1)]
+    names += [f"speed_{i}" for i in range(1, n + 1)]
+    names += [f"mu_{k}" for k in range(1, e_count + 1)]
+    names += [f"muhat_{k}" for k in range(1, e_count + 1)]
+    names += [f"alpha_{k}" for k in range(1, e_count + 1)]
+    step = max(1, (1 << 16) // len(names))
+    with open(path, "w", encoding="latin1") as fh:  # np.savetxt's encoding
+        fh.write(",".join(names) + "\n")
+        for start in range(0, t_count, step):
+            rows = slice(start, start + step)
+            block = np.column_stack([
+                traj.times[rows],
+                traj.positions[rows].reshape(-1, n * m),
+                traj.errors[rows],
+                traj.speeds[rows],
+                traj.mu[rows],
+                traj.mu_hat[rows],
+                traj.alpha[rows],
+            ])
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",")

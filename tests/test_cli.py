@@ -7,6 +7,10 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
@@ -445,6 +449,52 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of `python -m rigiform.cli argv`."""
+    src = str(Path(importlib.import_module("rigiform").__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "rigiform.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_answers_each_command_like_a_fresh_one(tmp_path, monkeypatch):
+    # main builds its parser once per process and reuses it; commands run
+    # one after another must print and exit as each does on its own
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    scenario = _triangle_file(tmp_path, t_end=0.1)
+    generated = str(tmp_path / "gen.json")
+    commands = [
+        ["check", "epuck2d"],
+        ["run", "epuck2d"],  # usage error: no --out
+        ["generate", "--n", "6", "--dim", "3", "--seed", "1", "--out", generated],
+        ["check", generated, "--json"],
+        ["generate", "--n", "6", "--dim", "4", "--seed", "1", "--out", generated],
+        ["run", scenario, "--out", str(tmp_path / "run"), "--mode", "gradient_only"],
+        ["check", "no_such_scenario"],
+        ["frobnicate"],
+        ["check", "epuck2d"],
+    ]
+    in_process = [_in_process(argv) for argv in commands]
+    fresh = [_fresh_process(argv) for argv in commands]
+    wall = re.compile(r"in \d+\.\d\d s")  # run's wall time
+    for argv, got, want in zip(commands, in_process, fresh):
+        assert [wall.sub("in _ s", x) if isinstance(x, str) else x for x in got] == \
+            [wall.sub("in _ s", x) if isinstance(x, str) else x for x in want], argv
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 1, 0, 1, 1, 0]
 
 
 def test_help_exits_zero(capsys):
