@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -28,8 +27,8 @@ from .analysis import certificate
 from .analysis import (  # noqa: F401
     is_hurwitz, is_infinitesimally_rigid, is_minimally_rigid, stability_matrix,
 )
-from .scenario import BUILTIN_NAMES, MODES, ScenarioError, builtin_scenario, generate_scenario, \
-    load_scenario, save_scenario
+from .scenario import BUILTIN_NAMES, MODES, ScenarioError, builtin_scenario, canonical_json, \
+    generate_scenario, load_scenario, save_scenario
 from .sim import integrate, run_verdict, write_csv
 
 
@@ -59,7 +58,7 @@ def cmd_check(args) -> int:
     fw = sc.framework_target()
     cert = certificate(fw)
     if args.json:
-        print(json.dumps({"scenario": sc.name, **cert.to_dict()}, indent=2, sort_keys=True))
+        print(canonical_json({"scenario": sc.name, **cert.to_dict()}))
     else:
         rigidity = ("" if cert.infinitesimally_rigid else "not ") + "infinitesimally rigid"
         if cert.minimally_rigid:
@@ -109,7 +108,7 @@ def _execute_run(sc, out_dir):
             steady_speed=verdict.steady_speed,
             orbit_detected=verdict.orbit_detected,
         )
-    (out / "verdict.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    (out / "verdict.json").write_text(canonical_json(record) + "\n")
     return record, traj, wall
 
 
@@ -179,7 +178,7 @@ def cmd_replicate(args) -> int:
                 f"final_error={record['final_error']:.6e}, "
                 f"mu recovery relative error {shown}, wall {wall:.1f} s"
             )
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(canonical_json(summary) + "\n")
     return 2 if diverged else 0
 
 
@@ -233,6 +232,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

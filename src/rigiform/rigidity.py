@@ -559,22 +559,16 @@ def build_from_trace(trace: ConstructionTrace, placement="positive", *, rng=None
     raise ValueError(f"could not realize the trace after {attempts} attempt(s): {failure}")
 
 
-def _min_gap(placed, cand) -> float:
+def _squared_norms(d) -> np.ndarray:
     # per row, the dot routine np.linalg.norm uses (einsum rounds differently): bitwise equal
-    d = placed - cand
-    return math.sqrt((d[:, None, :] @ d[:, :, None]).min())
+    return (d[:, None, :] @ d[:, :, None]).ravel()
+
+
+def _min_gap(placed, cand) -> float:
+    return math.sqrt(_squared_norms(placed - cand).min())
 
 
 _PROPOSALS_2D = 500  # per vertex, before the outward fallback takes over
-
-
-def _pair_proposal(placed, rng):
-    """Anchors: a random pair; candidate: a random step off their midpoint."""
-    a, b = sorted(int(v) for v in rng.choice(len(placed), size=2, replace=False))
-    mid = 0.5 * (placed[a] + placed[b])
-    angle = float(rng.uniform(0.0, 2.0 * math.pi))
-    radius = float(rng.uniform(0.7, 1.5))
-    return a, b, mid + radius * np.array([math.cos(angle), math.sin(angle)])
 
 
 def _outward_proposal(placed, rng):
@@ -605,22 +599,35 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
             raise ValueError("2-D trace needs n >= 2")
         pts = np.zeros((n, 2))  # rows below m are placed
         pts[1, 0] = float(rng.uniform(1.0, 2.0))
+        coords = pts.tolist()  # the same rows as Python floats
         steps = []
         for m in range(2, n):
             for attempt in range(2 * _PROPOSALS_2D):
-                propose = _pair_proposal if attempt < _PROPOSALS_2D else _outward_proposal
-                a, b, cand = propose(pts[:m], rng)
-                span = pts[b] - pts[a]
-                off = cand - pts[a]
-                if 0.5 * abs(span[0] * off[1] - span[1] * off[0]) < 0.25:
+                if attempt < _PROPOSALS_2D:
+                    # anchors: a random pair; candidate: a random step off their midpoint
+                    a, b = sorted(rng.choice(m, size=2, replace=False).tolist())
+                    (xa, ya), (xb, yb) = coords[a], coords[b]
+                    # rng.uniform(0, 2 pi) and rng.uniform(0.7, 1.5) from the same two
+                    # doubles u, by uniform's own formula low + (high - low) * u
+                    turn, reach = rng.random(2).tolist()
+                    angle = 2.0 * math.pi * turn
+                    radius = 0.7 + (1.5 - 0.7) * reach
+                    cx = 0.5 * (xa + xb) + radius * math.cos(angle)
+                    cy = 0.5 * (ya + yb) + radius * math.sin(angle)
+                else:
+                    a, b, cand = _outward_proposal(pts[:m], rng)
+                    (xa, ya), (xb, yb) = coords[a], coords[b]
+                    cx, cy = cand.tolist()
+                if 0.5 * abs((xb - xa) * (cy - ya) - (yb - ya) * (cx - xa)) < 0.25:
                     continue
+                cand = np.array((cx, cy))
                 if _min_gap(pts[:m], cand) < 0.35:
                     continue
                 steps.append(InsertionStep(
-                    (a + 1, b + 1),
-                    (float(np.linalg.norm(cand - pts[a])), float(np.linalg.norm(cand - pts[b]))),
+                    (a + 1, b + 1), tuple(np.sqrt(_squared_norms(cand - pts[[a, b]])).tolist())
                 ))
                 pts[m] = cand
+                coords[m] = [cx, cy]
                 break
             else:
                 raise RuntimeError("2-D trace sampling stalled")
@@ -663,7 +670,7 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
                 continue
             steps.append(InsertionStep(
                 (a + 1, b + 1, c + 1),
-                tuple(float(np.linalg.norm(cand - pts[v])) for v in (a, b, c)),
+                tuple(np.sqrt(_squared_norms(cand - pts[[a, b, c]])).tolist()),
             ))
             triangles.extend([(a, b, m), (a, c, m), (b, c, m)])
             pts[m] = cand

@@ -17,7 +17,10 @@ Vertices are 1-based everywhere in files, matching the graph convention;
 frequency indices inside disturbance entries are 0-based positions into
 the shared frequency list.  Serialization is canonical (sorted keys,
 two-space indent, trailing newline) so identical scenarios produce
-identical bytes.
+identical bytes.  One writer, `canonical_json`, produces every canonical
+JSON output of the package (scenario files, `check --json`, verdict.json
+and summary.json): exactly the text of json.dumps(obj, indent=2,
+sort_keys=True), without the pure-Python encoder that `indent` selects.
 
 Loading a file costs one pass over each of its lists: the parsers accept
 a well-formed list with whole-list type and key scans and convert it with
@@ -34,7 +37,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -238,6 +242,7 @@ def _reject_overflowing_squares(distances, frameworks):
 _NUMBERS = frozenset((int, float))  # bool is neither
 _INTS = frozenset((int,))
 _LISTS = frozenset((list,))
+_STRS = frozenset((str,))
 _TOP = ("scenario",)
 _SCENARIO_KEYS = frozenset(("name", "dim", "agents", "edges", "target_positions", "disturbance",
                             "controller", "sim", "construction", "assignment"))
@@ -637,10 +642,62 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data, fallback_name=path.stem)
 
 
+def _json_scalar(value, pad: str) -> str:
+    if type(value) is float and not math.isfinite(value):
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    # tuples, subclasses such as np.float64, objects with non-str keys
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _json_texts(values: list, pad: str) -> list[str]:
+    """Each of values as json.dumps(value, indent=2, sort_keys=True) spells
+    it, with `pad` (a newline and the values' shared indentation) after
+    each newline.  Values of one exact type are written together: numbers
+    and strings by one C-level map, the items of lists and the fields of
+    objects with the same keys as one flat list each, so the cost per
+    value is a few joins, whatever the nesting."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    inner = pad + "  "
+    sep = "," + inner
+    if kind is float and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is list:
+        lengths = list(map(len, values))
+        items = iter(_json_texts(list(chain.from_iterable(values)), inner))
+        start, end = "[" + inner, pad + "]"
+        return [start + sep.join(islice(items, k)) + end if k else "[]" for k in lengths]
+    if kind is dict:
+        keys = values[0].keys()
+        if _STRS.issuperset(map(type, keys)) and all(map(keys.__eq__, map(dict.keys, values))):
+            if not keys:
+                return ["{}"] * len(values)
+            fields = [
+                map((encode_basestring_ascii(key) + ": ").__add__,
+                    _json_texts(list(map(itemgetter(key), values)), inner))
+                for key in sorted(keys)
+            ]
+            start, end = "{" + inner, pad + "}"
+            return [start + text + end for text in map(sep.join, zip(*fields))]
+    if len(values) != 1:
+        return [_json_texts([v], pad)[0] for v in values]
+    return [_json_scalar(values[0], pad)]
+
+
+def canonical_json(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), written without
+    its pure-Python encoder's cost per item (see _json_texts)."""
+    return _json_texts([obj], "\n")[0]
+
+
 def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
-    )
+    Path(path).write_text(canonical_json(scenario_to_dict(scenario)) + "\n")
 
 
 def _epuck2d() -> Scenario:
@@ -775,21 +832,19 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
         if not certificate(fw).certified:
             continue
         initial = pts + rng.uniform(-0.3, 0.3, size=pts.shape)
+        # per edge: offset, amplitude, phase, drawn in that order
+        draws = rng.uniform([-2.0, 0.0, -math.pi], [2.0, 0.5, math.pi], size=(len(edges), 3))
         entries = tuple(
-            EdgeDisturbance(
-                float(rng.uniform(-2.0, 2.0)),
-                (float(rng.uniform(0.0, 0.5)),),
-                (float(rng.uniform(-math.pi, math.pi)),),
-            )
-            for _ in edges
+            EdgeDisturbance(offset, (amplitude,), (phase,))
+            for offset, amplitude, phase in draws.tolist()
         )
         return Scenario(
             name=f"generated_{dim}d_n{n}_seed{seed}",
             dim=dim,
             edges=edges,
             distances=distances,
-            initial_positions=tuple(tuple(float(c) for c in row) for row in initial),
-            target_positions=tuple(tuple(float(c) for c in row) for row in pts),
+            initial_positions=tuple(map(tuple, initial.tolist())),
+            target_positions=tuple(map(tuple, pts.tolist())),
             disturbance=DisturbanceSpec((1.0,), entries),
             mode="estimator",
             kappa=1.0,

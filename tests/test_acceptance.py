@@ -37,6 +37,7 @@ from rigiform import (
     trace_graph,
 )
 from rigiform.cli import main
+from rigiform.scenario import canonical_json
 
 
 def _report(num, label, ok, detail):
@@ -54,6 +55,17 @@ def replicate_runs(tmp_path_factory):
         assert rc == 0, f"replicate {name} exited {rc}"
         runs[name] = out
     return runs
+
+
+def test_replicate_records_are_canonical_json(replicate_runs):
+    # summary.json and the legs' verdict.json hold what json.dumps would write
+    for out in replicate_runs.values():
+        for path in (out / "summary.json", out / "gradient" / "verdict.json",
+                     out / "estimator" / "verdict.json"):
+            text = path.read_text()
+            record = json.loads(text)
+            assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+            assert text == canonical_json(record) + "\n"
 
 
 def _read_csv(path):

@@ -30,7 +30,9 @@ from rigiform import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from rigiform.cli import main
+from rigiform.analysis import certificate
+from rigiform.cli import _execute_run, main
+from rigiform.scenario import canonical_json
 
 
 def _write_scenario(path, sc):
@@ -127,6 +129,37 @@ def test_check_output_is_byte_stable(tmp_path, capsys, name, form):
     code = main(["check", ref] + (["--json"] if form == "--json" else []))
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == CHECK_DIGESTS[name, form]
+
+
+def _check_record(sc):
+    return {"scenario": sc.name, **certificate(sc.framework_target()).to_dict()}
+
+
+def _verdict_record(tmp_path):
+    from test_sim import _triangle_scenario
+
+    record, _, _ = _execute_run(dataclasses.replace(_triangle_scenario(), t_end=0.1), tmp_path)
+    assert record["converged"] is None and record["null_reason"] is not None
+    assert (tmp_path / "verdict.json").read_text() == canonical_json(record) + "\n"
+    return record
+
+
+# every kind of record the CLI writes through canonical_json
+RECORDS = {
+    "epuck2d scenario": lambda tmp: scenario_to_dict(builtin_scenario("epuck2d")),
+    "tetra3d scenario": lambda tmp: scenario_to_dict(builtin_scenario("tetra3d")),
+    "generated 2-D scenario": lambda tmp: scenario_to_dict(generate_scenario(60, 2, 4)),
+    "generated 3-D scenario": lambda tmp: scenario_to_dict(generate_scenario(60, 3, 4)),
+    "certified check": lambda tmp: _check_record(builtin_scenario("tetra3d")),
+    "uncertified check": lambda tmp: _check_record(load_scenario(_square_file(tmp))),
+    "verdict with null fields": _verdict_record,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_canonical_json_writes_each_record_as_json_dumps_does(tmp_path, kind):
+    record = RECORDS[kind](tmp_path)
+    assert canonical_json(record) == json.dumps(record, indent=2, sort_keys=True)
 
 
 def test_check_requires_target_positions(tmp_path, capsys):
@@ -320,6 +353,19 @@ def test_generate_reports_a_stalled_draw_in_one_line(tmp_path, monkeypatch, caps
     assert not path.exists()
 
 
+def test_generate_reports_running_out_of_memory_in_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2)")
+
+    monkeypatch.setattr("rigiform.cli.generate_scenario", exhausted)
+    path = tmp_path / "huge.json"
+    argv = ["generate", "--n", "1000000000000", "--dim", "2", "--seed", "0", "--out", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 14.6 TiB "
+                                       "for an array with shape (1000000000000, 2)\n")
+    assert not path.exists()
+
+
 # sha256 of `generate --n N --dim D --seed S` output, recorded before the gap
 # test in random_trace was vectorized and the certification's rank and
 # spectrum were shared
@@ -346,6 +392,8 @@ def test_2d_generation_steps_outward_once_the_pair_proposals_stall(tmp_path, cap
     path = tmp_path / "big.json"
     assert main(["generate", "--n", "900", "--dim", "2", "--seed", "0", "--out", str(path)]) == 0
     capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "10be7c1136281836a3946eedfd43907068d73586a55031f5f5c3ea99ac154a34"
     assert main(["check", str(path), "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["certified"] is True and record["rank"] == 2 * 900 - 3

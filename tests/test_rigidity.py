@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import s1_matrix
 from rigiform import (
     ConstructionTrace,
@@ -476,3 +477,24 @@ def test_outward_proposal_clears_every_placed_vertex():
             a, b, cand = _outward_proposal(placed, rng)
             assert 0 <= a < b < m
             assert _min_gap(placed, cand) >= 0.35
+
+
+def _assert_same_draw(n, dim, seed):
+    old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    old_trace, old_pts = oracles.random_trace(n, dim, old_rng)
+    trace, pts = random_trace(n, dim, new_rng)
+    assert trace == old_trace
+    assert np.array_equal(pts, old_pts)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [4, 5, 40, 200, 250])
+def test_random_trace_draws_what_the_array_sampler_drew(n, dim):
+    for seed in range(20):
+        _assert_same_draw(n, dim, seed)
+
+
+def test_random_trace_steps_outward_as_the_array_sampler_did():
+    # seed 0's n=900 draw runs out of pair proposals and places by the fallback
+    _assert_same_draw(900, 2, 0)

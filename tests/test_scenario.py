@@ -6,6 +6,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigiform import (
     DisturbanceSpec,
@@ -19,6 +21,7 @@ from rigiform import (
     scenario_to_dict,
 )
 from rigiform.cli import main
+from rigiform.scenario import canonical_json
 
 
 def _tetra():
@@ -246,3 +249,31 @@ def test_subclassed_json_values_load_like_plain_ones():
             sin["freq_index"], sin["phase"] = _Int(sin["freq_index"]), np.float64(sin["phase"])
     data["construction"]["steps"][0]["anchors"] = _Rows(map(_Int, [1, 2, 3]))
     assert scenario_from_dict(data) == plain
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.just(-0.0), _FLOATS,
+    st.text(), st.sampled_from(["\x00\x1f\x7f", "é\u2028\U0001f600", '"\\/']),
+    _FLOATS.map(np.float64), st.lists(_FLOATS), st.lists(st.integers()),
+    st.lists(st.lists(_FLOATS)),
+)
+
+
+def _json_containers(children):
+    keys = st.text(max_size=4)
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+        # objects sharing their keys, as scenario files list edges
+        st.lists(st.fixed_dictionaries({"a": children, "b": children}), max_size=4),
+        st.lists(st.dictionaries(st.sampled_from("xy"), children), max_size=4),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.recursive(_JSON_LEAVES, _json_containers, max_leaves=25))
+def test_canonical_json_is_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
