@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -41,6 +42,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _say(*values) -> None:
+    """print to stdout.  Once stdout's reader has gone, stdout points at
+    os.devnull, so the command still ends with its own exit code."""
+    try:
+        print(*values, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _resolve_scenario(ref: str):
     path = Path(ref)
     if path.is_file():
@@ -58,16 +68,16 @@ def cmd_check(args) -> int:
     fw = sc.framework_target()
     cert = certificate(fw)
     if args.json:
-        print(canonical_json({"scenario": sc.name, **cert.to_dict()}))
+        _say(canonical_json({"scenario": sc.name, **cert.to_dict()}))
     else:
         rigidity = ("" if cert.infinitesimally_rigid else "not ") + "infinitesimally rigid"
         if cert.minimally_rigid:
             rigidity += ", minimally rigid"
-        print(f"scenario {sc.name}: {fw.graph.n} agents, {fw.graph.edge_count} edges, dim {fw.dim}")
-        print(f"rank {cert.rank} of {cert.rank_needed} needed: {rigidity}")
+        _say(f"scenario {sc.name}: {fw.graph.n} agents, {fw.graph.edge_count} edges, dim {fw.dim}")
+        _say(f"rank {cert.rank} of {cert.rank_needed} needed: {rigidity}")
         hurwitz = "hurwitz" if cert.hurwitz else "not hurwitz"
-        print(f"stability margin {cert.margin:.17g}: {hurwitz}")
-        print("certified" if cert.certified else "not certified")
+        _say(f"stability margin {cert.margin:.17g}: {hurwitz}")
+        _say("certified" if cert.certified else "not certified")
     return 0 if cert.certified else 1
 
 
@@ -117,12 +127,12 @@ def cmd_run(args) -> int:
     if args.mode is not None and args.mode != sc.mode:
         sc = dataclasses.replace(sc, mode=args.mode)
     record, traj, wall = _execute_run(sc, args.out)
-    print(f"run {sc.name} ({sc.mode}): {record['samples']} samples in {wall:.2f} s")
-    print(
+    _say(f"run {sc.name} ({sc.mode}): {record['samples']} samples in {wall:.2f} s")
+    _say(
         f"final error {record['final_error']:.6e}; converged {record['converged']}; "
         f"orbit {record['orbit_detected']}; rate {record['rate']}"
     )
-    print(f"wrote {args.out}/trajectory.csv and {args.out}/verdict.json")
+    _say(f"wrote {args.out}/trajectory.csv and {args.out}/verdict.json")
     if traj.diverged:
         step = traj.divergence_step
         print(
@@ -137,7 +147,7 @@ def cmd_run(args) -> int:
 def cmd_generate(args) -> int:
     sc = generate_scenario(args.n, args.dim, args.seed, args.assignment)
     save_scenario(sc, args.out)
-    print(
+    _say(
         f"wrote {args.out}: {sc.name} "
         f"({len(sc.initial_positions)} agents, {len(sc.edges)} edges, dim {sc.dim})"
     )
@@ -156,7 +166,7 @@ def cmd_replicate(args) -> int:
         legs[mode] = {**record, "wall_seconds": wall}
         diverged = diverged or traj.diverged
         if mode == "gradient_only":
-            print(
+            _say(
                 f"{args.name} gradient_only: orbit_detected={record['orbit_detected']}, "
                 f"steady_speed={record['steady_speed']}, wall {wall:.1f} s"
             )
@@ -173,7 +183,7 @@ def cmd_replicate(args) -> int:
             summary["mu_hat_final"] = [float(v) for v in mu_hat_final]
             summary["mu_recovery_relative_error"] = recovery
             shown = "n/a" if recovery is None else f"{recovery:.3e}"
-            print(
+            _say(
                 f"{args.name} estimator: converged={record['converged']}, "
                 f"final_error={record['final_error']:.6e}, "
                 f"mu recovery relative error {shown}, wall {wall:.1f} s"

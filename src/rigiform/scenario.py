@@ -22,13 +22,18 @@ JSON output of the package (scenario files, `check --json`, verdict.json
 and summary.json): exactly the text of json.dumps(obj, indent=2,
 sort_keys=True), without the pure-Python encoder that `indent` selects.
 
-Loading a file costs one pass over each of its lists: the parsers accept
-a well-formed list with whole-list type and key scans and convert it with
-C-level maps, and name a field (`edges[3].tail`) only when a scan finds
-something amiss, by walking that list in file order to the first
-offender.  Building the Scenario then validates the formation graph
-once: the construction trace's edges, computed once per trace, serve both
-the edge check and the orientation check.
+The file format is written down once, as the table `_SCENARIO`: each
+object's keys in the order a load checks them, with the form and default
+of each.  Two functions read it.  `_scan` takes a well-formed file one
+list at a time, with whole-list type and key tests and C-level
+conversions, and builds each kind of record (EdgeDisturbance,
+InsertionStep, ...) for a whole list at once.  Only when a test fails or a
+conversion raises does `_walk` visit the file value by value, in file
+order, to name the first offender (`edges[3].tail`); it builds each record
+as it passes, so a record's value error precedes any later type error.
+Building the Scenario then validates the formation graph once: the
+construction trace's edges, computed once per trace, serve both the edge
+check and the orientation check.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -233,331 +239,234 @@ def _reject_overflowing_squares(distances, frameworks):
                                     f"({sq[k]:.3g}) overflows the error norm")
 
 
-# Each parser accepts a well-formed list with whole-list scans (exact types,
-# keys against a frozenset) and C-level conversions, and builds a field's
-# path only to raise: when a scan or a conversion finds something amiss, a
-# walk over the items in file order (the _check_* functions) raises at the
-# first offender.  A walk also passes subclasses of int, float, list and
-# dict, which the exact-type scans refuse and the conversions accept.
-_NUMBERS = frozenset((int, float))  # bool is neither
-_INTS = frozenset((int,))
+# The format's table.  An object form maps its keys, in the order a load
+# checks them, to (form, default); the default is _REQUIRED, None (absent or
+# null loads as None) or the value an absent key stands for.  [form] is a
+# list of that form, and a leaf form is a (scan, walk) pair.  An object
+# form's hook (ctx, *columns) builds the records of a list of such objects
+# from their values key by key (by default, one tuple per object); a
+# ValueError from it names the object.  `ctx` holds the values loaded so far
+# by key, for the hooks that need the scenario's dim or the disturbance's
+# frequencies.
+_REQUIRED = object()
 _LISTS = frozenset((list,))
 _STRS = frozenset((str,))
-_TOP = ("scenario",)
-_SCENARIO_KEYS = frozenset(("name", "dim", "agents", "edges", "target_positions", "disturbance",
-                            "controller", "sim", "construction", "assignment"))
-_EDGE_KEYS = frozenset(("tail", "head", "distance"))
-_DISTURBANCE_KEYS = frozenset(("frequencies", "edges"))
-_ENTRY_KEYS = frozenset(("alpha", "sinusoids"))
-_SINUSOID_KEYS = frozenset(("freq_index", "amplitude", "phase"))
-_CONTROLLER_KEYS = frozenset(("mode", "kappa", "b1", "b2", "xi0"))
-_SIM_KEYS = frozenset(("dt", "t_end", "output_every"))
-_CONSTRUCTION_KEYS = frozenset(("seed_distances", "steps"))
-_STEP_KEYS = frozenset(("anchors", "distances"))
-_ASSIGNMENT_KEYS = frozenset(("kind", "root", "third"))
+_DICTS = frozenset((dict,))
+
+
+class _Leaf(NamedTuple):
+    scan: Callable  # values -> converted values, or None
+    walk: Callable  # (value, path, ctx) -> converted value
+
+
+class _Object:
+    def __init__(self, keys: dict, hook: Callable = lambda ctx, *columns: list(zip(*columns))):
+        self.keys, self.hook, self.allowed = keys, hook, frozenset(keys)
 
 
 def _error(path, problem) -> ScenarioError:
-    """("disturbance", "edges", 3, "alpha") -> field 'disturbance.edges[3].alpha'."""
+    """("disturbance", "edges", 3, "alpha") -> field 'disturbance.edges[3].alpha';
+    the empty path is the scenario itself."""
     field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-    return ScenarioError(f"scenario field '{field[1:]}': {problem}")
+    return ScenarioError(f"scenario field '{field[1:] or 'scenario'}': {problem}")
 
 
-def _expect_dict(value, path):
+def _leaf(types, problem, test=None, convert=None) -> _Leaf:
+    """A leaf that passes values of `types` (bool is none of them) for which
+    `test`, if given, holds, converted by `convert`, if given; its scan
+    wants the types exactly."""
+    exact = frozenset(types)
+
+    def scan(values):
+        kinds = set(map(type, values))
+        if exact.issuperset(kinds) and (test is None or all(map(test, values))):
+            return values if convert is None or kinds <= {convert} else list(map(convert, values))
+
+    def walk(value, path, ctx):
+        if isinstance(value, bool) or not isinstance(value, types) or test and not test(value):
+            raise _error(path, problem)
+        try:
+            return value if convert is None else convert(value)
+        except OverflowError:  # an integer beyond the float range
+            raise _error(path, "number out of float range") from None
+    return _Leaf(scan, walk)
+
+
+_NUMBER = _leaf((int, float), "expected a number", convert=float)
+_INTEGER = _leaf((int,), "expected an integer")
+_STRING = _leaf((str,), "expected a string")
+_NAME = _leaf((str,), "expected a nonempty string", len)
+_MODE = _leaf((str,), f"must be one of {MODES}", MODES.__contains__)
+_MATRIX = [[_NUMBER]]
+
+
+def _freq_index(value, path, ctx) -> int:
+    """A sinusoid's position in the disturbance's frequencies, once per entry."""
+    index = _INTEGER.walk(value, path, ctx)
+    p = len(ctx["frequencies"])
+    if not 0 <= index < p:
+        raise _error(path, f"out of range 0..{p - 1}")
+    seen = ctx.setdefault(path[:-2], set())  # keyed by the entry's sinusoids list
+    if index in seen:
+        raise _error(path[:-1], f"duplicate freq_index {index}")
+    seen.add(index)
+    return index
+
+
+def _edge_disturbances(ctx, alphas, sinusoids) -> list:
+    """The entries' EdgeDisturbances, their sinusoids placed by freq_index
+    into (entries, p) tables at once."""
+    owner = list(chain.from_iterable(map(repeat, range(len(alphas)), map(len, sinusoids))))
+    index, amplitudes, phases = list(zip(*chain.from_iterable(sinusoids))) or ((), (), ())
+    p = len(ctx["frequencies"])
+    if index and (min(index) < 0 or max(index) >= p) or len(set(zip(owner, index))) < len(index):
+        raise ValueError("freq_index out of range or repeated")  # the walk names which
+    tables = np.zeros((2, len(alphas), p))
+    tables[:, owner, index] = amplitudes, phases
+    return list(map(EdgeDisturbance, alphas, *tables.tolist()))
+
+
+def _each(cls):
+    """A hook building one cls per object from the objects' values."""
+    return lambda ctx, *columns: list(map(cls, *columns))
+
+
+_SCENARIO = _Object({
+    "name": (_NAME, _REQUIRED),
+    "dim": (_INTEGER, _REQUIRED),
+    "agents": (_MATRIX, _REQUIRED),
+    "edges": ([_Object({
+        "tail": (_INTEGER, _REQUIRED),
+        "head": (_INTEGER, _REQUIRED),
+        "distance": (_NUMBER, _REQUIRED),
+    })], _REQUIRED),
+    "target_positions": (_MATRIX, None),
+    "disturbance": (_Object({
+        "frequencies": ([_NUMBER], _REQUIRED),
+        "edges": ([_Object({
+            "alpha": (_NUMBER, _REQUIRED),
+            "sinusoids": ([_Object({
+                "freq_index": (_Leaf(_INTEGER.scan, _freq_index), _REQUIRED),
+                "amplitude": (_NUMBER, _REQUIRED),
+                "phase": (_NUMBER, 0.0),
+            })], []),
+        }, _edge_disturbances)], _REQUIRED),
+    }, _each(DisturbanceSpec)), _REQUIRED),
+    "controller": (_Object({
+        "mode": (_MODE, _REQUIRED),
+        "kappa": (_NUMBER, _REQUIRED),
+        "b1": (_NUMBER, _REQUIRED),
+        "b2": ([_NUMBER], _REQUIRED),
+        "xi0": (_MATRIX, None),
+    }), _REQUIRED),
+    "sim": (_Object({
+        "dt": (_NUMBER, _REQUIRED),
+        "t_end": (_NUMBER, _REQUIRED),
+        "output_every": (_INTEGER, _REQUIRED),
+    }), _REQUIRED),
+    "construction": (_Object({
+        "seed_distances": ([_NUMBER], _REQUIRED),
+        "steps": ([_Object({
+            "anchors": ([_INTEGER], _REQUIRED),
+            "distances": ([_NUMBER], _REQUIRED),
+        }, _each(InsertionStep))], []),
+    }, lambda ctx, *columns: list(map(ConstructionTrace, repeat(ctx["dim"]), *columns))), None),
+    "assignment": (_Object({
+        "kind": (_STRING, _REQUIRED),
+        "root": (_INTEGER, None),
+        "third": (_INTEGER, None),
+    }, _each(AssignmentRule)), None),
+})
+
+
+def _open(form: _Object, value, path):
+    """Raise unless value is an object with none but form's keys."""
     if not isinstance(value, dict):
         raise _error(path, "expected an object")
-    return value
+    if not form.allowed.issuperset(value):
+        raise _error(path, f"unknown key(s) {sorted(set(value) - form.allowed)}")
 
 
-def _expect_list(value, path):
-    if not isinstance(value, list):
-        raise _error(path, "expected a list")
-    return value
-
-
-def _require(mapping, key, path):
-    if key not in mapping:
-        raise _error(path, f"missing key '{key}'")
-    return mapping[key]
-
-
-def _reject_unknown(mapping, allowed, path):
-    if not allowed.issuperset(mapping):
-        raise _error(path, f"unknown key(s) {sorted(set(mapping) - allowed)}")
-
-
-def _number(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _error(path, "expected a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise _error(path, "number out of float range") from None
-
-
-def _integer(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _error(path, "expected an integer")
-    return value
-
-
-def _check_numbers(values, path):
-    for i, v in enumerate(values):
-        _number(v, path + (i,))
-
-
-def _columns(items, allowed, keys):
-    """One list per key of its values across a list of objects, or None
-    when an item is not an object, has a key outside `allowed` or lacks
-    one of `keys` (which a walk then names)."""
-    if not (all(map(isinstance, items, repeat(dict))) and all(map(allowed.issuperset, items))):
+def _scan(form, values: list, ctx: dict):
+    """All of `values` (one form's values across the file) converted by
+    C-level maps, or None when one is not exactly of the form's types and
+    keys.  A list's items are scanned as one flat list, an object's keys
+    column by column; a record hook runs once per object."""
+    if isinstance(form, _Leaf):
+        return form.scan(values)
+    if isinstance(form, list):  # [item]: a list of items of one form
+        if not _LISTS.issuperset(map(type, values)):
+            return None
+        items = _scan(form[0], list(chain.from_iterable(values)), ctx)
+        if items is None:
+            return None
+        lengths = list(map(len, values))
+        items = iter(items)
+        if len(set(lengths)) == 1 and lengths[0]:  # one length: zip regroups them all
+            return list(zip(*[items] * lengths[0]))
+        return list(map(tuple, map(islice, repeat(items), lengths)))
+    if not (_DICTS.issuperset(map(type, values)) and all(map(form.allowed.issuperset, values))):
         return None
-    try:
-        return [list(map(itemgetter(key), items)) for key in keys]
-    except KeyError:
-        return None
-
-
-def _number_list(value, path):
-    values = _expect_list(value, path)
-    if not _NUMBERS.issuperset(map(type, values)):
-        _check_numbers(values, path)
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        _check_numbers(values, path)
-        raise
-
-
-def _check_rows(rows, path):
-    for i, row in enumerate(rows):
-        _check_numbers(_expect_list(row, path + (i,)), path + (i,))
-
-
-def _matrix(value, path):
-    rows = _expect_list(value, path)
-    if not (_LISTS.issuperset(map(type, rows))
-            and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
-        _check_rows(rows, path)
-    try:
-        return _float_rows(rows)
-    except OverflowError:
-        _check_rows(rows, path)
-        raise
-
-
-def _check_edges(items):
-    for i, item in enumerate(items):
-        path = ("edges", i)
-        item = _expect_dict(item, path)
-        _reject_unknown(item, _EDGE_KEYS, path)
-        _integer(_require(item, "tail", path), path + ("tail",))
-        _integer(_require(item, "head", path), path + ("head",))
-        _number(_require(item, "distance", path), path + ("distance",))
-
-
-def _parse_edges(value):
-    """(edges, distances) of the scenario's edge list."""
-    items = _expect_list(value, ("edges",))
-    columns = _columns(items, _EDGE_KEYS, ("tail", "head", "distance"))
-    if columns is None or not (_INTS.issuperset(map(type, columns[0]))
-                               and _INTS.issuperset(map(type, columns[1]))
-                               and _NUMBERS.issuperset(map(type, columns[2]))):
-        _check_edges(items)
-    tails, heads, distances = columns
-    try:
-        return tuple(zip(tails, heads)), tuple(map(float, distances))
-    except OverflowError:
-        _check_edges(items)
-        raise
-
-
-def _check_entries(items, p):
-    """Walk the disturbance's edge entries, each as far as its EdgeDisturbance."""
-    for i, item in enumerate(items):
-        path = ("disturbance", "edges", i)
-        item = _expect_dict(item, path)
-        _reject_unknown(item, _ENTRY_KEYS, path)
-        offset = _number(_require(item, "alpha", path), path + ("alpha",))
-        amplitudes = [0.0] * p
-        phases = [0.0] * p
-        seen = set()
-        for j, sin in enumerate(_expect_list(item.get("sinusoids", []), path + ("sinusoids",))):
-            spath = path + ("sinusoids", j)
-            sin = _expect_dict(sin, spath)
-            _reject_unknown(sin, _SINUSOID_KEYS, spath)
-            idx = _integer(_require(sin, "freq_index", spath), spath + ("freq_index",))
-            if not 0 <= idx < p:
-                raise _error(spath + ("freq_index",), f"out of range 0..{p - 1}")
-            if idx in seen:
-                raise _error(spath, f"duplicate freq_index {idx}")
-            seen.add(idx)
-            amplitudes[idx] = _number(_require(sin, "amplitude", spath), spath + ("amplitude",))
-            phases[idx] = _number(sin.get("phase", 0.0), spath + ("phase",))
+    columns = []
+    for key, (sub, default) in form.keys.items():
         try:
-            EdgeDisturbance(offset, tuple(amplitudes), tuple(phases))
-        except ValueError as exc:
-            raise _error(path, exc) from exc
+            column = (list(map(itemgetter(key), values)) if default is _REQUIRED
+                      else list(map(dict.get, values, repeat(key), repeat(default))))
+        except KeyError:
+            return None
+        # a nullable key's column passes when all null; a mix is left to the walk
+        if default is not None or column.count(None) < len(column):
+            column = _scan(sub, column, ctx)
+            if column is None:
+                return None
+        if len(column) == 1:
+            ctx[key] = column[0]
+        columns.append(column)
+    return form.hook(ctx, *columns)
 
 
-def _entries(items, p):
-    """One EdgeDisturbance per edge entry: the entries' sinusoids are
-    scanned as one flat list and placed into (entries, p) tables at once."""
-    columns = _columns(items, _ENTRY_KEYS, ("alpha",))
-    if columns is None:
-        _check_entries(items, p)
-    (alphas,) = columns
-    lists = list(map(dict.get, items, repeat("sinusoids"), repeat([])))
-    if not (_NUMBERS.issuperset(map(type, alphas)) and _LISTS.issuperset(map(type, lists))):
-        _check_entries(items, p)
-    sinusoids = list(chain.from_iterable(lists))
-    fields = _columns(sinusoids, _SINUSOID_KEYS, ("freq_index", "amplitude"))
-    if fields is None:
-        _check_entries(items, p)
-    index, amplitudes = fields
-    phases = list(map(dict.get, sinusoids, repeat("phase"), repeat(0.0)))
-    owner = list(chain.from_iterable(map(repeat, range(len(items)), map(len, lists))))
-    if not (_INTS.issuperset(map(type, index)) and _NUMBERS.issuperset(map(type, amplitudes))
-            and _NUMBERS.issuperset(map(type, phases))
-            and (not index or (min(index) >= 0 and max(index) < p))
-            and len(set(zip(owner, index))) == len(index)):
-        _check_entries(items, p)
+def _walk(form, value, path, ctx: dict):
+    """`value` converted as _scan converts it, one value at a time in file
+    order, raising at the first offender.  Each record is built as the walk
+    passes it, so its value error precedes any later type error."""
+    if isinstance(form, _Leaf):
+        return form.walk(value, path, ctx)
+    if isinstance(form, list):
+        if not isinstance(value, list):
+            raise _error(path, "expected a list")
+        return tuple(_walk(form[0], item, path + (i,), ctx) for i, item in enumerate(value))
+    _open(form, value, path)
+    values = []
+    for key, (sub, default) in form.keys.items():
+        item = value.get(key, default)
+        if item is _REQUIRED:
+            raise _error(path, f"missing key '{key}'")
+        if item is not None or default is not None:
+            item = _walk(sub, item, path + (key,), ctx)
+        ctx[key] = item
+        values.append(item)
     try:
-        tables = np.zeros((2, len(items), p))
-        tables[0, owner, index] = list(map(float, amplitudes))
-        tables[1, owner, index] = list(map(float, phases))
-        return tuple(map(EdgeDisturbance, alphas, *tables.tolist()))
-    except (OverflowError, ValueError):
-        _check_entries(items, p)
-        raise
-
-
-def _parse_disturbance(value) -> DisturbanceSpec:
-    path = ("disturbance",)
-    value = _expect_dict(value, path)
-    _reject_unknown(value, _DISTURBANCE_KEYS, path)
-    freqs = _number_list(_require(value, "frequencies", path), path + ("frequencies",))
-    items = _expect_list(_require(value, "edges", path), path + ("edges",))
-    entries = _entries(items, len(freqs))
-    try:
-        return DisturbanceSpec(freqs, entries)
-    except ValueError as exc:
-        raise _error(path, exc) from exc
-
-
-def _check_steps(items):
-    """Walk the construction's steps, each as far as its InsertionStep."""
-    for i, item in enumerate(items):
-        path = ("construction", "steps", i)
-        item = _expect_dict(item, path)
-        _reject_unknown(item, _STEP_KEYS, path)
-        anchors = _expect_list(_require(item, "anchors", path), path + ("anchors",))
-        for j, a in enumerate(anchors):
-            _integer(a, path + ("anchors", j))
-        distances = _number_list(_require(item, "distances", path), path + ("distances",))
-        try:
-            InsertionStep(tuple(anchors), distances)
-        except ValueError as exc:
-            raise _error(path, exc) from exc
-
-
-def _parse_construction(value, dim) -> ConstructionTrace:
-    path = ("construction",)
-    value = _expect_dict(value, path)
-    _reject_unknown(value, _CONSTRUCTION_KEYS, path)
-    seed = _number_list(_require(value, "seed_distances", path), path + ("seed_distances",))
-    items = _expect_list(value.get("steps", []), path + ("steps",))
-    columns = _columns(items, _STEP_KEYS, ("anchors", "distances"))
-    if columns is None or not (_LISTS.issuperset(map(type, columns[0]))
-                               and _LISTS.issuperset(map(type, columns[1]))
-                               and _INTS.issuperset(map(type, chain.from_iterable(columns[0])))
-                               and _NUMBERS.issuperset(map(type, chain.from_iterable(columns[1])))):
-        _check_steps(items)
-    anchors, distances = columns
-    try:
-        steps = tuple(map(InsertionStep, anchors, distances))
-    except (OverflowError, ValueError):
-        _check_steps(items)
-        raise
-    try:
-        return ConstructionTrace(dim, seed, steps)
-    except ValueError as exc:
-        raise _error(path, exc) from exc
-
-
-def _parse_assignment(value) -> AssignmentRule:
-    path = ("assignment",)
-    value = _expect_dict(value, path)
-    _reject_unknown(value, _ASSIGNMENT_KEYS, path)
-    kind = _require(value, "kind", path)
-    if not isinstance(kind, str):
-        raise _error(path + ("kind",), "expected a string")
-    root = value.get("root")
-    third = value.get("third")
-    if root is not None:
-        root = _integer(root, path + ("root",))
-    if third is not None:
-        third = _integer(third, path + ("third",))
-    try:
-        return AssignmentRule(kind, root, third)
+        return form.hook(ctx, *([v] for v in values))[0]
     except ValueError as exc:
         raise _error(path, exc) from exc
 
 
 def scenario_from_dict(data, fallback_name: str | None = None) -> Scenario:
     """Build and fully validate a Scenario from parsed JSON data."""
-    data = _expect_dict(data, _TOP)
-    _reject_unknown(data, _SCENARIO_KEYS, _TOP)
-    if "name" in data:
-        name = data["name"]
-        if not isinstance(name, str) or not name:
-            raise ScenarioError("scenario field 'name': expected a nonempty string")
-    elif fallback_name:
-        name = fallback_name
-    else:
-        raise ScenarioError("scenario field 'name': missing")
-    dim = _integer(_require(data, "dim", _TOP), ("dim",))
-    agents = _matrix(_require(data, "agents", _TOP), ("agents",))
-    edges, distances = _parse_edges(_require(data, "edges", _TOP))
-    target = data.get("target_positions")
-    if target is not None:
-        target = _matrix(target, ("target_positions",))
-    disturbance = _parse_disturbance(_require(data, "disturbance", _TOP))
-
-    path = ("controller",)
-    ctl = _expect_dict(_require(data, "controller", _TOP), path)
-    _reject_unknown(ctl, _CONTROLLER_KEYS, path)
-    mode = _require(ctl, "mode", path)
-    if mode not in MODES:
-        raise _error(path + ("mode",), f"must be one of {MODES}")
-    kappa = _number(_require(ctl, "kappa", path), path + ("kappa",))
-    b1 = _number(_require(ctl, "b1", path), path + ("b1",))
-    b2 = _number_list(_require(ctl, "b2", path), path + ("b2",))
-    xi0 = ctl.get("xi0")
-    if xi0 is not None:
-        xi0 = _matrix(xi0, path + ("xi0",))
-
-    path = ("sim",)
-    sim_d = _expect_dict(_require(data, "sim", _TOP), path)
-    _reject_unknown(sim_d, _SIM_KEYS, path)
-    dt = _number(_require(sim_d, "dt", path), path + ("dt",))
-    t_end = _number(_require(sim_d, "t_end", path), path + ("t_end",))
-    output_every = _integer(_require(sim_d, "output_every", path), path + ("output_every",))
-
-    construction = data.get("construction")
-    if construction is not None:
-        construction = _parse_construction(construction, dim)
-    assignment = data.get("assignment")
-    if assignment is not None:
-        assignment = _parse_assignment(assignment)
-
-    return Scenario(
-        name=name, dim=dim, edges=edges, distances=distances,
-        initial_positions=agents, target_positions=target, disturbance=disturbance,
-        mode=mode, kappa=kappa, b1=b1, b2=b2, xi0=xi0,
-        dt=dt, t_end=t_end, output_every=output_every,
-        construction=construction, assignment=assignment,
-    )
+    _open(_SCENARIO, data, ())
+    if "name" not in data:
+        if not fallback_name:
+            raise ScenarioError("scenario field 'name': missing")
+        data = {**data, "name": fallback_name}
+    try:
+        values = _scan(_SCENARIO, [data], {})
+    except (OverflowError, ValueError):
+        values = None
+    name, dim, agents, edges, target, disturbance, controller, sim, construction, assignment = (
+        _walk(_SCENARIO, data, (), {}) if values is None else values[0])
+    # the controller's and the sim's keys come in the order of Scenario's fields
+    return Scenario(name, dim, tuple(map(itemgetter(0, 1), edges)), tuple(map(itemgetter(2), edges)),
+                    agents, target, disturbance, *controller, *sim, construction, assignment)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -1,18 +1,32 @@
 """Test-only oracles: stacked-matrix forms of quantities the library
 computes edge by edge inside its closed-loop kernel or block by block in
 its certificate, the np.savetxt trajectory writer its vectorised '%.17g'
-formatter replaced, and the numpy-array trace sampler its float-level 2-D
-proposals replaced."""
+formatter replaced, the numpy-array trace sampler its float-level 2-D
+proposals replaced, and the hand-written scenario loader its table-driven
+one replaced."""
 
 import io
 import math
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from rigiform import Framework, consistent_errors, rigidity_matrix, s2_matrix
+from rigiform import (
+    AssignmentRule,
+    DisturbanceSpec,
+    EdgeDisturbance,
+    Framework,
+    Scenario,
+    ScenarioError,
+    consistent_errors,
+    rigidity_matrix,
+    s2_matrix,
+)
 from rigiform.rigidity import ConstructionTrace, InsertionStep
+from rigiform.scenario import MODES
 
 
 def s1_matrix(fw: Framework) -> np.ndarray:
@@ -184,3 +198,337 @@ def random_trace(n, dim, rng):
     seed_pairs = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
     seed = tuple(float(np.linalg.norm(pts[i] - pts[j])) for i, j in seed_pairs)
     return ConstructionTrace(3, seed, tuple(steps)), pts
+
+
+# scenario.scenario_from_dict as it was when each section had its own parser
+# and its own error walk.
+
+def _float_rows(rows):
+    return tuple(map(tuple, map(map, repeat(float), rows)))
+
+
+# Each parser accepts a well-formed list with whole-list scans (exact types,
+# keys against a frozenset) and C-level conversions, and builds a field's
+# path only to raise: when a scan or a conversion finds something amiss, a
+# walk over the items in file order (the _check_* functions) raises at the
+# first offender.  A walk also passes subclasses of int, float, list and
+# dict, which the exact-type scans refuse and the conversions accept.
+_NUMBERS = frozenset((int, float))  # bool is neither
+_INTS = frozenset((int,))
+_LISTS = frozenset((list,))
+_STRS = frozenset((str,))
+_TOP = ("scenario",)
+_SCENARIO_KEYS = frozenset(("name", "dim", "agents", "edges", "target_positions", "disturbance",
+                            "controller", "sim", "construction", "assignment"))
+_EDGE_KEYS = frozenset(("tail", "head", "distance"))
+_DISTURBANCE_KEYS = frozenset(("frequencies", "edges"))
+_ENTRY_KEYS = frozenset(("alpha", "sinusoids"))
+_SINUSOID_KEYS = frozenset(("freq_index", "amplitude", "phase"))
+_CONTROLLER_KEYS = frozenset(("mode", "kappa", "b1", "b2", "xi0"))
+_SIM_KEYS = frozenset(("dt", "t_end", "output_every"))
+_CONSTRUCTION_KEYS = frozenset(("seed_distances", "steps"))
+_STEP_KEYS = frozenset(("anchors", "distances"))
+_ASSIGNMENT_KEYS = frozenset(("kind", "root", "third"))
+
+
+def _error(path, problem) -> ScenarioError:
+    """("disturbance", "edges", 3, "alpha") -> field 'disturbance.edges[3].alpha'."""
+    field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return ScenarioError(f"scenario field '{field[1:]}': {problem}")
+
+
+def _expect_dict(value, path):
+    if not isinstance(value, dict):
+        raise _error(path, "expected an object")
+    return value
+
+
+def _expect_list(value, path):
+    if not isinstance(value, list):
+        raise _error(path, "expected a list")
+    return value
+
+
+def _require(mapping, key, path):
+    if key not in mapping:
+        raise _error(path, f"missing key '{key}'")
+    return mapping[key]
+
+
+def _reject_unknown(mapping, allowed, path):
+    if not allowed.issuperset(mapping):
+        raise _error(path, f"unknown key(s) {sorted(set(mapping) - allowed)}")
+
+
+def _number(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _error(path, "expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _error(path, "number out of float range") from None
+
+
+def _integer(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _error(path, "expected an integer")
+    return value
+
+
+def _check_numbers(values, path):
+    for i, v in enumerate(values):
+        _number(v, path + (i,))
+
+
+def _columns(items, allowed, keys):
+    """One list per key of its values across a list of objects, or None
+    when an item is not an object, has a key outside `allowed` or lacks
+    one of `keys` (which a walk then names)."""
+    if not (all(map(isinstance, items, repeat(dict))) and all(map(allowed.issuperset, items))):
+        return None
+    try:
+        return [list(map(itemgetter(key), items)) for key in keys]
+    except KeyError:
+        return None
+
+
+def _number_list(value, path):
+    values = _expect_list(value, path)
+    if not _NUMBERS.issuperset(map(type, values)):
+        _check_numbers(values, path)
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        _check_numbers(values, path)
+        raise
+
+
+def _check_rows(rows, path):
+    for i, row in enumerate(rows):
+        _check_numbers(_expect_list(row, path + (i,)), path + (i,))
+
+
+def _matrix(value, path):
+    rows = _expect_list(value, path)
+    if not (_LISTS.issuperset(map(type, rows))
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
+        _check_rows(rows, path)
+    try:
+        return _float_rows(rows)
+    except OverflowError:
+        _check_rows(rows, path)
+        raise
+
+
+def _check_edges(items):
+    for i, item in enumerate(items):
+        path = ("edges", i)
+        item = _expect_dict(item, path)
+        _reject_unknown(item, _EDGE_KEYS, path)
+        _integer(_require(item, "tail", path), path + ("tail",))
+        _integer(_require(item, "head", path), path + ("head",))
+        _number(_require(item, "distance", path), path + ("distance",))
+
+
+def _parse_edges(value):
+    """(edges, distances) of the scenario's edge list."""
+    items = _expect_list(value, ("edges",))
+    columns = _columns(items, _EDGE_KEYS, ("tail", "head", "distance"))
+    if columns is None or not (_INTS.issuperset(map(type, columns[0]))
+                               and _INTS.issuperset(map(type, columns[1]))
+                               and _NUMBERS.issuperset(map(type, columns[2]))):
+        _check_edges(items)
+    tails, heads, distances = columns
+    try:
+        return tuple(zip(tails, heads)), tuple(map(float, distances))
+    except OverflowError:
+        _check_edges(items)
+        raise
+
+
+def _check_entries(items, p):
+    """Walk the disturbance's edge entries, each as far as its EdgeDisturbance."""
+    for i, item in enumerate(items):
+        path = ("disturbance", "edges", i)
+        item = _expect_dict(item, path)
+        _reject_unknown(item, _ENTRY_KEYS, path)
+        offset = _number(_require(item, "alpha", path), path + ("alpha",))
+        amplitudes = [0.0] * p
+        phases = [0.0] * p
+        seen = set()
+        for j, sin in enumerate(_expect_list(item.get("sinusoids", []), path + ("sinusoids",))):
+            spath = path + ("sinusoids", j)
+            sin = _expect_dict(sin, spath)
+            _reject_unknown(sin, _SINUSOID_KEYS, spath)
+            idx = _integer(_require(sin, "freq_index", spath), spath + ("freq_index",))
+            if not 0 <= idx < p:
+                raise _error(spath + ("freq_index",), f"out of range 0..{p - 1}")
+            if idx in seen:
+                raise _error(spath, f"duplicate freq_index {idx}")
+            seen.add(idx)
+            amplitudes[idx] = _number(_require(sin, "amplitude", spath), spath + ("amplitude",))
+            phases[idx] = _number(sin.get("phase", 0.0), spath + ("phase",))
+        try:
+            EdgeDisturbance(offset, tuple(amplitudes), tuple(phases))
+        except ValueError as exc:
+            raise _error(path, exc) from exc
+
+
+def _entries(items, p):
+    """One EdgeDisturbance per edge entry: the entries' sinusoids are
+    scanned as one flat list and placed into (entries, p) tables at once."""
+    columns = _columns(items, _ENTRY_KEYS, ("alpha",))
+    if columns is None:
+        _check_entries(items, p)
+    (alphas,) = columns
+    lists = list(map(dict.get, items, repeat("sinusoids"), repeat([])))
+    if not (_NUMBERS.issuperset(map(type, alphas)) and _LISTS.issuperset(map(type, lists))):
+        _check_entries(items, p)
+    sinusoids = list(chain.from_iterable(lists))
+    fields = _columns(sinusoids, _SINUSOID_KEYS, ("freq_index", "amplitude"))
+    if fields is None:
+        _check_entries(items, p)
+    index, amplitudes = fields
+    phases = list(map(dict.get, sinusoids, repeat("phase"), repeat(0.0)))
+    owner = list(chain.from_iterable(map(repeat, range(len(items)), map(len, lists))))
+    if not (_INTS.issuperset(map(type, index)) and _NUMBERS.issuperset(map(type, amplitudes))
+            and _NUMBERS.issuperset(map(type, phases))
+            and (not index or (min(index) >= 0 and max(index) < p))
+            and len(set(zip(owner, index))) == len(index)):
+        _check_entries(items, p)
+    try:
+        tables = np.zeros((2, len(items), p))
+        tables[0, owner, index] = list(map(float, amplitudes))
+        tables[1, owner, index] = list(map(float, phases))
+        return tuple(map(EdgeDisturbance, alphas, *tables.tolist()))
+    except (OverflowError, ValueError):
+        _check_entries(items, p)
+        raise
+
+
+def _parse_disturbance(value) -> DisturbanceSpec:
+    path = ("disturbance",)
+    value = _expect_dict(value, path)
+    _reject_unknown(value, _DISTURBANCE_KEYS, path)
+    freqs = _number_list(_require(value, "frequencies", path), path + ("frequencies",))
+    items = _expect_list(_require(value, "edges", path), path + ("edges",))
+    entries = _entries(items, len(freqs))
+    try:
+        return DisturbanceSpec(freqs, entries)
+    except ValueError as exc:
+        raise _error(path, exc) from exc
+
+
+def _check_steps(items):
+    """Walk the construction's steps, each as far as its InsertionStep."""
+    for i, item in enumerate(items):
+        path = ("construction", "steps", i)
+        item = _expect_dict(item, path)
+        _reject_unknown(item, _STEP_KEYS, path)
+        anchors = _expect_list(_require(item, "anchors", path), path + ("anchors",))
+        for j, a in enumerate(anchors):
+            _integer(a, path + ("anchors", j))
+        distances = _number_list(_require(item, "distances", path), path + ("distances",))
+        try:
+            InsertionStep(tuple(anchors), distances)
+        except ValueError as exc:
+            raise _error(path, exc) from exc
+
+
+def _parse_construction(value, dim) -> ConstructionTrace:
+    path = ("construction",)
+    value = _expect_dict(value, path)
+    _reject_unknown(value, _CONSTRUCTION_KEYS, path)
+    seed = _number_list(_require(value, "seed_distances", path), path + ("seed_distances",))
+    items = _expect_list(value.get("steps", []), path + ("steps",))
+    columns = _columns(items, _STEP_KEYS, ("anchors", "distances"))
+    if columns is None or not (_LISTS.issuperset(map(type, columns[0]))
+                               and _LISTS.issuperset(map(type, columns[1]))
+                               and _INTS.issuperset(map(type, chain.from_iterable(columns[0])))
+                               and _NUMBERS.issuperset(map(type, chain.from_iterable(columns[1])))):
+        _check_steps(items)
+    anchors, distances = columns
+    try:
+        steps = tuple(map(InsertionStep, anchors, distances))
+    except (OverflowError, ValueError):
+        _check_steps(items)
+        raise
+    try:
+        return ConstructionTrace(dim, seed, steps)
+    except ValueError as exc:
+        raise _error(path, exc) from exc
+
+
+def _parse_assignment(value) -> AssignmentRule:
+    path = ("assignment",)
+    value = _expect_dict(value, path)
+    _reject_unknown(value, _ASSIGNMENT_KEYS, path)
+    kind = _require(value, "kind", path)
+    if not isinstance(kind, str):
+        raise _error(path + ("kind",), "expected a string")
+    root = value.get("root")
+    third = value.get("third")
+    if root is not None:
+        root = _integer(root, path + ("root",))
+    if third is not None:
+        third = _integer(third, path + ("third",))
+    try:
+        return AssignmentRule(kind, root, third)
+    except ValueError as exc:
+        raise _error(path, exc) from exc
+
+
+def scenario_from_dict(data, fallback_name: str | None = None) -> Scenario:
+    """Build and fully validate a Scenario from parsed JSON data."""
+    data = _expect_dict(data, _TOP)
+    _reject_unknown(data, _SCENARIO_KEYS, _TOP)
+    if "name" in data:
+        name = data["name"]
+        if not isinstance(name, str) or not name:
+            raise ScenarioError("scenario field 'name': expected a nonempty string")
+    elif fallback_name:
+        name = fallback_name
+    else:
+        raise ScenarioError("scenario field 'name': missing")
+    dim = _integer(_require(data, "dim", _TOP), ("dim",))
+    agents = _matrix(_require(data, "agents", _TOP), ("agents",))
+    edges, distances = _parse_edges(_require(data, "edges", _TOP))
+    target = data.get("target_positions")
+    if target is not None:
+        target = _matrix(target, ("target_positions",))
+    disturbance = _parse_disturbance(_require(data, "disturbance", _TOP))
+
+    path = ("controller",)
+    ctl = _expect_dict(_require(data, "controller", _TOP), path)
+    _reject_unknown(ctl, _CONTROLLER_KEYS, path)
+    mode = _require(ctl, "mode", path)
+    if mode not in MODES:
+        raise _error(path + ("mode",), f"must be one of {MODES}")
+    kappa = _number(_require(ctl, "kappa", path), path + ("kappa",))
+    b1 = _number(_require(ctl, "b1", path), path + ("b1",))
+    b2 = _number_list(_require(ctl, "b2", path), path + ("b2",))
+    xi0 = ctl.get("xi0")
+    if xi0 is not None:
+        xi0 = _matrix(xi0, path + ("xi0",))
+
+    path = ("sim",)
+    sim_d = _expect_dict(_require(data, "sim", _TOP), path)
+    _reject_unknown(sim_d, _SIM_KEYS, path)
+    dt = _number(_require(sim_d, "dt", path), path + ("dt",))
+    t_end = _number(_require(sim_d, "t_end", path), path + ("t_end",))
+    output_every = _integer(_require(sim_d, "output_every", path), path + ("output_every",))
+
+    construction = data.get("construction")
+    if construction is not None:
+        construction = _parse_construction(construction, dim)
+    assignment = data.get("assignment")
+    if assignment is not None:
+        assignment = _parse_assignment(assignment)
+
+    return Scenario(
+        name=name, dim=dim, edges=edges, distances=distances,
+        initial_positions=agents, target_positions=target, disturbance=disturbance,
+        mode=mode, kappa=kappa, b1=b1, b2=b2, xi0=xi0,
+        dt=dt, t_end=t_end, output_every=output_every,
+        construction=construction, assignment=assignment,
+    )

@@ -545,6 +545,30 @@ def test_one_process_answers_each_command_like_a_fresh_one(tmp_path, monkeypatch
     assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 1, 0, 1, 1, 0]
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, command, buffered):
+    # once stdout's reader has gone (`rigiform check x | head -c 0`), a
+    # certified check and a finished run still exit 0, whether a print or the
+    # final flush meets the closed pipe
+    argv = ["check", "epuck2d"] if command == "check" else \
+        ["run", _triangle_file(tmp_path, t_end=0.1), "--out", str(tmp_path / "run")]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(importlib.import_module("rigiform").__file__).parents[1])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "rigiform.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+    if command == "run":
+        assert json.loads((tmp_path / "run" / "verdict.json").read_text())["samples"] > 1
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

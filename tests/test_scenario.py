@@ -1,7 +1,11 @@
 """Loading scenario files: the exact one-line error of every parse branch,
-and how much validation one load builds."""
+how much validation one load builds, and the same outcome as the
+hand-written loader it replaced on randomly mutated files."""
 
+import copy
 import json
+import random
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -9,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
     FormationGraph,
+    ScenarioError,
     builtin_scenario,
     generate_scenario,
     load_scenario,
@@ -21,7 +27,7 @@ from rigiform import (
     scenario_to_dict,
 )
 from rigiform.cli import main
-from rigiform.scenario import canonical_json
+from rigiform.scenario import _SCENARIO, _Object, canonical_json
 
 
 def _tetra():
@@ -190,14 +196,64 @@ GOLDEN = {
     "anchor-not-yet-placed": (_set(("construction", "steps", 0, "anchors"), [1, 2, 5]),
                               "scenario field 'construction': "
                               "step inserting vertex 5: anchors must already exist"),
+    "top-not-object": (lambda data: [data], "scenario field 'scenario': expected an object"),
+    "dim-bool": (_set(("dim",), True), "scenario field 'dim': expected an integer"),
+    "controller-not-object": (_set(("controller",), [1.0]),
+                              "scenario field 'controller': expected an object"),
+    "mode-invalid": (_set(("controller", "mode"), "pid"),
+                     "scenario field 'controller.mode': "
+                     "must be one of ('gradient_only', 'estimator')"),
+    "kappa-string": (_set(("controller", "kappa"), "1"),
+                     "scenario field 'controller.kappa': expected a number"),
+    "b1-missing": (_drop(("controller", "b1")), "scenario field 'controller': missing key 'b1'"),
+    "unknown-controller": (_set(("controller", "gain"), 1.0),
+                           "scenario field 'controller': unknown key(s) ['gain']"),
+    "xi0-row-not-list": (_set(("controller", "xi0", 2), 0.0),
+                         "scenario field 'controller.xi0[2]': expected a list"),
+    "sim-missing": (_drop(("sim",)), "scenario field 'scenario': missing key 'sim'"),
+    "output-every-float": (_set(("sim", "output_every"), 100.0),
+                           "scenario field 'sim.output_every': expected an integer"),
+    "dt-bool": (_set(("sim", "dt"), True), "scenario field 'sim.dt': expected a number"),
+    "disturbance-not-object": (_set(("disturbance",), "none"),
+                               "scenario field 'disturbance': expected an object"),
+    "frequencies-missing": (_drop(("disturbance", "frequencies")),
+                            "scenario field 'disturbance': missing key 'frequencies'"),
+    "disturbance-edges-empty": (_set(("disturbance", "edges"), []),
+                                "scenario field 'disturbance': need at least one edge entry"),
+    "phase-null": (_set(("disturbance", "edges", 0, "sinusoids", 0, "phase"), None),
+                   "scenario field 'disturbance.edges[0].sinusoids[0].phase': expected a number"),
+    "seed-distances-missing": (_drop(("construction", "seed_distances")),
+                               "scenario field 'construction': missing key 'seed_distances'"),
+    "steps-null": (_set(("construction", "steps"), None),
+                   "scenario field 'construction.steps': expected a list"),
+    "kind-int": (_set(("assignment", "kind"), 3), "scenario field 'assignment.kind': expected a string"),
+    "root-float": (_set(("assignment", "root"), 1.0),
+                   "scenario field 'assignment.root': expected an integer"),
+    "kind-unknown": (_set(("assignment", "kind"), "spiral"),
+                     "scenario field 'assignment': kind must be one of ('triangle_cyclic', "
+                     "'triangle_acyclic', 'henneberg_2d', 'tetrahedron', 'growth_3d')"),
+    # a null target loads; `check` then finds nothing to certify
+    "target-null-loads": (_set(("target_positions",), None),
+                          "scenario 'tetra3d' has no target_positions"),
+    # `check` names a file without a name after its stem: these load the data directly
+    "name-null": (_set(("name",), None), "scenario field 'name': expected a nonempty string"),
+    "name-empty": (_set(("name",), ""), "scenario field 'name': expected a nonempty string"),
+    "name-missing": (_drop(("name",)), "scenario field 'name': missing"),
 }
+_DIRECT = {"name-null", "name-empty", "name-missing"}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_each_parse_branch_names_its_offender(tmp_path, capsys, case):
     edit, message = GOLDEN[case]
     data = _tetra()
-    edit(data)
+    replaced = edit(data)  # an edit may return a whole new document instead
+    data = data if replaced is None else replaced
+    if case in _DIRECT:
+        with pytest.raises(ScenarioError) as caught:
+            scenario_from_dict(data)
+        assert str(caught.value) == message
+        return
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["check", str(path)]) == 1
@@ -249,6 +305,122 @@ def test_subclassed_json_values_load_like_plain_ones():
             sin["freq_index"], sin["phase"] = _Int(sin["freq_index"]), np.float64(sin["phase"])
     data["construction"]["steps"][0]["anchors"] = _Rows(map(_Int, [1, 2, 3]))
     assert scenario_from_dict(data) == plain
+
+
+def _with_xi0(data):
+    q = 2 * len(data["disturbance"]["frequencies"]) + 1
+    data["controller"]["xi0"] = [[0.01 * k] * q for k in range(len(data["edges"]))]
+    return data
+
+
+def _differential_bases():
+    """Valid documents that between them hold every key of the format."""
+    two_frequencies = _tetra()
+    two_frequencies["disturbance"]["frequencies"].append(2.5)
+    two_frequencies["controller"]["b2"] = [1.0, 0.5, 0.0, 0.0]
+    for k, entry in enumerate(two_frequencies["disturbance"]["edges"]):
+        if k % 2:
+            entry["sinusoids"].insert(0, {"freq_index": 1, "amplitude": 0.1 * k, "phase": -0.5})
+    _with_xi0(two_frequencies)
+    triangle = scenario_to_dict(generate_scenario(3, 2, 0, "triangle_acyclic"))
+    triangle["assignment"].update(root=1, third=2)
+    return {
+        "epuck2d": _with_xi0(scenario_to_dict(builtin_scenario("epuck2d"))),
+        "tetra3d": _tetra(),
+        "generated-2d": _with_xi0(scenario_to_dict(generate_scenario(7, 2, 1))),
+        "generated-3d": _with_xi0(scenario_to_dict(generate_scenario(7, 3, 1))),
+        "tetra3d-two-frequencies": two_frequencies,
+        "triangle-root-third": triangle,
+    }
+
+
+_POOL = (float("nan"), float("inf"), float("-inf"), 10 ** 400, True, False, None, "x", "",
+         [], [1.0], [[0.0, 1.0]], {}, {"alpha": 1.0}, 0, 1, 2, -1, 0.5)
+_KEYS = ("extra", "name", "tail", "alpha", "sinusoids", "phase", "xi0", "steps", "root", "third")
+
+
+def _places(value, path=()):
+    """The path of value and of everything inside it, in file order."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _places(item, path + (key,))
+
+
+def _mutated(data, rng):
+    """data after one to three deletions, added keys (unknown, or known in
+    another object), appended items or values replaced from _POOL."""
+    for _ in range(rng.randint(1, 3)):
+        places = list(_places(data))
+        kind = rng.choice(("delete", "add", "append", "replace"))
+        if kind == "add":
+            places = [p for p in places if isinstance(p[1], dict)]
+        elif kind == "append":
+            places = [p for p in places if isinstance(p[1], list)]
+        elif kind == "delete":
+            places = places[1:]
+        if not places:
+            continue
+        path, value = rng.choice(places)
+        if kind == "add":
+            value[rng.choice(_KEYS)] = copy.deepcopy(rng.choice(_POOL))
+        elif kind == "append":
+            value.append(copy.deepcopy(rng.choice(value if value and rng.random() < 0.5 else _POOL)))
+        elif not path:
+            data = copy.deepcopy(rng.choice(_POOL))
+        else:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(rng.choice(_POOL))
+    return data
+
+
+def _outcome(load, data, fallback):
+    try:
+        return "loads", repr(load(data, fallback))
+    except Exception as exc:  # the type and text of any failure are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("base", sorted(_differential_bases()))
+def test_loader_matches_the_hand_written_one_on_mutated_files(base):
+    text = json.dumps(_differential_bases()[base])
+    rng = random.Random(base)
+    loaded = 0
+    for _ in range(600):
+        data = _mutated(json.loads(text), rng)
+        fallback = rng.choice((None, "stem"))
+        expected = _outcome(oracles.scenario_from_dict, data, fallback)
+        assert _outcome(scenario_from_dict, data, fallback) == expected, data
+        loaded += expected[0] == "loads"
+    assert loaded  # some mutations (an unused xi0 row value, say) still load
+
+
+def _schema_paths(form, path=()):
+    """Every key path of the format, list positions left out."""
+    if isinstance(form, list):
+        yield from _schema_paths(form[0], path)
+    elif isinstance(form, _Object):
+        for key, (sub, _) in form.keys.items():
+            yield path + (key,)
+            yield from _schema_paths(sub, path + (key,))
+
+
+def test_every_key_of_the_format_is_covered():
+    # a key added to the format needs a GOLDEN case or a differential base that holds it
+    def keys_only(path):
+        return tuple(p for p in path if not isinstance(p, int))
+    covered = {keys_only(path) for base in _differential_bases().values()
+               for path, _ in _places(base)}
+    for _, message in GOLDEN.values():
+        field = message.split("'")[1] if message.startswith("scenario field") else ""
+        covered.add(tuple(re.sub(r"\[\d+\]", "", field).split(".")))
+    assert set(_schema_paths(_SCENARIO)) <= covered
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
