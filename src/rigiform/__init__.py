@@ -37,7 +37,6 @@ from .rigidity import (
     FormationGraph,
     Framework,
     InsertionStep,
-    build_from_trace,
     consistent_errors,
     edge_function,
     is_infinitesimally_rigid,
@@ -95,7 +94,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "Trajectory",
-    "build_from_trace",
     "builtin_scenario",
     "certificate",
     "certify",

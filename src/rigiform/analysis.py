@@ -214,19 +214,13 @@ def _tetrahedron_owners(graph: FormationGraph):
     return [table[p] for p in pairs]
 
 
-def _trace_owners(trace: ConstructionTrace):
-    owners = [1] if trace.dim == 2 else [1, 1, 2, 1, 2, 3]
-    for step in trace.steps:
-        owners.extend(step.anchors)
-    return owners
-
-
 def select_estimating_agents(source, rule: AssignmentRule) -> tuple[tuple[int, int], ...]:
     """Edges oriented so each tail is the agent estimating that edge.
 
     `source` is a FormationGraph for the triangle and tetrahedron rules and
-    a ConstructionTrace for the construction-order rules.  Edge order is
-    preserved.
+    a ConstructionTrace for the construction-order rules, which return its
+    `edges`: that orientation already makes each anchor its edge's tail.
+    Edge order is preserved.
     """
     if rule.kind in ("henneberg_2d", "growth_3d"):
         if not isinstance(source, ConstructionTrace):
@@ -234,7 +228,7 @@ def select_estimating_agents(source, rule: AssignmentRule) -> tuple[tuple[int, i
         want = 2 if rule.kind == "henneberg_2d" else 3
         if source.dim != want:
             raise ValueError(f"{rule.kind} needs a {want}-D trace")
-        return _orient(source.edges, _trace_owners(source))
+        return source.edges
     if not isinstance(source, FormationGraph):
         raise ValueError(f"{rule.kind} needs a FormationGraph")
     if rule.kind == "tetrahedron":

@@ -28,16 +28,6 @@ import numpy as np
 # toward numeric rank.
 RANK_TOL = 1e-10
 
-PLACEMENT_ATTEMPTS = 100  # random placements build_from_trace tries
-
-# Relative slack below which an intersection construction is treated as
-# collinear/coplanar and rejected as a non-regular placement.
-_DEGENERACY_REL = 1e-9
-
-
-class _DegenerateEmbedding(Exception):
-    """Internal: a trace step has no usable intersection point."""
-
 
 @dataclass(frozen=True)
 class FormationGraph:
@@ -443,120 +433,6 @@ def trace_distances(trace: ConstructionTrace) -> tuple[float, ...]:
     for step in trace.steps:
         out.extend(step.distances)
     return tuple(out)
-
-
-def _intersect_circles(pa, pb, ra, rb, sign):
-    span = pb - pa
-    base = float(np.linalg.norm(span))
-    if base < _DEGENERACY_REL:
-        raise _DegenerateEmbedding("anchor vertices coincide")
-    along = (ra * ra - rb * rb + base * base) / (2.0 * base)
-    h_sq = ra * ra - along * along
-    if h_sq <= _DEGENERACY_REL * ra * ra:
-        raise _DegenerateEmbedding(
-            "circles meet nowhere or only on the anchor line (collinear placement)"
-        )
-    u = span / base
-    normal = np.array([-u[1], u[0]])
-    return pa + along * u + sign * math.sqrt(h_sq) * normal
-
-
-def _intersect_spheres(pa, pb, pc, ra, rb, rc, sign):
-    ex = pb - pa
-    base = float(np.linalg.norm(ex))
-    if base < _DEGENERACY_REL:
-        raise _DegenerateEmbedding("anchor vertices coincide")
-    ex = ex / base
-    ac = pc - pa
-    i = float(ex @ ac)
-    ey = ac - i * ex
-    ey_norm = float(np.linalg.norm(ey))
-    if ey_norm <= _DEGENERACY_REL * max(base, 1.0):
-        raise _DegenerateEmbedding("anchor triangle is collinear")
-    ey = ey / ey_norm
-    j = float(ey @ ac)
-    px = (ra * ra - rb * rb + base * base) / (2.0 * base)
-    py = (ra * ra - rc * rc + i * i + j * j - 2.0 * i * px) / (2.0 * j)
-    h_sq = ra * ra - px * px - py * py
-    if h_sq <= _DEGENERACY_REL * ra * ra:
-        raise _DegenerateEmbedding(
-            "spheres meet nowhere or only in the anchor plane (coplanar placement)"
-        )
-    ez = np.cross(ex, ey)
-    return pa + px * ex + py * ey + sign * math.sqrt(h_sq) * ez
-
-
-def _embed_trace(trace: ConstructionTrace, pick_sign):
-    if trace.dim == 2:
-        d12 = trace.seed_distances[0]
-        pts = [np.zeros(2), np.array([d12, 0.0])]
-        for step in trace.steps:
-            a, b = step.anchors
-            ra, rb = step.distances
-            pts.append(_intersect_circles(pts[a - 1], pts[b - 1], ra, rb, pick_sign()))
-    else:
-        d12, d13, d23, d14, d24, d34 = trace.seed_distances
-        p1 = np.zeros(3)
-        p2 = np.array([d12, 0.0, 0.0])
-        along = (d13 * d13 - d23 * d23 + d12 * d12) / (2.0 * d12)
-        h_sq = d13 * d13 - along * along
-        if h_sq <= _DEGENERACY_REL * d13 * d13:
-            raise _DegenerateEmbedding("seed base triangle is collinear")
-        p3 = np.array([along, math.sqrt(h_sq), 0.0])
-        p4 = _intersect_spheres(p1, p2, p3, d14, d24, d34, pick_sign())
-        pts = [p1, p2, p3, p4]
-        for step in trace.steps:
-            a, b, c = step.anchors
-            ra, rb, rc = step.distances
-            pts.append(
-                _intersect_spheres(pts[a - 1], pts[b - 1], pts[c - 1], ra, rb, rc, pick_sign())
-            )
-    return np.array(pts)
-
-
-def build_from_trace(trace: ConstructionTrace, placement="positive", *, rng=None) -> Framework:
-    """Embed a trace and return the framework, verified infinitesimally rigid.
-
-    placement is "positive" (every branch choice takes the positively
-    oriented intersection, fully deterministic), "random" (branch signs
-    drawn from rng and rejection-sampled against the rank test, at most
-    PLACEMENT_ATTEMPTS attempts), or an explicit (n, dim) coordinate array,
-    which is checked against the trace distances before the rank test.
-    """
-    graph = trace_graph(trace)
-    distances = np.array(trace_distances(trace))
-
-    if not isinstance(placement, str):
-        fw = Framework(graph, trace.dim, np.asarray(placement, dtype=float), distances)
-        lengths = np.sqrt(edge_function(fw))
-        if (np.abs(lengths - distances) > 1e-9 * np.maximum(distances, 1.0)).any():
-            raise ValueError("explicit placement does not realize the trace distances")
-        rigid, rank = is_infinitesimally_rigid(fw)
-        if not rigid:
-            raise ValueError(f"explicit placement is a non-regular embedding (rank {rank})")
-        return fw
-
-    if placement == "positive":
-        attempts, pick_sign = 1, lambda: 1.0
-    elif placement == "random":
-        rng = np.random.default_rng() if rng is None else rng
-        attempts, pick_sign = PLACEMENT_ATTEMPTS, lambda: float(rng.choice((-1.0, 1.0)))
-    else:
-        raise ValueError("placement must be 'positive', 'random', or a coordinate array")
-
-    failure = "no attempt made"
-    for _ in range(attempts):
-        try:
-            pts = _embed_trace(trace, pick_sign)
-        except _DegenerateEmbedding as exc:
-            failure = str(exc)
-            continue
-        fw = Framework(graph, trace.dim, pts, distances)
-        rigid, rank = is_infinitesimally_rigid(fw)
-        if rigid:
-            return fw
-        failure = f"rank {rank}, non-regular placement"
-    raise ValueError(f"could not realize the trace after {attempts} attempt(s): {failure}")
 
 
 def _squared_norms(d) -> np.ndarray:

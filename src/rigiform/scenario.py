@@ -707,8 +707,10 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
     and drop the trace from the emitted scenario (their orientation is not
     the construction one).
     """
-    if dim not in (2, 3):
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim not in (2, 3):
         raise ScenarioError("dim must be 2 or 3")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ScenarioError("n must be an integer")
     if dim == 2 and n < 3:
         raise ScenarioError("2-D generation needs n >= 3")
     if dim == 3 and n < 4:

@@ -191,6 +191,18 @@ def test_select_estimating_agents_trace_rules():
     )
     oriented = select_estimating_agents(trace, AssignmentRule("henneberg_2d"))
     assert oriented == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+    # the rules return the trace's own edges: each seed edge estimated by its
+    # lower endpoint, each inserted edge by its anchor
+    for dim, kind in ((2, "henneberg_2d"), (3, "growth_3d")):
+        for n in (4, 5, 40, 200):
+            for seed in range(10):
+                trace, _ = random_trace(n, dim, np.random.default_rng(seed))
+                owners = [1] if dim == 2 else [1, 1, 2, 1, 2, 3]
+                for step in trace.steps:
+                    owners.extend(step.anchors)
+                oriented = select_estimating_agents(trace, AssignmentRule(kind))
+                assert oriented == trace.edges
+                assert [t for t, _ in oriented] == owners
 
 
 def test_select_estimating_agents_errors():

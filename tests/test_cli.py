@@ -763,3 +763,26 @@ def test_unused_imports_are_only_the_tracers():
                 exported = set(ast.literal_eval(node.value))
         unused = imported - used - exported
         assert all((module, name) in wrapped for name in unused), (module, sorted(unused))
+
+
+def test_no_private_module_name_is_unread():
+    # a private module-level function, class or constant that no module
+    # under src/ reads is left over from a deletion; reads in tests do not count
+    package = Path(__file__).resolve().parents[1] / "src" / "rigiform"
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined += [(path.name, n.id) for n in ast.walk(node)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [(file, name) for file, name in defined
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not unread, unread

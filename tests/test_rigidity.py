@@ -16,7 +16,6 @@ from rigiform import (
     FormationGraph,
     Framework,
     InsertionStep,
-    build_from_trace,
     edge_function,
     is_infinitesimally_rigid,
     is_minimally_rigid,
@@ -309,104 +308,29 @@ def test_numeric_rank_basics():
 # --- construction traces ---------------------------------------------------
 
 
-def test_triangle_trace_builds_equilateral():
-    trace = ConstructionTrace(2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)),))
-    fw = build_from_trace(trace)
-    assert fw.graph.edges == ((1, 2), (1, 3), (2, 3))
-    lengths = np.sqrt(edge_function(fw))
-    assert np.abs(lengths - 1.0).max() < 1e-12
-    assert is_minimally_rigid(fw)
-    # positive placement always picks the upper intersection
-    assert fw.positions[2, 1] > 0
-
-
 def test_3d_seed_tail_pattern():
-    trace = ConstructionTrace(3, (1.0,) * 6)
-    graph = trace_graph(trace)
-    assert graph.edges == ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
-    assert tuple(int(t) + 1 for t in graph.tails) == (1, 1, 2, 1, 2, 3)
+    # and the 2-D seed with one insertion: the anchors estimate the new edges
+    for trace, edges in [
+        (ConstructionTrace(3, (1.0,) * 6), ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))),
+        (ConstructionTrace(2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)),)), ((1, 2), (1, 3), (2, 3))),
+    ]:
+        graph = trace_graph(trace)
+        assert graph.edges == edges
+        assert tuple(int(t) + 1 for t in graph.tails) == tuple(t for t, _ in edges)
 
 
 def test_trace_edge_count_matches_minimal_rigidity():
     rng = np.random.default_rng(12)
-    trace, pts = random_trace(8, 2, rng)
-    graph = trace_graph(trace)
-    assert graph.edge_count == 13 == rigid_rank_target(8, 2)
-    fw = Framework(graph, 2, pts, trace_distances(trace))
-    assert is_minimally_rigid(fw)
-    assert numeric_rank(rigidity_matrix(fw)) == 13
-
-
-def test_build_from_trace_is_deterministic():
-    trace = ConstructionTrace(
-        2,
-        (1.3,),
-        (InsertionStep((1, 2), (1.1, 0.9)), InsertionStep((2, 3), (1.0, 1.2))),
-    )
-    a = build_from_trace(trace)
-    b = build_from_trace(trace)
-    assert np.array_equal(a.positions, b.positions)
-
-
-def test_random_placement_realizes_distances():
-    trace = ConstructionTrace(
-        2,
-        (1.3,),
-        (InsertionStep((1, 2), (1.1, 0.9)), InsertionStep((2, 3), (1.0, 1.2))),
-    )
-    fw = build_from_trace(trace, placement="random", rng=np.random.default_rng(3))
-    lengths = np.sqrt(edge_function(fw))
-    assert np.abs(lengths - np.asarray(trace_distances(trace))).max() < 1e-9
-    assert is_minimally_rigid(fw)
-
-
-def _bipyramid_trace():
-    return ConstructionTrace(
-        3, (5.0,) * 6, (InsertionStep((1, 2, 3), (5.0, 5.0, 5.0)),)
-    )
-
-
-def test_positive_placement_doubles_the_tetrahedron():
-    # the all-positive embedding puts both apexes on the same spot; with no
-    # edge between them that is still a rank-9 (rigid) realization
-    fw = build_from_trace(_bipyramid_trace())
-    assert np.array_equal(fw.positions[3], fw.positions[4])
-    assert is_minimally_rigid(fw)
-
-
-def test_random_placement_realizes_the_bipyramid_distances():
-    fw = build_from_trace(_bipyramid_trace(), placement="random", rng=np.random.default_rng(0))
-    assert is_minimally_rigid(fw)
-    lengths = np.sqrt(edge_function(fw))
-    assert np.abs(lengths - 5.0).max() < 1e-9
-
-
-def test_explicit_placement_checked_against_distances():
-    trace = ConstructionTrace(2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)),))
-    good = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    fw = build_from_trace(trace, placement=good)
-    assert np.array_equal(fw.positions, good)
-    with pytest.raises(ValueError, match="does not realize"):
-        build_from_trace(trace, placement=2.0 * good)
-
-
-def test_unreachable_circles_rejected():
-    trace = ConstructionTrace(2, (3.0,), (InsertionStep((1, 2), (1.0, 1.0)),))
-    with pytest.raises(ValueError, match="could not realize"):
-        build_from_trace(trace)
-
-
-def test_tangent_circles_rejected():
-    # circles touch in a single point on the anchor line: collinear, rank drops
-    trace = ConstructionTrace(2, (2.0,), (InsertionStep((1, 2), (1.0, 1.0)),))
-    with pytest.raises(ValueError, match="could not realize"):
-        build_from_trace(trace)
-
-
-def test_collinear_3d_seed_rejected():
-    trace = ConstructionTrace(3, (2.0, 1.0, 3.0, 2.0, 2.0, 2.0))
-    with pytest.raises(ValueError, match="could not realize"):
-        build_from_trace(trace)
+    for dim, count in ((2, 13), (3, 18)):
+        trace, pts = random_trace(8, dim, rng)
+        graph = trace_graph(trace)
+        assert graph.edge_count == count == rigid_rank_target(8, dim)
+        distances = np.array(trace_distances(trace))
+        fw = Framework(graph, dim, pts, distances)
+        # the returned embedding realizes the trace's own distances
+        assert (np.abs(np.sqrt(edge_function(fw)) - distances) <= 1e-12 * distances).all()
+        assert is_minimally_rigid(fw)
+        assert numeric_rank(rigidity_matrix(fw)) == count
 
 
 def test_trace_validation_errors():

@@ -307,6 +307,18 @@ def test_subclassed_json_values_load_like_plain_ones():
     assert scenario_from_dict(data) == plain
 
 
+@pytest.mark.parametrize("n, dim, message", [
+    (5, 2.0, "dim must be 2 or 3"),
+    (5, True, "dim must be 2 or 3"),
+    (5.0, 2, "n must be an integer"),
+    ("7", 3, "n must be an integer"),
+    (True, 2, "n must be an integer"),
+])
+def test_generate_scenario_takes_only_integer_sizes(n, dim, message):
+    with pytest.raises(ScenarioError, match=message):
+        generate_scenario(n, dim, 0)
+
+
 def _with_xi0(data):
     q = 2 * len(data["disturbance"]["frequencies"]) + 1
     data["controller"]["xi0"] = [[0.01 * k] * q for k in range(len(data["edges"]))]
