@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -444,7 +444,55 @@ def _min_gap(placed, cand) -> float:
     return math.sqrt(_squared_norms(placed - cand).min())
 
 
+class _GapGrid:
+    """The placed points as Python floats, binned in cells a hair over one
+    gap wide: a point within a gap of a candidate lies in the candidate's
+    cell or a neighbour of it, so each cell keeps the points of its 3**dim
+    block, one dict lookup from any candidate in it.  The hair, 1e-9 of a
+    gap, outweighs the rounding of any cell index.
+    """
+
+    def __init__(self, gap, points):
+        self.gap = gap
+        self.scale = 1.0 / (gap * (1.0 + 1e-9))
+        # math.dist and the BLAS dot under _min_gap differ by a few ulps
+        self.close, self.clear = gap * (1.0 - 1e-12), gap * (1.0 + 1e-12)
+        self.blocks = {}
+        for p in points:
+            self.add(p)
+
+    def add(self, p):
+        cell = [math.floor(x * self.scale) for x in p]
+        for key in product(*[(k - 1, k, k + 1) for k in cell]):
+            self.blocks.setdefault(key, []).append(p)
+
+    def crowds(self, p, placed) -> bool:
+        """_min_gap(placed, p) < gap, from p's block unless its nearest
+        point lies within the margin of the gap."""
+        block = self.blocks.get(tuple([math.floor(x * self.scale) for x in p]))
+        if not block:
+            return False
+        nearest = min(map(math.dist, block, repeat(p)))
+        if nearest < self.close:
+            return True
+        if nearest > self.clear:
+            return False
+        return _min_gap(placed, np.array(p)) < self.gap
+
+
 _PROPOSALS_2D = 500  # per vertex, before the outward fallback takes over
+
+
+def _anchor_pair(m, rng) -> tuple[int, int]:
+    """The sorted pair rng.choice(m, 2, replace=False) draws, from the same
+    stream: Floyd's algorithm's two bounded integers, then the one uint32
+    the two-element shuffle consumes (the order it sets is discarded)."""
+    a = int(rng.integers(m - 1))
+    b = int(rng.integers(m))
+    if b == a:
+        b = m - 1
+    rng.integers(2)
+    return (a, b) if a < b else (b, a)
 
 
 def _outward_proposal(placed, rng):
@@ -469,6 +517,17 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
     Geometry guards (minimum vertex separation, anchor triangle area,
     tetrahedron volume) keep the sampled embeddings away from degenerate
     configurations so downstream rank and spectrum checks stay clean.
+
+    Proposals work in Python floats and draw what the numpy-array sampler
+    drew, from the same stream: `_anchor_pair` consumes what
+    `rng.choice(m, 2, replace=False)` did, and the candidate repeats
+    `rng.uniform`'s own arithmetic on `rng.random`'s doubles.  The
+    separation test decides as `_min_gap(placed, cand) < gap` would.  A
+    `_GapGrid` block holds every placed point within a gap of the candidate.
+    `math.dist` and the BLAS dot under `_min_gap` differ by a few ulps, far
+    inside the grid's 1e-12 relative margin.  So a nearest distance below
+    the margin rejects, one above it accepts, and only a distance within it
+    goes to `_min_gap` itself.
     """
     if dim == 2:
         if n < 2:
@@ -476,12 +535,13 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
         pts = np.zeros((n, 2))  # rows below m are placed
         pts[1, 0] = float(rng.uniform(1.0, 2.0))
         coords = pts.tolist()  # the same rows as Python floats
+        grid = _GapGrid(0.35, coords[:2])
         steps = []
         for m in range(2, n):
             for attempt in range(2 * _PROPOSALS_2D):
                 if attempt < _PROPOSALS_2D:
                     # anchors: a random pair; candidate: a random step off their midpoint
-                    a, b = sorted(rng.choice(m, size=2, replace=False).tolist())
+                    a, b = _anchor_pair(m, rng)
                     (xa, ya), (xb, yb) = coords[a], coords[b]
                     # rng.uniform(0, 2 pi) and rng.uniform(0.7, 1.5) from the same two
                     # doubles u, by uniform's own formula low + (high - low) * u
@@ -496,14 +556,15 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
                     cx, cy = cand.tolist()
                 if 0.5 * abs((xb - xa) * (cy - ya) - (yb - ya) * (cx - xa)) < 0.25:
                     continue
-                cand = np.array((cx, cy))
-                if _min_gap(pts[:m], cand) < 0.35:
+                if grid.crowds((cx, cy), pts[:m]):
                     continue
+                cand = np.array((cx, cy))
                 steps.append(InsertionStep(
                     (a + 1, b + 1), tuple(np.sqrt(_squared_norms(cand - pts[[a, b]])).tolist())
                 ))
                 pts[m] = cand
-                coords[m] = [cx, cy]
+                coords[m] = (cx, cy)
+                grid.add(coords[m])
                 break
             else:
                 raise RuntimeError("2-D trace sampling stalled")
@@ -533,23 +594,33 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
 
     triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     pts = np.vstack([pts, np.empty((n - 4, 3))])  # rows below m are placed
+    coords = pts[:4].tolist()  # the placed rows as Python floats
+    grid = _GapGrid(0.4, coords)
     steps = []
     for m in range(4, n):
         for _attempt in range(500):
             a, b, c = triangles[int(rng.integers(len(triangles)))]
-            centroid = (pts[a] + pts[b] + pts[c]) / 3.0
-            cand = centroid + rng.uniform(-1.4, 1.4, size=3)
-            if _min_gap(pts[:m], cand) < 0.4:
+            (xa, ya, za), (xb, yb, zb), (xc, yc, zc) = coords[a], coords[b], coords[c]
+            # the centroid plus rng.uniform(-1.4, 1.4, size=3), from its three doubles
+            ux, uy, uz = rng.random(3).tolist()
+            p = ((xa + xb + xc) / 3.0 + (-1.4 + 2.8 * ux),
+                 (ya + yb + yc) / 3.0 + (-1.4 + 2.8 * uy),
+                 (za + zb + zc) / 3.0 + (-1.4 + 2.8 * uz))
+            if grid.crowds(p, pts[:m]):
                 continue
-            vol = abs(np.linalg.det(np.array([pts[b] - pts[a], pts[c] - pts[a], cand - pts[a]]))) / 6.0
-            if vol < 0.3:
+            legs = ((xb - xa, yb - ya, zb - za), (xc - xa, yc - ya, zc - za),
+                    (p[0] - xa, p[1] - ya, p[2] - za))  # the tetrahedron's edges at a
+            if abs(np.linalg.det(np.array(legs))) / 6.0 < 0.3:
                 continue
+            cand = np.array(p)
             steps.append(InsertionStep(
                 (a + 1, b + 1, c + 1),
                 tuple(np.sqrt(_squared_norms(cand - pts[[a, b, c]])).tolist()),
             ))
             triangles.extend([(a, b, m), (a, c, m), (b, c, m)])
             pts[m] = cand
+            coords.append(p)
+            grid.add(p)
             break
         else:
             raise RuntimeError("3-D trace sampling stalled")

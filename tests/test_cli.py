@@ -386,6 +386,23 @@ def test_generate_output_is_byte_stable(tmp_path, n, dim, seed):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATE_DIGESTS[n, dim, seed]
 
 
+# recorded before random_trace's gap test moved to a cell grid and its anchor
+# pair left rng.choice: the 2-D draw calls the outward fallback 32 times, once
+# per vertex that exhausted its 500 pair proposals
+FALLBACK_DIGESTS = {
+    (2000, 2, 0): "2857b0b2a04e641abba3d024e8d06a8eaef2950070541739c48014ff432e98ba",
+    (2000, 3, 0): "ea94f58855e86e44ef0b2addae92095066a93109a3a63b4e46f54155023132c4",
+}
+
+
+@pytest.mark.parametrize("n, dim, seed", sorted(FALLBACK_DIGESTS))
+def test_generate_past_900_agents_is_byte_stable(tmp_path, n, dim, seed):
+    path = tmp_path / "gen.json"
+    argv = ["generate", "--n", str(n), "--dim", str(dim), "--seed", str(seed), "--out", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FALLBACK_DIGESTS[n, dim, seed]
+
+
 def test_2d_generation_steps_outward_once_the_pair_proposals_stall(tmp_path, capsys):
     # seed 0 rejected 500 pair proposals for one of its 900 vertices, which
     # used to end the draw with "2-D trace sampling stalled"

@@ -422,3 +422,62 @@ def test_random_trace_draws_what_the_array_sampler_drew(n, dim):
 def test_random_trace_steps_outward_as_the_array_sampler_did():
     # seed 0's n=900 draw runs out of pair proposals and places by the fallback
     _assert_same_draw(900, 2, 0)
+
+
+def test_anchor_pair_consumes_the_stream_rng_choice_does():
+    # a numpy that changes Floyd's algorithm or the shuffle in Generator.choice fails here
+    from rigiform.rigidity import _anchor_pair
+
+    for m in [*range(2, 61), 200, 10_000]:
+        for seed in range(200):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert list(_anchor_pair(m, new)) == sorted(old.choice(m, 2, replace=False).tolist())
+            assert new.random(2).tolist() == old.random(2).tolist()
+            assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("dim, gap", [(2, 0.35), (3, 0.4)])
+def test_gap_grid_decides_as_min_gap_does_at_the_boundary(monkeypatch, dim, gap):
+    import rigiform.rigidity as rigidity
+
+    min_gap = rigidity._min_gap
+    fallbacks = []
+
+    def counted(placed, cand):
+        fallbacks.append(cand)
+        return min_gap(placed, cand)
+
+    monkeypatch.setattr(rigidity, "_min_gap", counted)
+    cell = 1.0 / rigidity._GapGrid(gap, []).scale
+    rng = np.random.default_rng(dim)
+    # on cell edges and half-cell edges, both sides of zero (where floor matters), and just off them
+    edges = [np.full(dim, k * cell / 2.0) for k in (-7, -4, -1, 0, 1, 3, 6)]
+    sites = edges + [np.nextafter(s, np.inf) for s in edges] + [np.nextafter(s, -np.inf) for s in edges]
+    sites += [rng.uniform(-5.0, 5.0, size=dim) for _ in range(4)]
+    directions = [np.eye(dim)[i] * sign for i in range(dim) for sign in (1.0, -1.0)]
+    directions += [np.ones(dim) / math.sqrt(dim), -rng.uniform(0.1, 1.0, size=dim)]
+    directions[-1] /= np.linalg.norm(directions[-1])
+    verdicts = set()
+    for site in sites:
+        far = [site + rng.uniform(1.5, 3.0, size=dim) * rng.choice((-1.0, 1.0), size=dim)
+               for _ in range(3)]  # out of reach: more than 1.5 from the site on every axis
+        for u in directions:
+            for k in range(-4, 5):
+                off = gap * (1.0 + k * 2.0 ** -52) * u
+                # a candidate off a placed site, and a candidate on the site off a placed point
+                for placed, cand in (([site] + far, site + off), ([site - off] + far, site)):
+                    placed = np.array(placed)
+                    grid = rigidity._GapGrid(gap, placed.tolist())
+                    before = len(fallbacks)
+                    verdict = grid.crowds(cand.tolist(), placed)
+                    assert verdict == (min_gap(placed, cand) < gap)
+                    assert len(fallbacks) == before + 1  # within the margin: numpy decides
+                    verdicts.add(verdict)
+            # outside the margin the cells decide alone
+            for scale, want in ((1.0 - 2.0 ** -30, True), (1.0 + 2.0 ** -30, False)):
+                placed = np.array([site] + far)
+                grid = rigidity._GapGrid(gap, placed.tolist())
+                before = len(fallbacks)
+                assert grid.crowds((site + gap * scale * u).tolist(), placed) is want
+                assert len(fallbacks) == before
+    assert verdicts == {True, False}
