@@ -109,7 +109,8 @@ class Certificate:
 
     def to_dict(self) -> dict:
         """The fields as JSON values, the spectrum as [real, imag] pairs."""
-        return {**vars(self), "spectrum": [[float(v.real), float(v.imag)] for v in self.spectrum]}
+        s = self.spectrum
+        return {**vars(self), "spectrum": np.column_stack((s.real, s.imag)).tolist()}
 
 
 def certificate(framework: Framework) -> Certificate:

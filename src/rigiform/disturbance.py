@@ -7,7 +7,9 @@ per edge: a constant channel plus a 2x2 rotation block per frequency.  A
 fixed output vector b = (b1, b2) reads the signal back out of the block
 state: mu = w @ basis.vector, row by row.
 The estimator in `sim`'s closed loop embeds a copy of these dynamics, so the
-representability and observability checks live here too.
+representability and observability checks live here too.  A spec keeps
+its entries as read-only offset, amplitude and phase tables, checked and
+normalized whole; EdgeDisturbance records are built only when read.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
-from .rigidity import numeric_rank
+from .rigidity import _read_only, _Tables, numeric_rank
 
 
 def _checked_frequencies(frequencies) -> tuple[float, ...]:
@@ -30,69 +34,89 @@ def _checked_frequencies(frequencies) -> tuple[float, ...]:
     return freqs
 
 
+_ENTRY_ERRORS = ("offset must be finite", "one phase per amplitude",
+                 "amplitudes and phases must be finite")
+
+
+def _edge_tables(offsets, amplitudes, phases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets (|E|,), amplitudes and phases (|E|, p) as checked, normalized,
+    read-only float tables, raising EdgeDisturbance's message for the first
+    entry that fails a check.  A negative amplitude flips its sign into the
+    phase; an absent sinusoid's phase (zero amplitude) is 0, which keeps
+    serialization round-trips exact; other phases wrap to (-pi, pi], which
+    needs math.remainder only where |phase| > pi."""
+    offsets = np.array(offsets, dtype=float)
+    amplitudes, phases = np.array(amplitudes, dtype=float), np.array(phases, dtype=float)
+    values = np.concatenate((offsets, amplitudes.ravel(), phases.ravel()))
+    if amplitudes.shape != phases.shape or np.count_nonzero(np.isfinite(values)) < values.size:
+        flags = np.zeros((len(offsets), 3), dtype=bool)  # per entry, one column per message
+        flags[:, 0] = ~np.isfinite(offsets)
+        flags[:, 1] = amplitudes.shape != phases.shape
+        if amplitudes.shape == phases.shape:
+            flags[:, 2] = ~(np.isfinite(amplitudes) & np.isfinite(phases)).all(axis=1)
+        raise ValueError(_ENTRY_ERRORS[int(flags.argmax()) % 3])
+    flip = amplitudes < 0.0
+    if np.count_nonzero(flip):
+        amplitudes = np.where(flip, -amplitudes, amplitudes)  # -0.0 stays as it is
+        phases = np.where(flip, phases + math.pi, phases)
+    wide = np.abs(phases) > math.pi
+    if np.count_nonzero(wide):
+        phases[wide] = list(map(math.remainder, phases[wide].tolist(), repeat(math.tau)))
+    phases[phases <= -math.pi] = math.pi
+    phases[amplitudes == 0.0] = 0.0
+    return _read_only(offsets), _read_only(amplitudes), _read_only(phases)
+
+
 @dataclass(frozen=True)
 class EdgeDisturbance:
-    """One edge's signal: offset plus one (amplitude, phase) pair per frequency.
-
-    Negative amplitudes are normalized away by flipping the sign into the
-    phase; stored phases are wrapped to (-pi, pi].
-    """
+    """One edge's signal: offset plus one (amplitude, phase) pair per
+    frequency, normalized as `_edge_tables` normalizes a row."""
 
     offset: float
     amplitudes: tuple[float, ...] = ()
     phases: tuple[float, ...] = ()
 
     def __post_init__(self):
-        offset = float(self.offset)
-        if not math.isfinite(offset):
-            raise ValueError("offset must be finite")
-        amplitudes = [float(a) for a in self.amplitudes]
-        phases = [float(p) for p in self.phases]
-        if len(amplitudes) != len(phases):
-            raise ValueError("one phase per amplitude")
-        for i, (amp, ph) in enumerate(zip(amplitudes, phases)):
-            if not (math.isfinite(amp) and math.isfinite(ph)):
-                raise ValueError("amplitudes and phases must be finite")
-            if amp < 0.0:
-                amp, ph = -amp, ph + math.pi
-            if amp == 0.0:
-                # phase of an absent sinusoid is meaningless; canonical 0
-                # keeps serialization round-trips exact
-                ph = 0.0
-            else:
-                ph = math.remainder(ph, math.tau)
-                if ph <= -math.pi:
-                    ph = math.pi
-            amplitudes[i], phases[i] = amp, ph
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "amplitudes", tuple(amplitudes))
-        object.__setattr__(self, "phases", tuple(phases))
+        tables = _edge_tables([self.offset], [self.amplitudes], [self.phases])
+        for name, table in zip(("offset", "amplitudes", "phases"), tables):
+            row = table.tolist()[0]
+            object.__setattr__(self, name, row if name == "offset" else tuple(row))
 
 
-@dataclass(frozen=True)
-class DisturbanceSpec:
+class DisturbanceSpec(_Tables):
     """Per-edge offsets and sinusoids over one shared frequency list.
 
     Heterogeneous per-edge frequency content is expressed with zero
     amplitudes against the union of all frequencies, which keeps every
-    edge's generator block the same shape.
+    edge's generator block the same shape.  The entries are kept as the
+    read-only tables `offsets` (|E|,), `amplitude_table` and `phase_table`
+    (|E|, p), which `from_tables(frequencies, offsets, amplitudes, phases)`
+    takes; `edges` spells them as EdgeDisturbance records when it is read.
     """
 
-    frequencies: tuple[float, ...]
-    edges: tuple[EdgeDisturbance, ...]
-
-    def __post_init__(self):
-        freqs = _checked_frequencies(self.frequencies)
-        object.__setattr__(self, "frequencies", freqs)
-        edges = tuple(self.edges)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, frequencies, edges):
+        p = len(_checked_frequencies(frequencies))
+        edges = tuple(edges)
         if not edges:
             raise ValueError("need at least one edge entry")
         for k, ed in enumerate(edges, start=1):
             if not isinstance(ed, EdgeDisturbance):
                 raise ValueError(f"edge {k}: entries must be EdgeDisturbance")
-            if len(ed.amplitudes) != len(freqs):
+            if len(ed.amplitudes) != p:
                 raise ValueError(f"edge {k}: needs one (amplitude, phase) pair per frequency")
+        self._fill(frequencies, *zip(*map(attrgetter("offset", "amplitudes", "phases"), edges)))
+
+    def _fill(self, frequencies, offsets, amplitudes, phases):
+        self.frequencies = _checked_frequencies(frequencies)
+        self.offsets, self.amplitude_table, self.phase_table = _edge_tables(
+            offsets, amplitudes, phases)
+        if not len(self.offsets):
+            raise ValueError("need at least one edge entry")
+        if self.amplitude_table.shape != (len(self.offsets), self.p):
+            raise ValueError("edge 1: needs one (amplitude, phase) pair per frequency")
+
+    def _key(self):
+        return self.frequencies, self.offsets, self.amplitude_table, self.phase_table
 
     @property
     def p(self) -> int:
@@ -100,27 +124,12 @@ class DisturbanceSpec:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.offsets)
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        a = np.array([ed.offset for ed in self.edges])
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def amplitude_table(self) -> np.ndarray:
-        """(|E|, p) amplitudes."""
-        a = np.array([ed.amplitudes for ed in self.edges]).reshape(self.edge_count, self.p)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def phase_table(self) -> np.ndarray:
-        """(|E|, p) phases."""
-        a = np.array([ed.phases for ed in self.edges]).reshape(self.edge_count, self.p)
-        a.setflags(write=False)
-        return a
+    def edges(self) -> tuple[EdgeDisturbance, ...]:
+        return tuple(map(EdgeDisturbance, self.offsets.tolist(), self.amplitude_table.tolist(),
+                         self.phase_table.tolist()))
 
 
 def lambda_matrix(frequencies) -> np.ndarray:
@@ -174,15 +183,11 @@ class InternalModelBasis:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        v = np.array([self.b1, *self.b2])
-        v.setflags(write=False)
-        return v
+        return _read_only(np.array([self.b1, *self.b2]))
 
     @cached_property
     def dynamics_matrix(self) -> np.ndarray:
-        m = lambda_matrix(self.frequencies)
-        m.setflags(write=False)
-        return m
+        return _read_only(lambda_matrix(self.frequencies))
 
 
 def default_basis(frequencies) -> InternalModelBasis:
@@ -220,8 +225,7 @@ class ExosystemState:
         w = np.array(self.w, dtype=float)
         if w.ndim != 2:
             raise ValueError("w must be a (edges, 2p+1) array")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _read_only(w))
         object.__setattr__(self, "t", float(self.t))
 
 

@@ -11,7 +11,10 @@ quantities (errors, disturbances, estimator states) line up index for
 index across the package.  The rank test is structural: the orientation's
 strongly connected components split the rigidity matrix into diagonal
 blocks (`Framework.diagonal_blocks`), and only a formation whose blocks do
-not prove its rank takes a dense SVD.
+not prove its rank takes a dense SVD.  Graphs and construction traces keep
+their edges and steps as read-only integer tables, checked whole with
+numpy for the first bad edge or step; InsertionStep records and edge
+tuples are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product, repeat
+from itertools import chain, product, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,51 +33,100 @@ import numpy as np
 RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FormationGraph:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _integers(values) -> np.ndarray:
+    """values as an int64 array, or as Python ints where some overflow int64."""
+    a = np.asarray(values)
+    return np.array(values, dtype=object) if a.dtype.kind == "f" else a
+
+
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.array_equal of two arrays, without its conversions."""
+    return a.shape == b.shape and not np.count_nonzero(a != b)
+
+
+def _same(a, b) -> bool:
+    """Item by item equality of two sequences, arrays entry by entry."""
+    return all(_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
+
+
+class _Tables:
+    """A value kept as read-only tables: == and repr read `_key()`, and
+    `from_tables` checks tables as the constructor checks its records."""
+
+    def __eq__(self, other):
+        return _same(self._key(), other._key()) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key()!r}"
+
+    @classmethod
+    def from_tables(cls, *tables):
+        value = cls.__new__(cls)
+        value._fill(*tables)
+        return value
+
+
+def _endpoint_table(n: int, edges) -> np.ndarray:
+    """Edges as a read-only (|E|, 2) table, raising at the first edge that
+    leaves 1..n, is a self-loop or repeats an earlier edge's vertex pair."""
+    ends = np.asarray(edges).reshape(len(edges), 2)
+    outside = (ends < 1) | (ends > n)
+    if ends.dtype.kind not in "iu":  # Python ints beyond int64, and floats, which int() reads
+        ends = np.where(outside, 0, ends.astype(object)).astype(np.intp)
+    tails, heads = ends.T
+    pair = np.minimum(tails, heads) * (n + 1) + np.maximum(tails, heads)
+    order = pair.argsort(kind="stable")  # each pair's first edge leads its run
+    flags = np.zeros((len(ends), 4), dtype=bool)  # per edge: ends outside, loop, repeat
+    flags[:, :2], flags[:, 2] = outside, tails == heads
+    flags[order[1:], 3] = pair[order[1:]] == pair[order[:-1]]
+    if np.count_nonzero(flags):
+        k, j = divmod(int(flags.argmax()), 4)
+        tail, head = ends[k].tolist()
+        raise ValueError(f"edge {k + 1}: " + (
+            f"endpoints must lie in 1..{n}" if j < 2 else f"self-loop at vertex {tail}" if j == 2
+            else f"duplicate undirected edge {{{tail},{head}}}"))
+    return _read_only(ends.astype(np.intp))
+
+
+class FormationGraph(_Tables):
     """Undirected graph on vertices 1..n with one estimating agent per edge.
 
     Edges are (tail, head) pairs; the tail is the estimating agent.  Edge
     order is significant and preserved by every matrix built from the graph.
+    The pairs are kept as the read-only (|E|, 2) table `endpoints`; `edges`
+    spells them as tuples when it is read.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+    def __init__(self, n: int, edges):
+        if int(n) != n or n < 2:
             raise ValueError("vertex count must be an integer >= 2")
-        object.__setattr__(self, "n", int(self.n))
-        edges = tuple((int(t), int(h)) for t, h in self.edges)
-        object.__setattr__(self, "edges", edges)
-        seen = set()
-        for k, (tail, head) in enumerate(edges, start=1):
-            if not (1 <= tail <= self.n and 1 <= head <= self.n):
-                raise ValueError(f"edge {k}: endpoints must lie in 1..{self.n}")
-            if tail == head:
-                raise ValueError(f"edge {k}: self-loop at vertex {tail}")
-            pair = frozenset((tail, head))
-            if pair in seen:
-                raise ValueError(f"edge {k}: duplicate undirected edge {{{tail},{head}}}")
-            seen.add(pair)
+        self.n, self.endpoints = int(n), _endpoint_table(int(n), edges)
+
+    def _key(self):
+        return self.n, self.endpoints
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.endpoints)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.endpoints.tolist()))
 
     @cached_property
     def tails(self) -> np.ndarray:
         """Zero-based estimating-agent index per edge."""
-        a = np.array([t - 1 for t, _ in self.edges], dtype=np.intp)
-        a.setflags(write=False)
-        return a
+        return _read_only(self.endpoints[:, 0] - 1)
 
     @cached_property
     def heads(self) -> np.ndarray:
         """Zero-based non-estimating endpoint index per edge."""
-        a = np.array([h - 1 for _, h in self.edges], dtype=np.intp)
-        a.setflags(write=False)
-        return a
+        return _read_only(self.endpoints[:, 1] - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +153,13 @@ class Framework:
             raise ValueError(f"need one target distance per edge ({self.graph.edge_count})")
         if not np.isfinite(dist).all() or (dist <= 0).any():
             raise ValueError("target distances must be positive and finite")
-        pos.setflags(write=False)
-        dist.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "target_distances", dist)
+        object.__setattr__(self, "positions", _read_only(pos))
+        object.__setattr__(self, "target_distances", _read_only(dist))
 
     @cached_property
     def relative_vectors(self) -> np.ndarray:
         """z_k = x_tail - x_head, one row per edge."""
-        z = self.positions[self.graph.tails] - self.positions[self.graph.heads]
-        z.setflags(write=False)
-        return z
+        return _read_only(self.positions[self.graph.tails] - self.positions[self.graph.heads])
 
     @cached_property
     def diagonal_blocks(self) -> tuple["BlockStack", ...]:
@@ -159,33 +208,25 @@ def consistent_errors(fw: Framework) -> np.ndarray:
     return edge_function(fw) - fw.target_distances ** 2
 
 
+def s2_matrix(fw: Framework) -> np.ndarray:
+    """Row k carries -z_k in the head block only: rigidity_matrix with its
+    tail blocks (the estimating agents' share) zeroed, entry for entry."""
+    g, m = fw.graph, fw.dim
+    out = np.zeros((g.edge_count, m * g.n))
+    rows = np.arange(g.edge_count)[:, None]
+    out[rows, m * g.heads[:, None] + np.arange(m)] = -fw.relative_vectors
+    return out
+
+
 def rigidity_matrix(fw: Framework) -> np.ndarray:
     """|E| x (dim*n) matrix with +z_k in the tail block and -z_k in the head block.
 
     This is half the Jacobian of edge_function: rank tests are unaffected
     by the factor while the error dynamics read e_dot = 2 R x_dot.
     """
-    g = fw.graph
-    z = fw.relative_vectors
-    m = fw.dim
-    out = np.zeros((g.edge_count, m * g.n))
-    rows = np.arange(g.edge_count)[:, None]
-    cols = np.arange(m)[None, :]
-    out[rows, m * g.tails[:, None] + cols] = z
-    out[rows, m * g.heads[:, None] + cols] = -z
-    return out
-
-
-def s2_matrix(fw: Framework) -> np.ndarray:
-    """Row k carries -z_k in the head block only: rigidity_matrix with its
-    tail blocks (the estimating agents' share) zeroed, entry for entry."""
-    g = fw.graph
-    z = fw.relative_vectors
-    m = fw.dim
-    out = np.zeros((g.edge_count, m * g.n))
-    rows = np.arange(g.edge_count)[:, None]
-    cols = np.arange(m)[None, :]
-    out[rows, m * g.heads[:, None] + cols] = -z
+    g, m = fw.graph, fw.dim
+    out = s2_matrix(fw)
+    out[np.arange(g.edge_count)[:, None], m * g.tails[:, None] + np.arange(m)] = fw.relative_vectors
     return out
 
 
@@ -327,6 +368,24 @@ def is_minimally_rigid(fw: Framework) -> bool:
     return rigid and fw.graph.edge_count == rigid_rank_target(fw.graph.n, fw.dim)
 
 
+def _check_steps(anchors: np.ndarray, distances: np.ndarray) -> None:
+    """InsertionStep's checks of a table of steps, one per row, raising for
+    the first step that fails one."""
+    if not len(anchors):
+        return
+    if anchors.shape[1] not in (2, 3):
+        raise ValueError("a step anchors to 2 (2-D) or 3 (3-D) existing vertices")
+    ordered = anchors.copy()
+    ordered.sort(axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if distances.shape[1] != anchors.shape[1] and not repeats[0]:
+        raise ValueError("one distance per anchor")  # the first step's first failure
+    bad = repeats | ~((distances > 0) & (distances < math.inf)).all(axis=1)  # NaN fails both
+    if np.count_nonzero(bad):
+        raise ValueError("step anchors must be distinct" if repeats[bad.argmax()] else
+                         "step distances must be positive and finite")
+
+
 @dataclass(frozen=True)
 class InsertionStep:
     """One new vertex: two anchors in 2-D, three pairwise adjacent anchors in 3-D."""
@@ -335,104 +394,121 @@ class InsertionStep:
     distances: tuple[float, ...]
 
     def __post_init__(self):
-        anchors = tuple(map(int, self.anchors))
-        distances = tuple(map(float, self.distances))
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "distances", distances)
-        if len(anchors) not in (2, 3):
-            raise ValueError("a step anchors to 2 (2-D) or 3 (3-D) existing vertices")
-        if len(set(anchors)) != len(anchors):
-            raise ValueError("step anchors must be distinct")
-        if len(distances) != len(anchors):
-            raise ValueError("one distance per anchor")
-        if not all(map(math.isfinite, distances)) or min(distances) <= 0:
-            raise ValueError("step distances must be positive and finite")
+        object.__setattr__(self, "anchors", tuple(map(int, self.anchors)))
+        object.__setattr__(self, "distances", tuple(map(float, self.distances)))
+        _check_steps(_integers([self.anchors]), np.array([self.distances]))
 
 
-_SEED_EDGES_3D = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+_PAIRS = np.array(((0, 0, 1), (1, 2, 2)))
+_SEED_EDGES = {2: np.array(((1, 2),)),
+               3: np.array(((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)))}
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+def _check_growth(dim: int, anchors: np.ndarray) -> None:
+    """Raise at the first step whose anchors do not exist yet or, in 3-D,
+    are not pairwise adjacent so far.  Each edge joins a vertex to one of
+    the anchors of its insertion, so two existing vertices are adjacent
+    when both are seed vertices or the lower anchored the higher."""
+    first, count = (3 if dim == 2 else 5), len(anchors)  # the vertex step 0 inserts
+    flags = (anchors < 1) | (anchors >= np.arange(first, first + count)[:, None])
+    if dim == 3:  # then per step its pairs (a, b), (a, c), (b, c) that are not adjacent
+        if anchors.dtype == object:  # Python ints beyond int64 fail the test above
+            anchors = np.clip(anchors, 0, first + count).astype(np.intp)
+        pairs = anchors.take(_PAIRS, axis=1)  # (a, a, b) over (b, c, c), each column sorted
+        pairs.sort(axis=1)
+        low, high = pairs[:, 0], pairs[:, 1]
+        inserted = anchors[(high - first) % max(count, 1)]  # moot unless high >= first
+        apart = (high >= first) & ~(inserted == low[..., None]).any(axis=2)
+        flags = np.concatenate((flags, apart), axis=1)
+    if np.count_nonzero(flags):
+        k, j = divmod(int(flags.argmax()), flags.shape[1])
+        pair = tuple(anchors[k, [(0, 1), (0, 2), (1, 2)][j - dim]].tolist()) if j >= dim else None
+        raise ValueError(f"step inserting vertex {first + k}: " + (
+            f"anchors {pair} are not adjacent" if pair else "anchors must already exist"))
+
+
+class ConstructionTrace(_Tables):
     """Vertex-insertion recipe for a minimally rigid formation.
 
     2-D traces start from the single edge {1,2}; 3-D traces start from the
     tetrahedron on {1,2,3,4} with seed_distances ordered
     (d12, d13, d23, d14, d24, d34).  Step t inserts vertex seed+t anchored
     to vertices that already exist; in 3-D the three anchors must be
-    pairwise adjacent in the graph built so far.
+    pairwise adjacent in the graph built so far.  The steps are kept as the
+    read-only (steps, dim) tables `anchors` and `distances`; `steps` spells
+    them as InsertionStep records when it is read.  `from_tables(dim,
+    seed_distances, counts, anchors, distances)` takes the steps' anchors
+    and distances listed one step after another, counts[i] of each at step i.
     """
 
-    dim: int
-    seed_distances: tuple[float, ...]
-    steps: tuple[InsertionStep, ...] = ()
+    def __init__(self, dim: int, seed_distances, steps=()):
+        steps = tuple(steps)
+        good = [*map(isinstance, steps, repeat(InsertionStep)), False].index(False)
+        records = map(attrgetter("anchors", "distances"), steps[:good])
+        anchors, distances = [*zip(*records)] or [(), ()]
+        self._fill(dim, seed_distances, list(map(len, anchors)),
+                   list(chain.from_iterable(anchors)), list(chain.from_iterable(distances)))
+        if good < len(steps):
+            raise ValueError("steps must be InsertionStep instances")
 
-    def __post_init__(self):
-        if self.dim not in (2, 3):
+    def _fill(self, dim, seed_distances, counts, anchors, distances):
+        if dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
-        seed = tuple(float(d) for d in self.seed_distances)
-        object.__setattr__(self, "seed_distances", seed)
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
-        want = 1 if self.dim == 2 else 6
-        if len(seed) != want:
-            raise ValueError(f"{self.dim}-D seed needs exactly {want} distances")
-        if any(not math.isfinite(d) or d <= 0 for d in seed):
+        seed = tuple(map(float, seed_distances))
+        if len(seed) != (1 if dim == 2 else 6):
+            raise ValueError(f"{dim}-D seed needs exactly {1 if dim == 2 else 6} distances")
+        if not all(map(math.isfinite, seed)) or min(seed) <= 0:
             raise ValueError("seed distances must be positive and finite")
-        seed_n = 2 if self.dim == 2 else 4
-        # (u, v) and (v, u) for every edge so far; only 3-D steps test it
-        adjacent = set(_SEED_EDGES_3D) | {(h, t) for t, h in _SEED_EDGES_3D}
-        for next_vertex, step in enumerate(steps, start=seed_n + 1):
-            if not isinstance(step, InsertionStep):
-                raise ValueError("steps must be InsertionStep instances")
-            if len(step.anchors) != self.dim:
-                raise ValueError(
-                    f"step inserting vertex {next_vertex}: needs {self.dim} anchors"
-                )
-            if min(step.anchors) < 1 or max(step.anchors) >= next_vertex:
-                raise ValueError(
-                    f"step inserting vertex {next_vertex}: anchors must already exist"
-                )
-            if self.dim == 3:
-                a, b, c = step.anchors
-                for pair in ((a, b), (a, c), (b, c)):
-                    if pair not in adjacent:
-                        raise ValueError(
-                            f"step inserting vertex {next_vertex}: anchors {pair} are not adjacent"
-                        )
-                adjacent.update(((a, next_vertex), (next_vertex, a), (b, next_vertex),
-                                 (next_vertex, b), (c, next_vertex), (next_vertex, c)))
+        wrong = (np.asarray(counts) != dim).nonzero()[0]
+        good = int(wrong[0]) if wrong.size else len(counts)  # the steps before the first
+        table = _integers(anchors)[: good * dim].reshape(good, dim)
+        lengths = np.array(distances, dtype=float)[: good * dim].reshape(good, dim)  # a copy
+        _check_steps(table, lengths)
+        _check_growth(dim, table)
+        if wrong.size:
+            raise ValueError(f"step inserting vertex {(3 if dim == 2 else 5) + good}: "
+                             f"needs {dim} anchors")
+        self.dim, self.seed_distances = dim, seed
+        self.anchors, self.distances = _read_only(table.astype(np.intp)), _read_only(lengths)
+
+    def _key(self):
+        return self.dim, self.seed_distances, self.anchors, self.distances
 
     @property
     def n(self) -> int:
-        return (2 if self.dim == 2 else 4) + len(self.steps)
+        return (2 if self.dim == 2 else 4) + len(self.anchors)
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """(tail, head) pairs in construction order, computed once.
+    def steps(self) -> tuple[InsertionStep, ...]:
+        return tuple(map(InsertionStep, self.anchors.tolist(), self.distances.tolist()))
+
+    @cached_property
+    def endpoints(self) -> np.ndarray:
+        """(tail, head) pairs in construction order, a read-only (|E|, 2) table.
 
         Every inserted edge is estimated by its anchor endpoint.  The 2-D
         seed edge is estimated by vertex 1; the seed tetrahedron fixes tails
         (1, 1, 2, 1, 2, 3), the same pattern the tetrahedron selection rule
         in `analysis` produces.
         """
-        edges = [(1, 2)] if self.dim == 2 else list(_SEED_EDGES_3D)
-        for vertex, step in enumerate(self.steps, start=3 if self.dim == 2 else 5):
-            edges.extend(zip(step.anchors, repeat(vertex)))
-        return tuple(edges)
+        heads = np.repeat(np.arange(3 if self.dim == 2 else 5, self.n + 1), self.dim)
+        inserted = np.array((self.anchors.ravel(), heads)).T
+        return _read_only(np.concatenate((_SEED_EDGES[self.dim], inserted)))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """`endpoints` as (tail, head) tuples."""
+        return tuple(map(tuple, self.endpoints.tolist()))
 
 
 def trace_graph(trace: ConstructionTrace) -> FormationGraph:
-    """Oriented graph of a trace: its vertices and `trace.edges`."""
-    return FormationGraph(trace.n, trace.edges)
+    """Oriented graph of a trace: its vertices and `trace.endpoints`."""
+    return FormationGraph(trace.n, trace.endpoints)
 
 
-def trace_distances(trace: ConstructionTrace) -> tuple[float, ...]:
-    """Edge lengths in the same order as trace_graph's edges."""
-    out = list(trace.seed_distances)
-    for step in trace.steps:
-        out.extend(step.distances)
-    return tuple(out)
+def trace_distances(trace: ConstructionTrace) -> np.ndarray:
+    """Edge lengths in the same order as trace_graph's edges, read-only."""
+    return _read_only(np.concatenate((trace.seed_distances, trace.distances.ravel())))
 
 
 def _squared_norms(d) -> np.ndarray:
@@ -478,6 +554,30 @@ class _GapGrid:
         if nearest > self.clear:
             return False
         return _min_gap(placed, np.array(p)) < self.gap
+
+
+def _too_flat(legs) -> bool:
+    """abs(np.linalg.det(legs)) / 6.0 < 0.3, the volume test of a
+    tetrahedron with edges `legs` at a vertex, from the triple product in
+    floats unless that lies within 1e-9 of the Hadamard bound |u| |v| |w|
+    of the threshold: it and det's LU product differ by far less."""
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = legs
+    triple = u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
+    hadamard = math.sqrt((u0 * u0 + u1 * u1 + u2 * u2) * (v0 * v0 + v1 * v1 + v2 * v2)
+                         * (w0 * w0 + w1 * w1 + w2 * w2))
+    if abs(abs(triple) - 1.8) > 1e-9 * hadamard:
+        return abs(triple) < 1.8
+    return abs(np.linalg.det(np.array(legs))) / 6.0 < 0.3
+
+
+def _trace(dim, anchors, pts) -> ConstructionTrace:
+    """The trace of a draw: its anchors, listed step after step, with the
+    seed's and each anchor's distance measured in the embedding pts."""
+    seed = [float(np.linalg.norm(pts[i - 1] - pts[j - 1])) for i, j in _SEED_EDGES[dim]]
+    placed = np.repeat(np.arange(2 if dim == 2 else 4, len(pts)), dim)  # each step's vertex
+    legs = pts[placed] - pts[np.array(anchors, dtype=np.intp) - 1]
+    return ConstructionTrace.from_tables(dim, seed, [dim] * (len(anchors) // dim), anchors,
+                                         np.sqrt(_squared_norms(legs)))
 
 
 _PROPOSALS_2D = 500  # per vertex, before the outward fallback takes over
@@ -536,7 +636,7 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
         pts[1, 0] = float(rng.uniform(1.0, 2.0))
         coords = pts.tolist()  # the same rows as Python floats
         grid = _GapGrid(0.35, coords[:2])
-        steps = []
+        anchors = []  # each step's two, one step after another
         for m in range(2, n):
             for attempt in range(2 * _PROPOSALS_2D):
                 if attempt < _PROPOSALS_2D:
@@ -558,18 +658,14 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
                     continue
                 if grid.crowds((cx, cy), pts[:m]):
                     continue
-                cand = np.array((cx, cy))
-                steps.append(InsertionStep(
-                    (a + 1, b + 1), tuple(np.sqrt(_squared_norms(cand - pts[[a, b]])).tolist())
-                ))
-                pts[m] = cand
+                anchors += (a + 1, b + 1)
+                pts[m] = cx, cy
                 coords[m] = (cx, cy)
                 grid.add(coords[m])
                 break
             else:
                 raise RuntimeError("2-D trace sampling stalled")
-        trace = ConstructionTrace(2, (float(np.linalg.norm(pts[1] - pts[0])),), tuple(steps))
-        return trace, pts
+        return _trace(2, anchors, pts), pts
 
     if dim != 3:
         raise ValueError("dim must be 2 or 3")
@@ -586,8 +682,7 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
         gaps = [float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[:i]]
         if min(gaps) < 0.4:
             continue
-        vol = abs(np.linalg.det(np.array([pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0]]))) / 6.0
-        if vol >= 0.3:
+        if not _too_flat([(pts[k] - pts[0]).tolist() for k in (1, 2, 3)]):
             break
     else:
         raise RuntimeError("3-D seed sampling stalled")
@@ -596,7 +691,7 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
     pts = np.vstack([pts, np.empty((n - 4, 3))])  # rows below m are placed
     coords = pts[:4].tolist()  # the placed rows as Python floats
     grid = _GapGrid(0.4, coords)
-    steps = []
+    anchors = []  # each step's three, one step after another
     for m in range(4, n):
         for _attempt in range(500):
             a, b, c = triangles[int(rng.integers(len(triangles)))]
@@ -610,22 +705,15 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
                 continue
             legs = ((xb - xa, yb - ya, zb - za), (xc - xa, yc - ya, zc - za),
                     (p[0] - xa, p[1] - ya, p[2] - za))  # the tetrahedron's edges at a
-            if abs(np.linalg.det(np.array(legs))) / 6.0 < 0.3:
+            if _too_flat(legs):
                 continue
-            cand = np.array(p)
-            steps.append(InsertionStep(
-                (a + 1, b + 1, c + 1),
-                tuple(np.sqrt(_squared_norms(cand - pts[[a, b, c]])).tolist()),
-            ))
+            anchors += (a + 1, b + 1, c + 1)
             triangles.extend([(a, b, m), (a, c, m), (b, c, m)])
-            pts[m] = cand
+            pts[m] = p
             coords.append(p)
             grid.add(p)
             break
         else:
             raise RuntimeError("3-D trace sampling stalled")
 
-    seed_pairs = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
-    seed = tuple(float(np.linalg.norm(pts[i] - pts[j])) for i, j in seed_pairs)
-    trace = ConstructionTrace(3, seed, tuple(steps))
-    return trace, pts
+    return _trace(3, anchors, pts), pts

@@ -26,23 +26,23 @@ The file format is written down once, as the table `_SCENARIO`: each
 object's keys in the order a load checks them, with the form and default
 of each.  Two functions read it.  `_scan` takes a well-formed file one
 list at a time, with whole-list type and key tests and C-level
-conversions, and builds each kind of record (EdgeDisturbance,
-InsertionStep, ...) for a whole list at once.  Only when a test fails or a
-conversion raises does `_walk` visit the file value by value, in file
-order, to name the first offender (`edges[3].tail`); it builds each record
-as it passes, so a record's value error precedes any later type error.
-Building the Scenario then validates the formation graph once: the
-construction trace's edges, computed once per trace, serve both the edge
-check and the orientation check.
+conversions.  The edges, the disturbance entries and the construction
+steps are `_Table`s: each is read column by column into arrays, which the
+graph, the DisturbanceSpec and the ConstructionTrace check as whole
+tables, so a load builds no object per edge, entry or step.  Only when a
+test fails or a conversion or check raises does `_walk` visit the file
+value by value, in file order, to name the first offender
+(`edges[3].tail`); it checks each table row as it passes, so a row's
+value error precedes any later type error.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -53,12 +53,15 @@ import numpy as np
 from .analysis import AssignmentRule, certificate, select_estimating_agents
 # unused here, these stay importable: perfbench/tracing.py wraps them by name
 from .analysis import is_hurwitz, is_infinitesimally_rigid, stability_matrix  # noqa: F401
-from .disturbance import DisturbanceSpec, EdgeDisturbance, InternalModelBasis, check_observability
+from .disturbance import DisturbanceSpec, InternalModelBasis, _edge_tables, check_observability
 from .rigidity import (
     ConstructionTrace,
     FormationGraph,
     Framework,
-    InsertionStep,
+    _check_steps,
+    _equal,
+    _integers,
+    _same,
     edge_function,
     random_trace,
     trace_distances,
@@ -74,18 +77,34 @@ def _float_rows(rows):
     return tuple(map(tuple, map(map, repeat(float), rows)))
 
 
+def _floats(values):
+    return tuple(map(float, values))
+
+
+def _optional_rows(rows):
+    return None if rows is None else _float_rows(rows)
+
+
+# the fields a Scenario converts, in order, with their conversions
+_CONVERSIONS = (("dim", int), ("distances", _floats), ("initial_positions", _float_rows),
+                ("target_positions", _optional_rows), ("kappa", float), ("b1", float),
+                ("b2", _floats), ("xi0", _optional_rows), ("dt", float), ("t_end", float),
+                ("output_every", int))
+
+
 class ScenarioError(ValueError):
     """A scenario file or value violates the format or its cross-references."""
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete run description.  Plain tuples throughout, so two
-    scenarios are == exactly when every field matches."""
+    """One complete run description: plain tuples but for `edges`, which
+    holds the graph's read-only (|E|, 2) endpoints table.  Two scenarios are
+    == exactly when every field matches."""
 
     name: str
     dim: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     distances: tuple[float, ...]
     initial_positions: tuple[tuple[float, ...], ...]
     target_positions: tuple[tuple[float, ...], ...] | None
@@ -107,22 +126,8 @@ class Scenario:
         if self.dim not in (2, 3):
             raise ScenarioError("dim must be 2 or 3")
         try:
-            object.__setattr__(self, "dim", int(self.dim))
-            object.__setattr__(
-                self, "edges", tuple((int(t), int(h)) for t, h in self.edges)
-            )
-            object.__setattr__(self, "distances", tuple(map(float, self.distances)))
-            object.__setattr__(self, "initial_positions", _float_rows(self.initial_positions))
-            if self.target_positions is not None:
-                object.__setattr__(self, "target_positions", _float_rows(self.target_positions))
-            object.__setattr__(self, "kappa", float(self.kappa))
-            object.__setattr__(self, "b1", float(self.b1))
-            object.__setattr__(self, "b2", tuple(map(float, self.b2)))
-            if self.xi0 is not None:
-                object.__setattr__(self, "xi0", _float_rows(self.xi0))
-            object.__setattr__(self, "dt", float(self.dt))
-            object.__setattr__(self, "t_end", float(self.t_end))
-            object.__setattr__(self, "output_every", int(self.output_every))
+            for field, convert in _CONVERSIONS:
+                object.__setattr__(self, field, convert(getattr(self, field)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed scenario field: {exc}") from exc
         for field in ("initial_positions", "target_positions"):
@@ -138,9 +143,8 @@ class Scenario:
         if not isinstance(self.disturbance, DisturbanceSpec):
             raise ScenarioError("disturbance must be a DisturbanceSpec")
         try:
-            frameworks = {"initial_positions": self.framework_initial()}
-            if self.target_positions is not None:
-                frameworks["target_positions"] = self.framework_target()
+            frameworks = self._frameworks
+            object.__setattr__(self, "edges", self.graph.endpoints)
             _reject_overflowing_squares(self.distances, frameworks)
             basis = self.basis()
             if self.mode not in MODES:
@@ -177,9 +181,10 @@ class Scenario:
                 raise ScenarioError("construction must be a ConstructionTrace")
             if self.construction.dim != self.dim:
                 raise ScenarioError("construction trace dimension differs from the scenario's")
-            if self.construction.edges != self.edges:
+            if not _equal(self.construction.endpoints, self.edges):
                 raise ScenarioError("construction trace does not produce the scenario's edges")
-            if trace_distances(self.construction) != self.distances:
+            distances = frameworks["initial_positions"].target_distances
+            if not _equal(trace_distances(self.construction), distances):
                 raise ScenarioError("construction trace distances differ from the scenario's")
         if self.assignment is not None:
             if not isinstance(self.assignment, AssignmentRule):
@@ -189,34 +194,46 @@ class Scenario:
                     raise ScenarioError(
                         f"assignment {self.assignment.kind} needs a construction trace"
                     )
-                source = self.construction
+                want = 2 if self.assignment.kind == "henneberg_2d" else 3
+                # the rule would return construction.edges, equal to edges above
+                if self.construction.dim != want:
+                    raise ScenarioError(f"{self.assignment.kind} needs a {want}-D trace")
             else:
-                source = self.graph
-            try:
-                oriented = select_estimating_agents(source, self.assignment)
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from exc
-            # a construction-order rule returns construction.edges, equal to edges above
-            if source is self.graph and oriented != self.edges:
-                raise ScenarioError(
-                    "assignment rule does not reproduce the scenario's edge orientation"
-                )
+                try:
+                    oriented = select_estimating_agents(self.graph, self.assignment)
+                except ValueError as exc:
+                    raise ScenarioError(str(exc)) from exc
+                if oriented != self.graph.edges:
+                    raise ScenarioError(
+                        "assignment rule does not reproduce the scenario's edge orientation"
+                    )
+
+    def __eq__(self, other):
+        if type(other) is not Scenario:
+            return NotImplemented
+        return _same(map(getattr, repeat(self), _FIELDS), map(getattr, repeat(other), _FIELDS))
 
     @cached_property
     def graph(self) -> FormationGraph:
         return FormationGraph(len(self.initial_positions), self.edges)
 
+    @cached_property
+    def _frameworks(self) -> dict[str, Framework]:
+        """The initial and, when given, the target framework, built once:
+        by the validation, for every later caller."""
+        distances = np.array(self.distances)
+        return {field: Framework(self.graph, self.dim, np.array(rows), distances)
+                for field, rows in (("initial_positions", self.initial_positions),
+                                    ("target_positions", self.target_positions))
+                if rows is not None}
+
     def framework_initial(self) -> Framework:
-        return Framework(
-            self.graph, self.dim, np.array(self.initial_positions), np.array(self.distances)
-        )
+        return self._frameworks["initial_positions"]
 
     def framework_target(self) -> Framework:
         if self.target_positions is None:
             raise ScenarioError(f"scenario '{self.name}' has no target_positions")
-        return Framework(
-            self.graph, self.dim, np.array(self.target_positions), np.array(self.distances)
-        )
+        return self._frameworks["target_positions"]
 
     def basis(self) -> InternalModelBasis:
         return InternalModelBasis(self.b1, self.b2, self.disturbance.frequencies)
@@ -225,6 +242,9 @@ class Scenario:
         if self.xi0 is None:
             return np.zeros((len(self.edges), self.basis().state_size))
         return np.array(self.xi0, dtype=float)
+
+
+_FIELDS = [field.name for field in fields(Scenario)]
 
 
 def _reject_overflowing_squares(distances, frameworks):
@@ -263,6 +283,21 @@ class _Leaf(NamedTuple):
 class _Object:
     def __init__(self, keys: dict, hook: Callable = lambda ctx, *columns: list(zip(*columns))):
         self.keys, self.hook, self.allowed = keys, hook, frozenset(keys)
+        # per key, what _scan reads: its form, default and the getter of a required value
+        self.columns = [(key, sub, default, itemgetter(key))
+                        for key, (sub, default) in keys.items()]
+
+
+class _Table(list):
+    """[row]: a list of row objects, in an object that a file holds once,
+    read as one table.  The hook takes the whole list's columns (a list's
+    column as its lengths and its items) and returns the table's arrays,
+    which the record taking them checks; `check` raises as that record
+    would on one row's columns."""
+
+    def __init__(self, keys: dict, hook: Callable, check: Callable = lambda ctx, *columns: None):
+        super().__init__([_Object(keys)])
+        self.hook, self.check = hook, check
 
 
 def _error(path, problem) -> ScenarioError:
@@ -272,32 +307,32 @@ def _error(path, problem) -> ScenarioError:
     return ScenarioError(f"scenario field '{field[1:] or 'scenario'}': {problem}")
 
 
-def _leaf(types, problem, test=None, convert=None) -> _Leaf:
+def _leaf(types, problem, test, convert) -> _Leaf:
     """A leaf that passes values of `types` (bool is none of them) for which
-    `test`, if given, holds, converted by `convert`, if given; its scan
-    wants the types exactly."""
+    `test`, if given, holds, converted by `convert` to its exact type; its
+    scan wants the types exactly."""
     exact = frozenset(types)
 
     def scan(values):
         kinds = set(map(type, values))
         if exact.issuperset(kinds) and (test is None or all(map(test, values))):
-            return values if convert is None or kinds <= {convert} else list(map(convert, values))
+            return values if kinds <= {convert} else list(map(convert, values))
 
     def walk(value, path, ctx):
         if isinstance(value, bool) or not isinstance(value, types) or test and not test(value):
             raise _error(path, problem)
         try:
-            return value if convert is None else convert(value)
+            return convert(value)
         except OverflowError:  # an integer beyond the float range
             raise _error(path, "number out of float range") from None
     return _Leaf(scan, walk)
 
 
-_NUMBER = _leaf((int, float), "expected a number", convert=float)
-_INTEGER = _leaf((int,), "expected an integer")
-_STRING = _leaf((str,), "expected a string")
-_NAME = _leaf((str,), "expected a nonempty string", len)
-_MODE = _leaf((str,), f"must be one of {MODES}", MODES.__contains__)
+_NUMBER = _leaf((int, float), "expected a number", None, float)
+_INTEGER = _leaf((int,), "expected an integer", None, int)
+_STRING = _leaf((str,), "expected a string", None, str)
+_NAME = _leaf((str,), "expected a nonempty string", len, str)
+_MODE = _leaf((str,), f"must be one of {MODES}", MODES.__contains__, str)
 _MATRIX = [[_NUMBER]]
 
 
@@ -314,45 +349,56 @@ def _freq_index(value, path, ctx) -> int:
     return index
 
 
-def _edge_disturbances(ctx, alphas, sinusoids) -> list:
-    """The entries' EdgeDisturbances, their sinusoids placed by freq_index
-    into (entries, p) tables at once."""
-    owner = list(chain.from_iterable(map(repeat, range(len(alphas)), map(len, sinusoids))))
-    index, amplitudes, phases = list(zip(*chain.from_iterable(sinusoids))) or ((), (), ())
+def _edge_table(ctx, tails, heads, distances):
+    return np.array((tails, heads)).T, distances
+
+
+def _entry_table(ctx, alphas, sinusoids):
+    """The entries' offsets and their sinusoids' amplitudes and phases,
+    placed by freq_index into (entries, p) tables."""
+    lengths, (index, amplitudes, phases) = sinusoids
     p = len(ctx["frequencies"])
-    if index and (min(index) < 0 or max(index) >= p) or len(set(zip(owner, index))) < len(index):
-        raise ValueError("freq_index out of range or repeated")  # the walk names which
-    tables = np.zeros((2, len(alphas), p))
-    tables[:, owner, index] = amplitudes, phases
-    return list(map(EdgeDisturbance, alphas, *tables.tolist()))
+    if index and (min(index) < 0 or max(index) >= p):
+        raise ValueError("freq_index out of range")  # the walk names which
+    at = np.repeat(np.arange(len(alphas)), lengths) * p + np.array(index, dtype=np.intp)
+    if max(lengths, default=0) > 1 and np.count_nonzero(np.bincount(at) > 1):
+        raise ValueError("freq_index repeated")  # needs two sinusoids in one entry
+    tables = np.zeros((2, len(alphas) * p))
+    tables[:, at] = amplitudes, phases
+    return np.array(alphas), *tables.reshape(2, len(alphas), p)
 
 
-def _each(cls):
-    """A hook building one cls per object from the objects' values."""
-    return lambda ctx, *columns: list(map(cls, *columns))
+def _step_table(ctx, anchors, distances):
+    """The steps' anchor counts, anchors and distances; a step with more or
+    fewer distances than anchors is left to the walk's check."""
+    (counts, anchors), (lengths, distances) = anchors, distances
+    if counts != lengths:
+        raise ValueError("one distance per anchor")
+    return np.array(counts, dtype=np.intp), _integers(anchors), np.array(distances, dtype=float)
 
 
 _SCENARIO = _Object({
     "name": (_NAME, _REQUIRED),
     "dim": (_INTEGER, _REQUIRED),
     "agents": (_MATRIX, _REQUIRED),
-    "edges": ([_Object({
+    "edges": (_Table({
         "tail": (_INTEGER, _REQUIRED),
         "head": (_INTEGER, _REQUIRED),
         "distance": (_NUMBER, _REQUIRED),
-    })], _REQUIRED),
+    }, _edge_table), _REQUIRED),
     "target_positions": (_MATRIX, None),
     "disturbance": (_Object({
         "frequencies": ([_NUMBER], _REQUIRED),
-        "edges": ([_Object({
+        "edges": (_Table({
             "alpha": (_NUMBER, _REQUIRED),
             "sinusoids": ([_Object({
                 "freq_index": (_Leaf(_INTEGER.scan, _freq_index), _REQUIRED),
                 "amplitude": (_NUMBER, _REQUIRED),
                 "phase": (_NUMBER, 0.0),
             })], []),
-        }, _edge_disturbances)], _REQUIRED),
-    }, _each(DisturbanceSpec)), _REQUIRED),
+        }, _entry_table, lambda ctx, *columns: _edge_tables(*_entry_table(ctx, *columns))),
+            _REQUIRED),
+    }, lambda ctx, freqs, tables: [DisturbanceSpec.from_tables(freqs[0], *tables[0])]), _REQUIRED),
     "controller": (_Object({
         "mode": (_MODE, _REQUIRED),
         "kappa": (_NUMBER, _REQUIRED),
@@ -367,16 +413,18 @@ _SCENARIO = _Object({
     }), _REQUIRED),
     "construction": (_Object({
         "seed_distances": ([_NUMBER], _REQUIRED),
-        "steps": ([_Object({
+        "steps": (_Table({
             "anchors": ([_INTEGER], _REQUIRED),
             "distances": ([_NUMBER], _REQUIRED),
-        }, _each(InsertionStep))], []),
-    }, lambda ctx, *columns: list(map(ConstructionTrace, repeat(ctx["dim"]), *columns))), None),
+        }, _step_table, lambda ctx, anchors, distances: _check_steps(
+            _integers([anchors[1]]), np.array([distances[1]], dtype=float))), []),
+    }, lambda ctx, seeds, steps: [ConstructionTrace.from_tables(ctx["dim"], seeds[0], *steps[0])]),
+        None),
     "assignment": (_Object({
         "kind": (_STRING, _REQUIRED),
         "root": (_INTEGER, None),
         "third": (_INTEGER, None),
-    }, _each(AssignmentRule)), None),
+    }, lambda ctx, *columns: list(map(AssignmentRule, *columns))), None),
 })
 
 
@@ -388,20 +436,30 @@ def _open(form: _Object, value, path):
         raise _error(path, f"unknown key(s) {sorted(set(value) - form.allowed)}")
 
 
-def _scan(form, values: list, ctx: dict):
+def _scan(form, values: list, ctx: dict, flat=False):
     """All of `values` (one form's values across the file) converted by
     C-level maps, or None when one is not exactly of the form's types and
     keys.  A list's items are scanned as one flat list, an object's keys
-    column by column; a record hook runs once per object."""
-    if isinstance(form, _Leaf):
+    column by column; a record hook runs once per object, a table's hook
+    once per table.  Flat (inside a table), a list gives its lengths and
+    items and an object its columns."""
+    kind = type(form)
+    if kind is _Leaf:
         return form.scan(values)
-    if isinstance(form, list):  # [item]: a list of items of one form
+    if kind is _Table:
+        if len(values) != 1 or type(values[0]) is not list:
+            return None
+        columns = _scan(form[0], values[0], ctx, True)
+        return None if columns is None else [form.hook(ctx, *columns)]
+    if kind is list:  # [item]: a list of items of one form
         if not _LISTS.issuperset(map(type, values)):
             return None
-        items = _scan(form[0], list(chain.from_iterable(values)), ctx)
+        items = _scan(form[0], list(chain.from_iterable(values)), ctx, flat)
         if items is None:
             return None
         lengths = list(map(len, values))
+        if flat:
+            return lengths, items
         items = iter(items)
         if len(set(lengths)) == 1 and lengths[0]:  # one length: zip regroups them all
             return list(zip(*[items] * lengths[0]))
@@ -409,45 +467,56 @@ def _scan(form, values: list, ctx: dict):
     if not (_DICTS.issuperset(map(type, values)) and all(map(form.allowed.issuperset, values))):
         return None
     columns = []
-    for key, (sub, default) in form.keys.items():
+    for key, sub, default, get in form.columns:
         try:
-            column = (list(map(itemgetter(key), values)) if default is _REQUIRED
+            column = (list(map(get, values)) if default is _REQUIRED
                       else list(map(dict.get, values, repeat(key), repeat(default))))
         except KeyError:
             return None
         # a nullable key's column passes when all null; a mix is left to the walk
         if default is not None or column.count(None) < len(column):
-            column = _scan(sub, column, ctx)
+            column = sub.scan(column) if type(sub) is _Leaf else _scan(sub, column, ctx, flat)
             if column is None:
                 return None
-        if len(column) == 1:
+        if len(column) == 1 and not flat:
             ctx[key] = column[0]
         columns.append(column)
-    return form.hook(ctx, *columns)
+    return columns if flat else form.hook(ctx, *columns)
 
 
 def _walk(form, value, path, ctx: dict):
-    """`value` converted as _scan converts it, one value at a time in file
-    order, raising at the first offender.  Each record is built as the walk
-    passes it, so its value error precedes any later type error."""
+    """A copy of `value` in the exact types a scan takes, made one value at
+    a time in file order, raising at the first offender.  Each object's
+    records, and each table row, are checked as the walk passes them, so
+    their value errors precede any later type error."""
     if isinstance(form, _Leaf):
         return form.walk(value, path, ctx)
     if isinstance(form, list):
         if not isinstance(value, list):
             raise _error(path, "expected a list")
-        return tuple(_walk(form[0], item, path + (i,), ctx) for i, item in enumerate(value))
+        items = []
+        for i, item in enumerate(value):
+            items.append(_walk(form[0], item, path + (i,), ctx))
+            if isinstance(form, _Table):
+                _checked(path + (i,), form.check, ctx, *_scan(form[0], items[-1:], ctx, True))
+        return items
     _open(form, value, path)
-    values = []
+    copy = {}
     for key, (sub, default) in form.keys.items():
         item = value.get(key, default)
         if item is _REQUIRED:
             raise _error(path, f"missing key '{key}'")
         if item is not None or default is not None:
             item = _walk(sub, item, path + (key,), ctx)
-        ctx[key] = item
-        values.append(item)
+        copy[key] = ctx[key] = item
+    _checked(path, _scan, form, [copy], ctx)  # builds the object's records
+    return copy
+
+
+def _checked(path, check, *args):
+    """check(*args), its ValueError naming the value at path."""
     try:
-        return form.hook(ctx, *([v] for v in values))[0]
+        return check(*args)
     except ValueError as exc:
         raise _error(path, exc) from exc
 
@@ -463,72 +532,64 @@ def scenario_from_dict(data, fallback_name: str | None = None) -> Scenario:
         values = _scan(_SCENARIO, [data], {})
     except (OverflowError, ValueError):
         values = None
+    if values is None:  # the walk names the first offender, or copies data in exact types
+        values = _scan(_SCENARIO, [_walk(_SCENARIO, data, (), {})], {})
     name, dim, agents, edges, target, disturbance, controller, sim, construction, assignment = (
-        _walk(_SCENARIO, data, (), {}) if values is None else values[0])
+        values[0])
     # the controller's and the sim's keys come in the order of Scenario's fields
-    return Scenario(name, dim, tuple(map(itemgetter(0, 1), edges)), tuple(map(itemgetter(2), edges)),
-                    agents, target, disturbance, *controller, *sim, construction, assignment)
+    return Scenario(name, dim, *edges, agents, target, disturbance, *controller, *sim,
+                    construction, assignment)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Inverse of scenario_from_dict; omits absent optional sections and
     zero-amplitude sinusoids."""
-    dist_edges = []
-    for ed in scenario.disturbance.edges:
-        entry = {"alpha": ed.offset}
-        sins = [
-            {"freq_index": i, "amplitude": a, "phase": p}
-            for i, (a, p) in enumerate(zip(ed.amplitudes, ed.phases))
-            if a != 0.0
-        ]
-        if sins:
-            entry["sinusoids"] = sins
-        dist_edges.append(entry)
-    controller = {
-        "mode": scenario.mode,
-        "kappa": scenario.kappa,
-        "b1": scenario.b1,
-        "b2": list(scenario.b2),
-    }
-    if scenario.xi0 is not None:
-        controller["xi0"] = [list(row) for row in scenario.xi0]
-    out = {
+    spec, trace, rule = scenario.disturbance, scenario.construction, scenario.assignment
+    present = spec.amplitude_table != 0.0
+    entry, index = np.nonzero(present)  # entry by entry, each in frequency order
+    sinusoids = iter(_records(("freq_index", "amplitude", "phase"), index.tolist(),
+                              spec.amplitude_table[present].tolist(),
+                              spec.phase_table[present].tolist()))
+    counts = np.bincount(entry, minlength=spec.edge_count).tolist()
+    # an entry without sinusoids lists no "sinusoids": zip stops at its offset
+    lists = map(list, map(islice, repeat(sinusoids), counts))
+    entries = map(compress, zip(spec.offsets.tolist(), lists), zip(repeat(True), counts))
+    return _present({
         "name": scenario.name,
         "dim": scenario.dim,
-        "agents": [list(row) for row in scenario.initial_positions],
-        "edges": [
-            {"tail": t, "head": h, "distance": d}
-            for (t, h), d in zip(scenario.edges, scenario.distances)
-        ],
+        "agents": _lists(scenario.initial_positions),
+        "edges": _records(("tail", "head", "distance"), *scenario.edges.T.tolist(),
+                          scenario.distances),
+        "target_positions": _lists(scenario.target_positions),
         "disturbance": {
-            "frequencies": list(scenario.disturbance.frequencies),
-            "edges": dist_edges,
+            "frequencies": list(spec.frequencies),
+            "edges": list(map(dict, map(zip, repeat(("alpha", "sinusoids")), entries))),
         },
-        "controller": controller,
-        "sim": {
-            "dt": scenario.dt,
-            "t_end": scenario.t_end,
-            "output_every": scenario.output_every,
+        "controller": _present({"mode": scenario.mode, "kappa": scenario.kappa, "b1": scenario.b1,
+                                "b2": list(scenario.b2), "xi0": _lists(scenario.xi0)}),
+        "sim": {"dt": scenario.dt, "t_end": scenario.t_end, "output_every": scenario.output_every},
+        "construction": trace and {
+            "seed_distances": list(trace.seed_distances),
+            "steps": _records(("anchors", "distances"), trace.anchors.tolist(),
+                              trace.distances.tolist()),
         },
-    }
-    if scenario.target_positions is not None:
-        out["target_positions"] = [list(row) for row in scenario.target_positions]
-    if scenario.construction is not None:
-        out["construction"] = {
-            "seed_distances": list(scenario.construction.seed_distances),
-            "steps": [
-                {"anchors": list(s.anchors), "distances": list(s.distances)}
-                for s in scenario.construction.steps
-            ],
-        }
-    if scenario.assignment is not None:
-        rule = {"kind": scenario.assignment.kind}
-        if scenario.assignment.root is not None:
-            rule["root"] = scenario.assignment.root
-        if scenario.assignment.third is not None:
-            rule["third"] = scenario.assignment.third
-        out["assignment"] = rule
-    return out
+        "assignment": rule and _present({"kind": rule.kind, "root": rule.root,
+                                         "third": rule.third}),
+    })
+
+
+def _lists(rows):
+    return None if rows is None else list(map(list, rows))
+
+
+def _present(fields: dict) -> dict:
+    """The fields that are not None."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _records(keys, *columns) -> list[dict]:
+    """One dict per row of the columns, with these keys, built by C-level maps."""
+    return list(map(dict, map(zip, repeat(keys), zip(*columns))))
 
 
 def load_scenario(path) -> Scenario:
@@ -610,6 +671,11 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(canonical_json(scenario_to_dict(scenario)) + "\n")
 
 
+# the controller and grid settings the built-in and generated scenarios share
+_DEFAULTS = {"mode": "estimator", "kappa": 1.0, "b1": 1.0, "b2": (1.0, 0.0), "xi0": None,
+             "dt": 1e-3, "output_every": 100}
+
+
 def _epuck2d() -> Scenario:
     # square-with-diagonal formation; distances in pixels, disturbance
     # offsets in squared pixels
@@ -622,18 +688,9 @@ def _epuck2d() -> Scenario:
         distances=(side, side, side * math.sqrt(2.0), side, side),
         initial_positions=((0.9, -0.4), (12.5, 1.1), (11.3, 12.6), (0.3, 11.2)),
         target_positions=((0.0, 0.0), (side, 0.0), (side, side), (0.0, side)),
-        disturbance=DisturbanceSpec(
-            (1.0,),
-            tuple(EdgeDisturbance(o, (0.0,), (0.0,)) for o in offsets),
-        ),
-        mode="estimator",
-        kappa=1.0,
-        b1=1.0,
-        b2=(1.0, 0.0),
-        xi0=None,
-        dt=1e-3,
+        disturbance=DisturbanceSpec.from_tables((1.0,), offsets, [[0.0]] * 5, [[0.0]] * 5),
         t_end=200.0,
-        output_every=100,
+        **_DEFAULTS,
     )
 
 
@@ -644,9 +701,7 @@ def _tetra3d() -> Scenario:
     center_y = side * math.sqrt(3.0) / 6.0
     apex_z = side * math.sqrt(2.0 / 3.0)
     offsets = (0.9, -0.6, 1.3, 0.7, -1.1, 0.5, 1.6, -0.8, 1.0)
-    construction = ConstructionTrace(
-        3, (side,) * 6, (InsertionStep((1, 2, 3), (side,) * 3),)
-    )
+    construction = ConstructionTrace.from_tables(3, (side,) * 6, (3,), (1, 2, 3), (side,) * 3)
     return Scenario(
         name="tetra3d",
         dim=3,
@@ -666,21 +721,11 @@ def _tetra3d() -> Scenario:
             (side / 2.0, center_y, apex_z),
             (side / 2.0, center_y, -apex_z),
         ),
-        disturbance=DisturbanceSpec(
-            (1.0,),
-            tuple(
-                EdgeDisturbance(offsets[k], (1e-4 * (1.0 + 0.3 * k),), (0.6 * k,))
-                for k in range(9)
-            ),
-        ),
-        mode="estimator",
-        kappa=1.0,
-        b1=1.0,
-        b2=(1.0, 0.0),
-        xi0=None,
-        dt=1e-3,
+        disturbance=DisturbanceSpec.from_tables(
+            (1.0,), offsets, [[1e-4 * (1.0 + 0.3 * k)] for k in range(9)],
+            [[0.6 * k] for k in range(9)]),
         t_end=180.0,
-        output_every=100,
+        **_DEFAULTS,
         construction=construction,
         assignment=AssignmentRule("growth_3d"),
     )
@@ -733,23 +778,20 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
             raise ScenarioError(f"cannot place {n} agents: {exc} (seed {seed})") from exc
         distances = trace_distances(trace)
         if assignment == "trace":
+            # the construction-order rule orients each edge as the trace does
             rule = AssignmentRule("henneberg_2d" if dim == 2 else "growth_3d")
             construction = trace
-            edges = select_estimating_agents(trace, rule)
+            edges = trace.endpoints
         else:
             rule = AssignmentRule(assignment)
             construction = None
             edges = select_estimating_agents(trace_graph(trace), rule)
-        fw = Framework(FormationGraph(n, edges), dim, pts, np.array(distances))
+        fw = Framework(FormationGraph(n, edges), dim, pts, distances)
         if not certificate(fw).certified:
             continue
         initial = pts + rng.uniform(-0.3, 0.3, size=pts.shape)
         # per edge: offset, amplitude, phase, drawn in that order
         draws = rng.uniform([-2.0, 0.0, -math.pi], [2.0, 0.5, math.pi], size=(len(edges), 3))
-        entries = tuple(
-            EdgeDisturbance(offset, (amplitude,), (phase,))
-            for offset, amplitude, phase in draws.tolist()
-        )
         return Scenario(
             name=f"generated_{dim}d_n{n}_seed{seed}",
             dim=dim,
@@ -757,15 +799,10 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
             distances=distances,
             initial_positions=tuple(map(tuple, initial.tolist())),
             target_positions=tuple(map(tuple, pts.tolist())),
-            disturbance=DisturbanceSpec((1.0,), entries),
-            mode="estimator",
-            kappa=1.0,
-            b1=1.0,
-            b2=(1.0, 0.0),
-            xi0=None,
-            dt=1e-3,
+            disturbance=DisturbanceSpec.from_tables((1.0,), draws[:, 0], draws[:, 1:2],
+                                                    draws[:, 2:]),
             t_end=60.0,
-            output_every=100,
+            **_DEFAULTS,
             construction=construction,
             assignment=rule,
         )

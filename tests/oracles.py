@@ -2,8 +2,9 @@
 computes edge by edge inside its closed-loop kernel or block by block in
 its certificate, the np.savetxt trajectory writer its vectorised '%.17g'
 formatter replaced, the numpy-array trace sampler its float-level 2-D
-proposals replaced, and the hand-written scenario loader its table-driven
-one replaced."""
+proposals replaced, the hand-written scenario loader its table-driven
+one replaced, and the record-by-record checks of edges, disturbance
+entries and insertion steps its whole-table checks replaced."""
 
 import io
 import math
@@ -198,6 +199,99 @@ def random_trace(n, dim, rng):
     seed_pairs = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
     seed = tuple(float(np.linalg.norm(pts[i] - pts[j])) for i, j in seed_pairs)
     return ConstructionTrace(3, seed, tuple(steps)), pts
+
+
+# The checks the library made one record at a time before it checked whole
+# tables: EdgeDisturbance's, InsertionStep's, FormationGraph's edge loop and
+# ConstructionTrace's adjacency loop.  Each raises the same ValueError.
+
+def edge_disturbance(offset, amplitudes=(), phases=()):
+    """(offset, amplitudes, phases) as EdgeDisturbance normalized them."""
+    offset = float(offset)
+    if not math.isfinite(offset):
+        raise ValueError("offset must be finite")
+    amplitudes = [float(a) for a in amplitudes]
+    phases = [float(p) for p in phases]
+    if len(amplitudes) != len(phases):
+        raise ValueError("one phase per amplitude")
+    for i, (amp, ph) in enumerate(zip(amplitudes, phases)):
+        if not (math.isfinite(amp) and math.isfinite(ph)):
+            raise ValueError("amplitudes and phases must be finite")
+        if amp < 0.0:
+            amp, ph = -amp, ph + math.pi
+        if amp == 0.0:
+            ph = 0.0
+        else:
+            ph = math.remainder(ph, math.tau)
+            if ph <= -math.pi:
+                ph = math.pi
+        amplitudes[i], phases[i] = amp, ph
+    return offset, tuple(amplitudes), tuple(phases)
+
+
+def insertion_step(anchors, distances):
+    """(anchors, distances) as InsertionStep checked them."""
+    anchors = tuple(map(int, anchors))
+    distances = tuple(map(float, distances))
+    if len(anchors) not in (2, 3):
+        raise ValueError("a step anchors to 2 (2-D) or 3 (3-D) existing vertices")
+    if len(set(anchors)) != len(anchors):
+        raise ValueError("step anchors must be distinct")
+    if len(distances) != len(anchors):
+        raise ValueError("one distance per anchor")
+    if not all(map(math.isfinite, distances)) or min(distances) <= 0:
+        raise ValueError("step distances must be positive and finite")
+    return anchors, distances
+
+
+def graph_edges(n, edges):
+    """FormationGraph's edge loop: the (tail, head) pairs as ints."""
+    edges = tuple((int(t), int(h)) for t, h in edges)
+    seen = set()
+    for k, (tail, head) in enumerate(edges, start=1):
+        if not (1 <= tail <= n and 1 <= head <= n):
+            raise ValueError(f"edge {k}: endpoints must lie in 1..{n}")
+        if tail == head:
+            raise ValueError(f"edge {k}: self-loop at vertex {tail}")
+        pair = frozenset((tail, head))
+        if pair in seen:
+            raise ValueError(f"edge {k}: duplicate undirected edge {{{tail},{head}}}")
+        seen.add(pair)
+    return edges
+
+
+_SEED_EDGES_3D = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+
+
+def trace_edges(dim, seed_distances, steps):
+    """ConstructionTrace's checks of checked (anchors, distances) steps
+    with its adjacency loop: the trace's (tail, head) pairs."""
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    seed = tuple(float(d) for d in seed_distances)
+    want = 1 if dim == 2 else 6
+    if len(seed) != want:
+        raise ValueError(f"{dim}-D seed needs exactly {want} distances")
+    if any(not math.isfinite(d) or d <= 0 for d in seed):
+        raise ValueError("seed distances must be positive and finite")
+    edges = [(1, 2)] if dim == 2 else list(_SEED_EDGES_3D)
+    adjacent = set(_SEED_EDGES_3D) | {(h, t) for t, h in _SEED_EDGES_3D}
+    for next_vertex, (anchors, _) in enumerate(steps, start=(2 if dim == 2 else 4) + 1):
+        if len(anchors) != dim:
+            raise ValueError(f"step inserting vertex {next_vertex}: needs {dim} anchors")
+        if min(anchors) < 1 or max(anchors) >= next_vertex:
+            raise ValueError(f"step inserting vertex {next_vertex}: anchors must already exist")
+        if dim == 3:
+            a, b, c = anchors
+            for pair in ((a, b), (a, c), (b, c)):
+                if pair not in adjacent:
+                    raise ValueError(
+                        f"step inserting vertex {next_vertex}: anchors {pair} are not adjacent"
+                    )
+            adjacent.update(((a, next_vertex), (next_vertex, a), (b, next_vertex),
+                             (next_vertex, b), (c, next_vertex), (next_vertex, c)))
+        edges.extend(zip(anchors, repeat(next_vertex)))
+    return tuple(edges)
 
 
 # scenario.scenario_from_dict as it was when each section had its own parser

@@ -536,6 +536,16 @@ def _fresh_process(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_importing_the_cli_leaves_the_csv_formatter_unloaded():
+    # sim.write_csv imports rigiform._g17 when it first writes a trajectory,
+    # so a fresh interpreter that only checks or generates never compiles it
+    src = str(Path(importlib.import_module("rigiform").__file__).parents[1])
+    code = "import sys, rigiform.cli; print('rigiform._g17' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_one_process_answers_each_command_like_a_fresh_one(tmp_path, monkeypatch):
     # main builds its parser once per process and reuses it; commands run
     # one after another must print and exit as each does on its own

@@ -1,5 +1,5 @@
 """Loading scenario files: the exact one-line error of every parse branch,
-how much validation one load builds, and the same outcome as the
+how many records one load builds, and the same outcome as the
 hand-written loader it replaced on randomly mutated files."""
 
 import copy
@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import oracles
 from rigiform import (
+    ConstructionTrace,
     DisturbanceSpec,
     EdgeDisturbance,
     FormationGraph,
+    InsertionStep,
     ScenarioError,
     builtin_scenario,
     generate_scenario,
@@ -267,19 +269,25 @@ def test_golden_base_file_loads(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_one_load_builds_one_graph_and_one_disturbance_per_edge(tmp_path, monkeypatch):
+def test_one_load_builds_one_record_per_section_and_none_per_edge(tmp_path, monkeypatch):
+    # the edges, disturbance entries and steps are read as tables: a load
+    # constructs one graph, one spec and one trace, and no per-row record
     path = tmp_path / "gen.json"
     save_scenario(generate_scenario(250, 3, 0), path)
-    calls = {FormationGraph: 0, EdgeDisturbance: 0, DisturbanceSpec: 0}
-    for cls in calls:
-        def counted(self, cls=cls, original=cls.__post_init__):
+    # the method every construction of each class runs once
+    builds = {FormationGraph: "__init__", DisturbanceSpec: "_fill", ConstructionTrace: "_fill",
+              EdgeDisturbance: "__post_init__", InsertionStep: "__post_init__"}
+    calls = dict.fromkeys(builds, 0)
+    for cls, name in builds.items():
+        def counted(self, *args, cls=cls, original=getattr(cls, name)):
             calls[cls] += 1
-            original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
     sc = load_scenario(path)
     sc.framework_initial()
     sc.framework_target()
-    assert calls == {FormationGraph: 1, EdgeDisturbance: len(sc.edges), DisturbanceSpec: 1}
+    assert calls == {FormationGraph: 1, DisturbanceSpec: 1, ConstructionTrace: 1,
+                     EdgeDisturbance: 0, InsertionStep: 0}
 
 
 class _Int(int):
