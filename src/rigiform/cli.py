@@ -30,7 +30,7 @@ from .analysis import (  # noqa: F401
 )
 from .scenario import BUILTIN_NAMES, MODES, ScenarioError, builtin_scenario, canonical_json, \
     generate_scenario, load_scenario, save_scenario
-from .sim import integrate, run_verdict, write_csv
+from .sim import RunVerdict, integrate, run_verdict, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,34 +90,18 @@ def _execute_run(sc, out_dir):
     traj = integrate(sc)
     wall = time.perf_counter() - start
     write_csv(traj, out / "trajectory.csv")
-    record = {
-        "scenario": sc.name,
-        "mode": sc.mode,
-        "samples": traj.sample_count,
-        "diverged": traj.diverged,
-        "final_error": float(np.linalg.norm(traj.final_errors)),
-        "converged": None,
-        "rate": None,
-        "rate_r_squared": None,
-        "rate_null_reason": None,
-        "steady_speed": None,
-        "orbit_detected": None,
-        "null_reason": None,
-    }
+    record = {"scenario": sc.name, "mode": sc.mode, "samples": traj.sample_count,
+              "null_reason": None}
     try:
         verdict = run_verdict(traj)
     except ValueError as exc:
-        record["null_reason"] = str(exc)
+        # no verdict: its fields are null but for the two a short run still knows
+        record.update(dict.fromkeys(f.name for f in dataclasses.fields(RunVerdict)),
+                      diverged=traj.diverged,
+                      final_error=float(np.linalg.norm(traj.final_errors)),
+                      null_reason=str(exc))
     else:
-        record.update(
-            converged=verdict.converged,
-            final_error=verdict.final_error,
-            rate=verdict.rate,
-            rate_r_squared=verdict.rate_r_squared,
-            rate_null_reason=verdict.rate_null_reason,
-            steady_speed=verdict.steady_speed,
-            orbit_detected=verdict.orbit_detected,
-        )
+        record.update(vars(verdict))
     (out / "verdict.json").write_text(canonical_json(record) + "\n")
     return record, traj, wall
 

@@ -216,9 +216,8 @@ def check_observability(basis: InternalModelBasis) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ExosystemState:
-    """Stacked generator state, one row per edge."""
+    """Stacked generator state at t = 0, one read-only row per edge."""
 
-    t: float
     w: np.ndarray
 
     def __post_init__(self):
@@ -226,7 +225,6 @@ class ExosystemState:
         if w.ndim != 2:
             raise ValueError("w must be a (edges, 2p+1) array")
         object.__setattr__(self, "w", _read_only(w))
-        object.__setattr__(self, "t", float(self.t))
 
 
 def exosystem_initial_state(spec: DisturbanceSpec, basis: InternalModelBasis) -> ExosystemState:
@@ -260,7 +258,7 @@ def exosystem_initial_state(spec: DisturbanceSpec, basis: InternalModelBasis) ->
         cos_ph = np.cos(spec.phase_table[:, i])
         w[:, 1 + i] = (b_sin * amps * sin_ph + b_cos * amps * cos_ph) / den
         w[:, 1 + p + i] = (b_cos * amps * sin_ph - b_sin * amps * cos_ph) / den
-    return ExosystemState(0.0, w)
+    return ExosystemState(w)
 
 
 def mu_closed_form(spec: DisturbanceSpec, t):

@@ -10,6 +10,11 @@ evaluation returns the derivative that `integrate` and
 `closed_loop_derivative` use together with the edge columns a Trajectory
 records.  On a sampled step `integrate` records from the evaluation that
 also serves as the next step's k1, so every step costs four evaluations.
+A sample keeps only what a run reports: the time, positions, speeds and
+the edge columns e, mu and mu_hat.  The compensated errors alpha are
+derived from those where they are read, the generator and estimator
+states are not kept, and whether the run diverged is read off its
+divergence step.  The recorded-value cap counts exactly those values.
 Integration is classical fourth-order Runge-Kutta with a constant step,
 so a run is bitwise reproducible; adaptive stepping would trade that away
 for speed this problem does not need.  The generator block is integrated
@@ -56,17 +61,18 @@ _CSV_BLOCK_VALUES = 1 << 12  # write_csv formats at most this many values at a t
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled run record.
-
-    alpha holds the compensated per-edge errors e + mu - mu_hat (what the
-    estimating agent effectively acts on); estimator_gap holds the
-    generator state minus the estimator state, per edge and sample.  A
-    diverged run keeps the samples recorded before the guard tripped, and
-    divergence_step is the step at which it tripped.  final_errors holds
-    the edge errors of the last state that passed the guard: the last
-    sample's (the default) unless the run diverged, when it is the state
-    one step before divergence_step.  divergence_reason says what tripped
-    the guard: the non-finite blocks of the state, or the position norm.
+    """Uniformly sampled run record: per sample the time, the positions,
+    the agent speeds and three edge columns, the errors e, the disturbance
+    mu and its estimate mu_hat.  Nothing else is stored per sample: alpha,
+    the compensated errors e + mu - mu_hat that the estimating agent
+    effectively acts on, is derived when read.  A diverged run keeps the
+    samples recorded before the guard tripped, and divergence_step is the
+    step at which it tripped, None for a run that reached t_end; diverged
+    reads it.  final_errors holds the edge errors of the last state that
+    passed the guard: the last sample's (the default) unless the run
+    diverged, when it is the state one step before divergence_step.
+    divergence_reason says what tripped the guard: the non-finite blocks of
+    the state, or the position norm.
     """
 
     times: np.ndarray
@@ -75,16 +81,11 @@ class Trajectory:
     speeds: np.ndarray
     mu: np.ndarray
     mu_hat: np.ndarray
-    alpha: np.ndarray
-    estimator_gap: np.ndarray
-    diverged: bool
     divergence_step: int | None = None
     final_errors: np.ndarray | None = None
     divergence_reason: str | None = None
 
     def __post_init__(self):
-        if bool(self.diverged) != (self.divergence_step is not None):
-            raise ValueError("divergence_step is set exactly when the run diverged")
         times = _frozen(self.times)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty vector")
@@ -96,7 +97,7 @@ class Trajectory:
         t_count = times.size
         arrays = {}
         for name, ndim in (("positions", 3), ("errors", 2), ("speeds", 2),
-                           ("mu", 2), ("mu_hat", 2), ("alpha", 2), ("estimator_gap", 3)):
+                           ("mu", 2), ("mu_hat", 2)):
             a = _frozen(getattr(self, name))
             if a.ndim != ndim or a.shape[0] != t_count:
                 raise ValueError(f"{name} must have {ndim} axes with one row per sample")
@@ -109,7 +110,14 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "diverged", bool(self.diverged))
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_step is not None
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.errors + self.mu - self.mu_hat
 
     @property
     def sample_count(self) -> int:
@@ -304,17 +312,15 @@ def integrate(scenario) -> Trajectory:
     last state that passed the guard.
     """
     loop = _ClosedLoop(scenario)
-    n, dim, edges, q = loop.n, loop.dim, loop.edge_count, loop.q
+    n, dim, edges = loop.n, loop.dim, loop.edge_count
     dt = float(scenario.dt)
     every = int(scenario.output_every)
-    # per sample: t, positions, speeds, four edge columns, estimator gap
-    steps = _step_count(dt, float(scenario.t_end), every,
-                        1 + n * dim + n + 4 * edges + edges * q)
+    # per sample: t, positions, speeds and three edge columns
+    steps = _step_count(dt, float(scenario.t_end), every, 1 + n * dim + n + 3 * edges)
     count = steps // every + 1
     positions = np.empty((count, n, dim))
-    errors, mu, mu_hat, alpha = (np.empty((count, edges)) for _ in range(4))
+    errors, mu, mu_hat = (np.empty((count, edges)) for _ in range(3))
     speeds = np.empty((count, n))
-    gap = np.empty((count, edges, q))
 
     w0 = exosystem_initial_state(scenario.disturbance, scenario.basis()).w
     y = loop.pack(scenario.framework_initial().positions, scenario.xi0_array(), w0)
@@ -336,19 +342,15 @@ def integrate(scenario) -> Trajectory:
             k1, e, mu_y, mu_hat_y = loop.evaluate(y)
             if step % every == 0:
                 i = step // every
-                x, xi, w = loop.split(y)
-                positions[i] = x
+                positions[i] = y[:loop.nx].reshape(n, dim)
                 errors[i], mu[i], mu_hat[i] = e, mu_y, mu_hat_y
-                alpha[i] = e + mu_y - mu_hat_y
                 speeds[i] = np.linalg.norm(k1[:loop.nx].reshape(n, dim), axis=1)
-                gap[i] = w - xi
 
-    for buffer in (positions, errors, speeds, mu, mu_hat, alpha, gap):
+    for buffer in (positions, errors, speeds, mu, mu_hat):
         buffer.setflags(write=False)  # the Trajectory keeps them without a copy
     return Trajectory(
         np.arange(count) * every * dt, positions[:count], errors[:count], speeds[:count],
-        mu[:count], mu_hat[:count], alpha[:count], gap[:count],
-        divergence_step is not None, divergence_step, e, reason,
+        mu[:count], mu_hat[:count], divergence_step, e, reason,
     )
 
 
@@ -481,7 +483,7 @@ def write_csv(traj: Trajectory, path) -> None:
                 traj.speeds[rows],
                 traj.mu[rows],
                 traj.mu_hat[rows],
-                traj.alpha[rows],
+                traj.errors[rows] + traj.mu[rows] - traj.mu_hat[rows],  # alpha
             ]).ravel()
             for first in range(0, block.size, _CSV_BLOCK_VALUES):
                 fh.write(_g17.text(block[first:first + _CSV_BLOCK_VALUES], columns, first))

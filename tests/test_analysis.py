@@ -385,11 +385,10 @@ def test_transformed_coords_match_measured_errors():
     sc = dataclasses.replace(builtin_scenario("epuck2d"), t_end=0.5)
     fw = sc.framework_initial()
     w0 = exosystem_initial_state(sc.disturbance, sc.basis()).w
-    e, alpha, theta = transformed_coords(fw, sc.basis(), fw.positions, sc.xi0_array(), w0)
+    e, alpha, _ = transformed_coords(fw, sc.basis(), fw.positions, sc.xi0_array(), w0)
     traj = integrate(sc)
     assert np.array_equal(e, traj.errors[0])
     assert np.array_equal(alpha, traj.alpha[0])
-    assert np.array_equal(theta, traj.estimator_gap[0])
 
 
 def _mixed_formation(dim, seed):

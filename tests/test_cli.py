@@ -33,6 +33,7 @@ from rigiform import (
 from rigiform.analysis import certificate
 from rigiform.cli import _execute_run, main
 from rigiform.scenario import canonical_json
+from rigiform.sim import RunVerdict
 
 
 def _write_scenario(path, sc):
@@ -129,6 +130,41 @@ def test_check_output_is_byte_stable(tmp_path, capsys, name, form):
     code = main(["check", ref] + (["--json"] if form == "--json" else []))
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == CHECK_DIGESTS[name, form]
+
+
+# sha256 of a `run`'s verdict.json and trajectory.csv and its exit code,
+# recorded while the run record still stored alpha, the estimator gap and
+# the diverged flag
+RUN_DIGESTS = {
+    "diverged": ("f194e04776be4d062f6226b56540c77dcfefdc7bfa408ab653e6e15b28ecf565",
+                 "ede999c1e661f692856876ed6f1f05aab11134c49678b0bff7bb2b02440c6b8a", 2),
+    "full": ("d04b369f13e31db0f553f598ef27a03f326e3d856c495ef55a5818b576201fbc",
+             "107599b5c4612d4de209d38d46bd30f23b9a6ce7249d0584f1ffdfa09dfda8d1", 0),
+    "short": ("15ff3fd155ee600c4566676f5b76839aca82ff9d35b9282bcc076de96b90274c",
+              "2133f63dc6dcb8ce18cc4b410597358430dfac11d01b3d933cb8ac1d16ee8852", 0),
+}
+
+
+def _run_file(tmp_path, kind):
+    """A full triangle run, one too short for a verdict (null_reason set),
+    or epuck2d at a step so large that the guard trips at step 8."""
+    if kind == "diverged":
+        sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=5e-3)
+        return _write_scenario(tmp_path / "fast.json", sc)
+    return _triangle_file(tmp_path, t_end={"full": 6.0, "short": 0.1}[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_DIGESTS))
+def test_run_outputs_are_byte_stable(tmp_path, kind):
+    out = tmp_path / "out"
+    code = main(["run", _run_file(tmp_path, kind), "--out", str(out)])
+    verdict = (out / "verdict.json").read_bytes()
+    assert set(json.loads(verdict)) == {"scenario", "mode", "samples", "null_reason"} | {
+        f.name for f in dataclasses.fields(RunVerdict)
+    }
+    csv = (out / "trajectory.csv").read_bytes()
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (verdict, csv))
+    assert (*digests, code) == RUN_DIGESTS[kind]
 
 
 def _check_record(sc):

@@ -89,7 +89,6 @@ def test_initial_state_constant_disturbance():
     spec = DisturbanceSpec((), (EdgeDisturbance(19.0),))
     basis = default_basis(())
     state = exosystem_initial_state(spec, basis)
-    assert state.t == 0.0
     assert np.array_equal(state.w, np.array([[19.0]]))
     assert np.array_equal(state.w @ basis.vector, np.array([19.0]))
 

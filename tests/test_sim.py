@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from rigiform import (
     consistent_errors,
     default_basis,
     exosystem_initial_state,
+    generate_scenario,
     integrate,
     mu_closed_form,
     propagate_exosystem,
@@ -28,6 +30,7 @@ from rigiform import (
     run_verdict,
     write_csv,
 )
+from rigiform import sim
 from rigiform.sim import MAX_RECORDED_VALUES, MAX_STEPS
 
 _TRI_TARGET = ((0.0, 0.0), (2.0, 0.0), (1.0, 1.7))
@@ -225,9 +228,31 @@ def test_caps_reject_a_run_before_it_allocates():
         integrate(_triangle_scenario(t_end=(MAX_STEPS + 10) * 1e-3, output_every=10))
     with pytest.raises(ScenarioError, match="inf steps, over the cap"):
         integrate(_triangle_scenario(dt=1e-300, t_end=1e300))
-    assert (MAX_STEPS + 1) * 28 > MAX_RECORDED_VALUES  # 28 values per triangle sample
+    assert (MAX_STEPS + 1) * 19 > MAX_RECORDED_VALUES  # 19 values per triangle sample
     with pytest.raises(ScenarioError, match="values, over the cap"):
         integrate(_triangle_scenario(t_end=MAX_STEPS * 1e-3, output_every=1))
+
+
+def test_recorded_value_cap_counts_what_a_run_keeps(monkeypatch):
+    # the cap bounds a run's memory only while it counts every value a run
+    # stores: its traced peak is those values, float64 each, plus little
+    step_count, counted = sim._step_count, []
+
+    def counting(dt, t_end, every, values_per_sample):
+        steps = step_count(dt, t_end, every, values_per_sample)
+        counted.append((steps // every + 1) * values_per_sample)
+        return steps
+
+    monkeypatch.setattr(sim, "_step_count", counting)
+    sc = dataclasses.replace(generate_scenario(50, 2, 0), t_end=1.0, output_every=1)
+    tracemalloc.start()
+    try:
+        traj = integrate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.sample_count == 1001 and len(counted) == 1
+    assert 8 * counted[0] <= peak <= 8 * counted[0] + 0.25 * 2**20
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,8 +293,6 @@ def test_recorded_mu_tracks_closed_form():
 def test_alpha_column_is_consistent():
     traj = integrate(_triangle_scenario())
     assert np.array_equal(traj.alpha, traj.errors + traj.mu - traj.mu_hat)
-    _, xi, w = _initial_state(_triangle_scenario())
-    assert np.array_equal(traj.estimator_gap[0], w - xi)
 
 
 def _law_by_edge(sc, x, xi, w):
@@ -316,7 +339,7 @@ def test_sampling_stride_leaves_the_trajectory_bitwise_unchanged():
     dense = integrate(sc)
     sparse = integrate(dataclasses.replace(sc, output_every=40))
     assert sparse.sample_count == 31
-    for name in ("positions", "errors", "speeds", "mu", "mu_hat", "alpha", "estimator_gap"):
+    for name in ("positions", "errors", "speeds", "mu", "mu_hat", "alpha"):
         assert np.array_equal(getattr(dense, name)[::40], getattr(sparse, name))
     assert np.array_equal(dense.final_errors, sparse.final_errors)
 
@@ -364,9 +387,6 @@ def test_verdict_detects_steady_orbits():
         speeds=speeds,
         mu=zeros_e,
         mu_hat=zeros_e,
-        alpha=errors.copy(),
-        estimator_gap=np.zeros((300, 3, 3)),
-        diverged=False,
     )
     verdict = run_verdict(traj)
     assert verdict.orbit_detected
@@ -387,9 +407,6 @@ def _verdict_of_norms(norms):
         speeds=np.zeros((300, 2)),
         mu=np.zeros((300, 3)),
         mu_hat=np.zeros((300, 3)),
-        alpha=errors,
-        estimator_gap=np.zeros((300, 3, 3)),
-        diverged=False,
     ))
 
 
@@ -424,9 +441,6 @@ def test_verdict_window_must_hold_enough_samples():
         speeds=np.zeros((100, 2)),
         mu=zeros_e,
         mu_hat=zeros_e,
-        alpha=zeros_e,
-        estimator_gap=np.zeros((100, 3, 3)),
-        diverged=False,
     )
     with pytest.raises(ValueError, match="window"):
         run_verdict(traj)
@@ -442,9 +456,6 @@ def test_diverged_verdict_reports_the_last_state_that_passed_the_guard():
         speeds=np.zeros((300, 2)),
         mu=zeros_e,
         mu_hat=zeros_e,
-        alpha=zeros_e,
-        estimator_gap=np.zeros((300, 3, 3)),
-        diverged=True,
         divergence_step=30_000,
         final_errors=np.array([3.0, 0.0, 4.0]),
     )
@@ -465,9 +476,6 @@ def test_trajectory_validation():
             speeds=np.zeros((3, 2)),
             mu=zeros_e,
             mu_hat=zeros_e,
-            alpha=zeros_e,
-            estimator_gap=np.zeros((3, 1, 3)),
-            diverged=False,
         )
 
 
