@@ -26,12 +26,12 @@ disturbance spec, and the mode / kappa / dt / t_end / output_every fields.
 Integration certifies nothing and never reads the target embedding;
 `check` does the certifying.
 
-`write_csv` prints every value exactly as '%.17g' does, but with numpy
-array operations rather than one Python format call per value: the
-private `_g17` module reads the 17 digits off a long double product and
-lays the text out through lookup tables built on the first write, and
-hands the few values whose rounding that product cannot settle, and inf
-and nan, to Python's '%.17g'.
+`write_csv` prints every value exactly as '%.17g' does, with numpy array
+operations on full blocks of values whatever the row width: the private
+`_g17` module reads the 17 digits off a long double product, settles
+their rounding with integers where the power of ten is exact, lays the
+text out through lookup tables built on the first write, and hands the
+few values it cannot settle, and inf and nan, to Python's '%.17g'.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
 VERDICT_WINDOW = 0.2  # run_verdict reads this last share of the samples
 VERDICT_TOL = 1e-6  # errors and speeds below it there count as converged
-_CSV_BLOCK_VALUES = 1 << 12  # write_csv formats at most this many values at a time
+_CSV_BLOCK_VALUES = 1 << 12  # values per _g17.text call but a file's last; 2048, 6144, 8192: slower
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +287,7 @@ def _step_count(dt: float, t_end: float, every: int, values_per_sample: int) -> 
     if not ratio <= MAX_STEPS:
         raise ScenarioError(f"t_end/dt is {ratio:.6g} steps, over the cap of {MAX_STEPS}")
     steps = round(ratio)
-    if abs(steps * dt - t_end) > 1e-9 * t_end:
+    if not abs(steps * dt - t_end) <= 1e-9 * t_end:  # a NaN fails it too
         raise ScenarioError(f"t_end {t_end!r} is not a whole number of dt {dt!r} steps")
     if steps % every:
         raise ScenarioError(
@@ -431,8 +431,8 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     cross-check; the closed loop embeds the same dynamics.  The grid follows
     integrate's rule: it must end on a recorded sample at t_end.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ValueError("dt and t_end must be positive and finite")
     every = int(output_every)
     if every < 1:
         raise ValueError("output_every must be at least 1")
@@ -443,47 +443,46 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
 
     w = exosystem_initial_state(spec, basis).w
     steps = _step_count(float(dt), float(t_end), every, 1 + w.size)
-    times = [0.0]
-    states = [w]
+    states = np.empty((steps // every + 1, *w.shape))
+    states[0] = w
     for step in range(1, steps + 1):
         w = _rk4_step(w, dt, deriv, deriv(w))
         if step % every == 0:
-            times.append(step * dt)
-            states.append(w)
-    return np.array(times), np.array(states)
+            states[step // every] = w
+    return np.arange(0, steps + 1, every) * dt, states
 
 
 def write_csv(traj: Trajectory, path) -> None:
     """One row per sample: t, positions (agent-major), errors, speeds, mu,
     mu_hat, alpha; each value printed as '%.17g' prints it, so values
-    round-trip exactly.  Rows are gathered a block at a time and formatted
-    by _g17.text, so the whole run is never staged as one table."""
+    round-trip exactly.  Rows are gathered a few at a time behind the
+    values the last full block left over, and _g17.text formats full
+    blocks, so the whole run is never staged as one table."""
     t_count, n, m = traj.positions.shape
     e_count = traj.errors.shape[1]
-    names = ["t"]
-    names += [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, m + 1)]
-    names += [f"e_{k}" for k in range(1, e_count + 1)]
-    names += [f"speed_{i}" for i in range(1, n + 1)]
-    names += [f"mu_{k}" for k in range(1, e_count + 1)]
-    names += [f"muhat_{k}" for k in range(1, e_count + 1)]
-    names += [f"alpha_{k}" for k in range(1, e_count + 1)]
+    names = ["t", *(f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, m + 1))]
+    for name, count in (("e", e_count), ("speed", n), ("mu", e_count), ("muhat", e_count),
+                        ("alpha", e_count)):
+        names += [f"{name}_{k}" for k in range(1, count + 1)]
     # imported here: an interpreter that writes no CSV never loads or compiles it
     from . import _g17
 
-    columns = len(names)
-    step = max(1, _CSV_BLOCK_VALUES // columns)
+    columns, block = len(names), _CSV_BLOCK_VALUES
+    step = -(-block // columns)  # rows gathered at a time: a block's values or more
+    parts = (traj.times[:, None], traj.positions.reshape(t_count, n * m), traj.errors,
+             traj.speeds, traj.mu, traj.mu_hat)
+    buffer = np.empty(block + step * columns)
+    kept = done = 0  # values in buffer that no block took, values written
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
         for start in range(0, t_count, step):
             rows = slice(start, start + step)
-            block = np.column_stack([
-                traj.times[rows],
-                traj.positions[rows].reshape(-1, n * m),
-                traj.errors[rows],
-                traj.speeds[rows],
-                traj.mu[rows],
-                traj.mu_hat[rows],
-                traj.errors[rows] + traj.mu[rows] - traj.mu_hat[rows],  # alpha
-            ]).ravel()
-            for first in range(0, block.size, _CSV_BLOCK_VALUES):
-                fh.write(_g17.text(block[first:first + _CSV_BLOCK_VALUES], columns, first))
+            alpha = traj.errors[rows] + traj.mu[rows] - traj.mu_hat[rows]
+            end = kept + alpha.shape[0] * columns
+            np.concatenate([a[rows] for a in parts] + [alpha], axis=1,
+                           out=buffer[kept:end].reshape(-1, columns))
+            full = end if start + step >= t_count else end - end % block
+            for first in range(0, full, block):
+                fh.write(_g17.text(buffer[first:min(first + block, full)], columns, done + first))
+            kept, done = end - full, done + full
+            buffer[:kept] = buffer[full:end]

@@ -3,14 +3,17 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import savetxt_text, savetxt_write_csv
-from rigiform import _g17, builtin_scenario, integrate, sim, write_csv
+from rigiform import _g17, builtin_scenario, generate_scenario, integrate, sim, write_csv
 
 COLUMNS = 7  # odd, so rows end at every offset within a block
 
@@ -75,6 +78,45 @@ def test_carries_long_exponents_and_integers_print_as_savetxt():
     _assert_prints_as_savetxt(np.concatenate([nines, long_exponents, integers, -integers]))
 
 
+def test_values_on_a_half_integer_are_settled_without_python():
+    # for -11 <= k <= 13 integers decide the rounding, also where the long
+    # double product lands on a half-integer (about 0.3% of such values)
+    rng = np.random.default_rng(21)
+    values = rng.uniform(1.0, 10.0, size=400_000) * 10.0 ** rng.integers(-11, 14, size=400_000)
+    values[::2] *= -1
+    powers, rel_error, ties = _g17.tables()[:3]
+    row = _g17.K_MAX - np.floor(np.log10(np.abs(values))).astype(int)
+    y = np.abs(values).astype(powers.dtype) * powers[row]
+    assert (y - y.astype(np.int64) == 0.5).sum() > 500
+    assert not _g17._round(values, powers, rel_error, ties)[2].any()
+    _assert_prints_as_savetxt(values)
+
+
+def _python_text(values, columns, first):
+    """'%.17g' of each value, each followed by ',' or, at a row's last column, a newline."""
+    return b"".join(b"%.17g" % x + (b"\n" if (first + i) % columns == columns - 1 else b",")
+                    for i, x in enumerate(values.tolist()))
+
+
+_bit_patterns = st.one_of(
+    st.integers(0, 2 ** 64 - 1),  # any double: subnormals, nan payloads, every exponent
+    st.floats().map(lambda x: int(np.float64(x).view(np.uint64))),
+    # 18 digits ending in 5: the nearest double lies next to a 17-digit tie
+    st.tuples(st.integers(10 ** 16, 10 ** 17 - 1), st.integers(-340, 291)).map(
+        lambda t: int(np.float64(f"{t[0]}5e{t[1]}").view(np.uint64))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_bit_patterns, min_size=1, max_size=300), st.integers(1, 7000),
+       st.integers(0, 10 ** 7))
+def test_text_matches_python_at_any_row_offset(bits, columns, first):
+    # write_csv's full blocks start anywhere in a row, so the newlines fall
+    # wherever (first + index) % columns says
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _g17.text(values, columns, first) == _python_text(values, columns, first)
+
+
 def test_zeros_infinities_and_nan_print_as_savetxt():
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.0]
     _assert_prints_as_savetxt(np.tile(specials, 5))
@@ -110,6 +152,61 @@ def test_write_csv_of_a_diverged_run_matches_the_savetxt_writer(tmp_path):
     traj = integrate(dataclasses.replace(builtin_scenario("epuck2d"), dt=5e-3))
     assert traj.diverged
     _assert_file_as_savetxt(traj, tmp_path)
+
+
+def _generated_run(n, dim, steps, dt=1e-3):
+    sc = dataclasses.replace(generate_scenario(n, dim, 0), dt=dt, t_end=steps * dt, output_every=1)
+    return integrate(sc)
+
+
+@pytest.mark.parametrize("n, dim, steps, dt", [
+    (200, 2, 20, 1e-3),  # rows of 2189 values: two or three rows to a block
+    (400, 3, 6, 1e-3),  # rows of 6377 values: wider than a block
+    (200, 2, 200, 0.055),  # diverges after 5 samples, at values up to 1e65
+], ids=["2d-n200", "3d-n400", "2d-n200-diverged"])
+def test_write_csv_of_generated_formations_matches_the_savetxt_writer(tmp_path, n, dim, steps, dt):
+    traj = _generated_run(n, dim, steps, dt)
+    assert traj.diverged == (dt > 1e-3)
+    _assert_file_as_savetxt(traj, tmp_path)
+
+
+@pytest.mark.parametrize("n, dim", [(200, 2), (400, 3)])
+def test_write_csv_formats_full_blocks(tmp_path, monkeypatch, n, dim):
+    # rows of more than half a block used to be formatted one call per row,
+    # or split into a block and a rest: every call but the last now takes
+    # a full block, however the rows fall across blocks
+    sizes, text = [], _g17.text
+
+    def counting(values, columns, first):
+        sizes.append(values.size)
+        return text(values, columns, first)
+
+    monkeypatch.setattr(_g17, "text", counting)
+    traj = _generated_run(n, dim, 10)
+    write_csv(traj, tmp_path / "run.csv")
+    values, block = traj.sample_count * (1 + n * dim + n + 4 * traj.errors.shape[1]), 1 << 12
+    assert sim._CSV_BLOCK_VALUES == block and sum(sizes) == values
+    assert len(sizes) <= math.ceil(values / (block // 2)) + 1
+    assert sizes[:-1] == [block] * (len(sizes) - 1) and 0 < sizes[-1] <= block
+
+
+@pytest.mark.parametrize("n, dim, bound", [(200, 2, 1.0), (400, 3, 1.5)])
+def test_write_csv_memory_does_not_grow_with_the_run(tmp_path, n, dim, bound):
+    # a write holds one block's formatting and a buffer of a block and a
+    # chunk of rows: the same traced peak for 30 and 300 samples, and under
+    # `bound` MiB (at 4096-value blocks, 0.78 and 1.06 MiB measured)
+    _g17.tables()  # built once per process, and not part of a write's peak
+    peaks = []
+    for steps in (29, 299):
+        traj = _generated_run(n, dim, steps)
+        tracemalloc.start()
+        try:
+            write_csv(traj, tmp_path / "run.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.25 * 2**20
+    assert max(peaks) <= bound * 2**20
 
 
 def test_without_extended_precision_every_value_prints_exactly(monkeypatch):

@@ -536,6 +536,45 @@ def test_propagate_exosystem_keeps_integrates_grid(t_end, every, reason):
     assert times[-1] == 12 * 1e-3
 
 
+@pytest.mark.parametrize("dt, t_end", [(math.inf, 1.0), (math.nan, 1.0), (1e-3, math.inf),
+                                       (1e-3, math.nan), (-1e-3, 1.0), (1e-3, 0.0)])
+def test_propagate_exosystem_rejects_steps_that_are_not_positive_and_finite(dt, t_end):
+    # dt = inf used to return the one sample at t = 0, and a NaN was
+    # reported as a step count over the cap
+    spec = _zero_disturbance(2)
+    with pytest.raises(ValueError, match="^dt and t_end must be positive and finite$"):
+        propagate_exosystem(spec, default_basis(spec.frequencies), t_end=t_end, dt=dt)
+
+
+def test_whole_step_test_rejects_a_nan_grid_end():
+    # 0 steps of an infinite dt end at 0 * inf = NaN, which no comparison passes
+    with pytest.raises(ScenarioError, match="not a whole number of dt inf steps"):
+        sim._step_count(math.inf, 1.0, 1, 1)
+
+
+def test_propagate_exosystem_keeps_only_what_the_cap_counts(monkeypatch):
+    # as for integrate: the traced peak is the counted values, float64 each, plus little
+    step_count, counted = sim._step_count, []
+
+    def counting(dt, t_end, every, values_per_sample):
+        steps = step_count(dt, t_end, every, values_per_sample)
+        counted.append((steps // every + 1) * values_per_sample)
+        return steps
+
+    monkeypatch.setattr(sim, "_step_count", counting)
+    sc = builtin_scenario("tetra3d")
+    basis = sc.basis()
+    tracemalloc.start()
+    try:
+        times, states = propagate_exosystem(sc.disturbance, basis, t_end=20.0, dt=1e-3,
+                                            output_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.size == states.shape[0] == 20_001 and len(counted) == 1
+    assert 8 * counted[0] <= peak <= 8 * counted[0] + 0.25 * 2**20
+
+
 def test_builtin_epuck_smoke():
     sc = dataclasses.replace(builtin_scenario("epuck2d"), t_end=1.0)
     traj = integrate(sc)
