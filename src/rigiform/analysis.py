@@ -11,7 +11,8 @@ lower-triangular, so the spectrum is the union of the diagonal blocks'
 spectra and their ranks bound R's rank from below
 (`Framework.diagonal_blocks`).  Estimator placement rules map each edge to
 the agent that runs its internal-model unit, which fixes the edge
-orientations the controller uses.
+orientations the controller uses: the construction-order rules
+(`_TRACE_DIMS`) keep the trace's, the others read an owner table by pair.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .rigidity import (
+    _SEED_EDGES,
     ConstructionTrace,
     Framework,
     FormationGraph,
@@ -142,7 +144,8 @@ class AssignmentRule:
         that already existed), and seed edges by their lower-numbered
         endpoint.  New edges then share the inserted vertex as their head,
         which is what makes the error dynamics grow block-triangularly.
-    tetrahedron: the complete graph on 4 vertices with a fixed owner table.
+    tetrahedron: the complete graph on 4 vertices, each edge owned as the
+        3-D construction seed orients it.
     """
 
     kind: str
@@ -170,28 +173,27 @@ class AssignmentRule:
                     raise ValueError(f"{name} must be an int vertex label")
 
 
-def _orient(edges, owners):
-    """Flip edges so each one's tail is its owner, preserving edge order."""
-    oriented = []
-    for (a, b), owner in zip(edges, owners):
-        if owner == a:
-            oriented.append((a, b))
-        elif owner == b:
-            oriented.append((b, a))
-        else:
-            raise ValueError(f"owner {owner} is not an endpoint of edge ({a}, {b})")
-    return tuple(oriented)
+_TRACE_DIMS = {"henneberg_2d": 2, "growth_3d": 3}  # the construction-order rules' dimensions
+# each rule's owner table: a sorted vertex pair to the agent that owns that edge
+_TRIANGLE_CYCLIC = {(1, 2): 1, (1, 3): 3, (2, 3): 2}
+_TETRAHEDRON = {(a, b): a for a, b in _SEED_EDGES[3].tolist()}  # the 3-D seed's tails
 
 
-def _triangle_owners(graph: FormationGraph, rule: AssignmentRule):
+def _owner_table(graph: FormationGraph, rule: AssignmentRule) -> dict:
+    """The rule's owner table, once the graph is the one the rule needs."""
+    pairs = set(map(tuple, map(sorted, graph.edges)))
+    if rule.kind == "tetrahedron":
+        if graph.n != 4 or graph.edge_count != 6:
+            raise ValueError("tetrahedron rule needs 4 vertices and all 6 edges")
+        if pairs != _TETRAHEDRON.keys():
+            raise ValueError("tetrahedron rule needs the complete graph on 4 vertices")
+        return _TETRAHEDRON
     if graph.n != 3 or graph.edge_count != 3:
         raise ValueError(f"{rule.kind} needs a triangle: 3 vertices and 3 edges")
-    pairs = [tuple(sorted(e)) for e in graph.edges]
-    if sorted(pairs) != [(1, 2), (1, 3), (2, 3)]:
+    if pairs != _TRIANGLE_CYCLIC.keys():
         raise ValueError("triangle rules need exactly the edges {1,2}, {1,3}, {2,3}")
     if rule.kind == "triangle_cyclic":
-        table = {(1, 2): 1, (2, 3): 2, (1, 3): 3}
-        return [table[p] for p in pairs]
+        return _TRIANGLE_CYCLIC
     root = 1 if rule.root is None else rule.root
     if root not in (1, 2, 3):
         raise ValueError("root must be a triangle vertex")
@@ -199,20 +201,7 @@ def _triangle_owners(graph: FormationGraph, rule: AssignmentRule):
     third = others[0] if rule.third is None else rule.third
     if third not in others:
         raise ValueError("third must be a triangle vertex other than the root")
-    owners = []
-    for p in pairs:
-        owners.append(root if root in p else third)
-    return owners
-
-
-def _tetrahedron_owners(graph: FormationGraph):
-    if graph.n != 4 or graph.edge_count != 6:
-        raise ValueError("tetrahedron rule needs 4 vertices and all 6 edges")
-    pairs = [tuple(sorted(e)) for e in graph.edges]
-    if sorted(pairs) != [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
-        raise ValueError("tetrahedron rule needs the complete graph on 4 vertices")
-    table = {(1, 2): 1, (1, 3): 1, (2, 3): 2, (1, 4): 1, (2, 4): 2, (3, 4): 3}
-    return [table[p] for p in pairs]
+    return {pair: root if root in pair else third for pair in _TRIANGLE_CYCLIC}
 
 
 def select_estimating_agents(source, rule: AssignmentRule) -> tuple[tuple[int, int], ...]:
@@ -223,20 +212,18 @@ def select_estimating_agents(source, rule: AssignmentRule) -> tuple[tuple[int, i
     `edges`: that orientation already makes each anchor its edge's tail.
     Edge order is preserved.
     """
-    if rule.kind in ("henneberg_2d", "growth_3d"):
+    want = _TRACE_DIMS.get(rule.kind)
+    if want:
         if not isinstance(source, ConstructionTrace):
             raise ValueError(f"{rule.kind} needs a ConstructionTrace")
-        want = 2 if rule.kind == "henneberg_2d" else 3
         if source.dim != want:
             raise ValueError(f"{rule.kind} needs a {want}-D trace")
         return source.edges
     if not isinstance(source, FormationGraph):
         raise ValueError(f"{rule.kind} needs a FormationGraph")
-    if rule.kind == "tetrahedron":
-        owners = _tetrahedron_owners(source)
-    else:
-        owners = _triangle_owners(source, rule)
-    return _orient(source.edges, owners)
+    owners = _owner_table(source, rule)
+    # keyed by the edge's own pair, an owner is an end: a pair without the root holds third
+    return tuple((a, b) if owners[min(a, b), max(a, b)] == a else (b, a) for a, b in source.edges)
 
 
 def _with_orientation(framework: Framework, oriented) -> Framework:
@@ -264,7 +251,7 @@ def certify(
     """Orient a target framework by `rule` and certify it.  Warns (rather
     than failing) when it is not infinitesimally rigid or its margin is not
     negative, so callers can still inspect the certificate."""
-    by_trace = rule.kind in ("henneberg_2d", "growth_3d")
+    by_trace = rule.kind in _TRACE_DIMS
     if by_trace and trace is None:
         raise ValueError(f"{rule.kind} needs the construction trace")
     oriented = select_estimating_agents(trace if by_trace else framework.graph, rule)

@@ -488,8 +488,8 @@ class ConstructionTrace(_Tables):
 
         Every inserted edge is estimated by its anchor endpoint.  The 2-D
         seed edge is estimated by vertex 1; the seed tetrahedron fixes tails
-        (1, 1, 2, 1, 2, 3), the same pattern the tetrahedron selection rule
-        in `analysis` produces.
+        (1, 1, 2, 1, 2, 3), which the tetrahedron selection rule in
+        `analysis` reads from the same table.
         """
         heads = np.repeat(np.arange(3 if self.dim == 2 else 5, self.n + 1), self.dim)
         inserted = np.array((self.anchors.ravel(), heads)).T

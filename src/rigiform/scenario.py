@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import AssignmentRule, certificate, select_estimating_agents
+from .analysis import _TRACE_DIMS, AssignmentRule, certificate, select_estimating_agents
 # unused here, these stay importable: perfbench/tracing.py wraps them by name
 from .analysis import is_hurwitz, is_infinitesimally_rigid, stability_matrix  # noqa: F401
 from .disturbance import DisturbanceSpec, InternalModelBasis, _edge_tables, check_observability
@@ -85,11 +85,18 @@ def _optional_rows(rows):
     return None if rows is None else _float_rows(rows)
 
 
+def _output_every(value) -> int:
+    """An int or numpy integer as int; int() would truncate a float and read a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("output_every must be an integer")
+    return int(value)
+
+
 # the fields a Scenario converts, in order, with their conversions
 _CONVERSIONS = (("dim", int), ("distances", _floats), ("initial_positions", _float_rows),
                 ("target_positions", _optional_rows), ("kappa", float), ("b1", float),
                 ("b2", _floats), ("xi0", _optional_rows), ("dt", float), ("t_end", float),
-                ("output_every", int))
+                ("output_every", _output_every))
 
 
 class ScenarioError(ValueError):
@@ -171,7 +178,9 @@ class Scenario:
                 raise ScenarioError("xi0 must be finite")
         if not math.isfinite(self.dt) or self.dt <= 0:
             raise ScenarioError("dt must be positive and finite")
-        if not math.isfinite(self.t_end) or self.t_end <= self.dt:
+        if not math.isfinite(self.t_end):
+            raise ScenarioError("t_end must be finite")
+        if self.t_end <= self.dt:
             raise ScenarioError("t_end must be greater than dt")
         if self.output_every < 1:
             raise ScenarioError("output_every must be at least 1")
@@ -189,12 +198,12 @@ class Scenario:
         if self.assignment is not None:
             if not isinstance(self.assignment, AssignmentRule):
                 raise ScenarioError("assignment must be an AssignmentRule")
-            if self.assignment.kind in ("henneberg_2d", "growth_3d"):
+            want = _TRACE_DIMS.get(self.assignment.kind)
+            if want:
                 if self.construction is None:
                     raise ScenarioError(
                         f"assignment {self.assignment.kind} needs a construction trace"
                     )
-                want = 2 if self.assignment.kind == "henneberg_2d" else 3
                 # the rule would return construction.edges, equal to edges above
                 if self.construction.dim != want:
                     raise ScenarioError(f"{self.assignment.kind} needs a {want}-D trace")
@@ -742,11 +751,11 @@ def builtin_scenario(name: str) -> Scenario:
 def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") -> Scenario:
     """Random minimally rigid scenario, certified before it is returned.
 
-    Draws construction traces until the oriented embedding is certified
-    (rank test and Hurwitz error dynamics), then wraps the formation with a
-    small random initial offset and a random offset-plus-sinusoid
-    disturbance.  Deterministic per seed.  Raises ScenarioError when the
-    trace sampler stalls or no draw certifies.
+    Each draw is a construction trace, a small random initial offset and a
+    random offset-plus-sinusoid disturbance, built into a Scenario; the
+    first whose target certifies (rank test and Hurwitz error dynamics) is
+    returned.  Deterministic per seed.  Raises ScenarioError when the trace
+    sampler stalls or 100 draws fail to certify.
 
     assignment selects the estimating-agent rule: "trace" follows the
     construction order; the triangle rules apply only to n = 3, dim = 2
@@ -771,32 +780,26 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
         raise ScenarioError("seed must be a nonnegative integer")
 
     rng = np.random.default_rng(seed)
+    # the construction-order rule orients each edge as the trace does
+    rule = AssignmentRule(next(kind for kind, d in _TRACE_DIMS.items() if d == dim)
+                          if assignment == "trace" else assignment)
     for _ in range(100):
         try:
             trace, pts = random_trace(n, dim, rng)
         except RuntimeError as exc:
             raise ScenarioError(f"cannot place {n} agents: {exc} (seed {seed})") from exc
-        distances = trace_distances(trace)
         if assignment == "trace":
-            # the construction-order rule orients each edge as the trace does
-            rule = AssignmentRule("henneberg_2d" if dim == 2 else "growth_3d")
-            construction = trace
-            edges = trace.endpoints
+            construction, edges = trace, trace.endpoints
         else:
-            rule = AssignmentRule(assignment)
-            construction = None
-            edges = select_estimating_agents(trace_graph(trace), rule)
-        fw = Framework(FormationGraph(n, edges), dim, pts, distances)
-        if not certificate(fw).certified:
-            continue
+            construction, edges = None, select_estimating_agents(trace_graph(trace), rule)
         initial = pts + rng.uniform(-0.3, 0.3, size=pts.shape)
         # per edge: offset, amplitude, phase, drawn in that order
         draws = rng.uniform([-2.0, 0.0, -math.pi], [2.0, 0.5, math.pi], size=(len(edges), 3))
-        return Scenario(
+        scenario = Scenario(
             name=f"generated_{dim}d_n{n}_seed{seed}",
             dim=dim,
             edges=edges,
-            distances=distances,
+            distances=trace_distances(trace),
             initial_positions=tuple(map(tuple, initial.tolist())),
             target_positions=tuple(map(tuple, pts.tolist())),
             disturbance=DisturbanceSpec.from_tables((1.0,), draws[:, 0], draws[:, 1:2],
@@ -806,4 +809,6 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
             construction=construction,
             assignment=rule,
         )
+        if certificate(scenario.framework_target()).certified:
+            return scenario
     raise ScenarioError(f"no certified formation found after 100 draws (seed {seed})")

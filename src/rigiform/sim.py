@@ -44,7 +44,7 @@ import numpy as np
 from .disturbance import exosystem_initial_state
 # unused here, is_infinitesimally_rigid stays importable: perfbench/tracing.py wraps it by name
 from .rigidity import is_infinitesimally_rigid  # noqa: F401
-from .scenario import ScenarioError
+from .scenario import ScenarioError, _output_every
 
 # A run whose position norm passes this bound is declared divergent and
 # aborted with the samples recorded so far.
@@ -433,7 +433,7 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
-    every = int(output_every)
+    every = _output_every(output_every)
     if every < 1:
         raise ValueError("output_every must be at least 1")
     lam_t = np.ascontiguousarray(basis.dynamics_matrix.T)

@@ -183,6 +183,10 @@ def test_select_estimating_agents_tetrahedron():
     graph = FormationGraph(4, ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)))
     oriented = select_estimating_agents(graph, AssignmentRule("tetrahedron"))
     assert tuple(e[0] for e in oriented) == (1, 1, 2, 1, 2, 3)
+    # however its edges point, the rule orients the complete graph as a 3-D construction's seed
+    flipped = FormationGraph(4, tuple((b, a) for a, b in graph.edges))
+    assert select_estimating_agents(flipped, AssignmentRule("tetrahedron")) == \
+        ConstructionTrace(3, (1.0,) * 6).edges
 
 
 def test_select_estimating_agents_trace_rules():

@@ -389,6 +389,50 @@ def test_generate_reports_a_stalled_draw_in_one_line(tmp_path, monkeypatch, caps
     assert not path.exists()
 
 
+def _rejecting(monkeypatch, rejected):
+    """Make generate's certification reject its first `rejected` draws;
+    returns the list that counts the draws."""
+    import rigiform.scenario as scenario
+
+    draws, random_trace, certify = [], scenario.random_trace, scenario.certificate
+
+    def draw(*args):
+        draws.append(1)
+        return random_trace(*args)
+
+    def rejecting(framework):
+        cert = certify(framework)
+        return cert if len(draws) > rejected else dataclasses.replace(cert, certified=False)
+
+    monkeypatch.setattr(scenario, "random_trace", draw)
+    monkeypatch.setattr(scenario, "certificate", rejecting)
+    return draws
+
+
+def test_generate_gives_up_after_100_rejected_draws(tmp_path, monkeypatch, capsys):
+    draws = _rejecting(monkeypatch, float("inf"))
+    path = tmp_path / "none.json"
+    assert main(["generate", "--n", "5", "--dim", "2", "--seed", "7", "--out", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: no certified formation found after 100 draws (seed 7)\n"
+    assert len(draws) == 100
+    assert not path.exists()
+
+
+def test_generate_redraws_after_a_rejected_draw(tmp_path, monkeypatch):
+    draws = _rejecting(monkeypatch, 1)
+    paths = tmp_path / "a.json", tmp_path / "b.json"
+    for path in paths:
+        draws.clear()
+        scenario = generate_scenario(5, 3, 3)
+        assert len(draws) == 2
+        save_scenario(scenario, path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    monkeypatch.undo()
+    assert certificate(scenario.framework_target()).certified
+    assert scenario != generate_scenario(5, 3, 3)  # the second draw's, not the first's
+
+
 def test_generate_reports_running_out_of_memory_in_one_line(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2)")

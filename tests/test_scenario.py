@@ -19,6 +19,7 @@ from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
     FormationGraph,
+    Framework,
     InsertionStep,
     ScenarioError,
     builtin_scenario,
@@ -288,6 +289,33 @@ def test_one_load_builds_one_record_per_section_and_none_per_edge(tmp_path, monk
     sc.framework_target()
     assert calls == {FormationGraph: 1, DisturbanceSpec: 1, ConstructionTrace: 1,
                      EdgeDisturbance: 0, InsertionStep: 0}
+
+
+@pytest.mark.parametrize("n, dim, assignment, graphs", [
+    (4, 2, "trace", 1), (5, 3, "trace", 1), (250, 3, "trace", 1), (3, 2, "triangle_cyclic", 2),
+])
+def test_generate_builds_one_graph_and_two_frameworks_per_draw(monkeypatch, n, dim, assignment,
+                                                               graphs):
+    # generate certifies the target of the Scenario it builds: the Scenario's
+    # graph and its initial and target frameworks, and with a triangle rule
+    # the trace's graph that the rule orients
+    import rigiform.scenario as scenario
+
+    builds = {FormationGraph: "__init__", Framework: "__post_init__"}
+    calls = dict.fromkeys(builds, 0)
+    for cls, name in builds.items():
+        def counted(self, *args, cls=cls, original=getattr(cls, name)):
+            calls[cls] += 1
+            original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    draws, random_trace = [], scenario.random_trace
+
+    def draw(*args):
+        draws.append(1)
+        return random_trace(*args)
+    monkeypatch.setattr(scenario, "random_trace", draw)
+    generate_scenario(n, dim, 0, assignment)
+    assert calls == {FormationGraph: graphs * len(draws), Framework: 2 * len(draws)}
 
 
 class _Int(int):

@@ -223,6 +223,37 @@ def test_grid_must_end_on_a_recorded_sample_at_t_end(t_end, every, reason):
         integrate(_triangle_scenario(t_end=t_end, output_every=every))
 
 
+@pytest.mark.parametrize("every", [2.5, "4", True])
+def test_scenario_rejects_an_output_every_that_is_not_an_integer(every):
+    # int() used to truncate 2.5 to a sample every 2 steps and read "4" and True
+    sc = builtin_scenario("epuck2d")
+    with pytest.raises(ScenarioError, match="^malformed scenario field: output_every must be an "
+                                            "integer$"):
+        dataclasses.replace(sc, output_every=every, t_end=0.01)
+    assert dataclasses.replace(sc, output_every=np.int64(5), t_end=0.01).output_every == 5
+
+
+@pytest.mark.parametrize("every", [2.5, "3", True])
+def test_propagate_exosystem_rejects_an_output_every_that_is_not_an_integer(every):
+    spec = _zero_disturbance(2)
+    basis = default_basis(spec.frequencies)
+    with pytest.raises(ValueError, match="^output_every must be an integer$"):
+        propagate_exosystem(spec, basis, t_end=0.012, dt=1e-3, output_every=every)
+    times, _ = propagate_exosystem(spec, basis, t_end=0.012, dt=1e-3, output_every=np.int32(3))
+    assert times.size == 5
+
+
+@pytest.mark.parametrize("t_end, reason", [
+    (math.nan, "t_end must be finite"),  # both used to read "greater than dt", true of inf
+    (math.inf, "t_end must be finite"),
+    (1e-3, "t_end must be greater than dt"),
+    (-1.0, "t_end must be greater than dt"),
+])
+def test_scenario_names_why_t_end_is_rejected(t_end, reason):
+    with pytest.raises(ScenarioError, match=f"^{reason}$"):
+        _triangle_scenario(t_end=t_end)
+
+
 def test_caps_reject_a_run_before_it_allocates():
     with pytest.raises(ScenarioError, match="steps, over the cap"):
         integrate(_triangle_scenario(t_end=(MAX_STEPS + 10) * 1e-3, output_every=10))
