@@ -7,13 +7,12 @@ A finite nonzero x with decimal exponent k (10**k <= |x| < 10**(k+1))
 prints the 17 digits D = round(|x| * 10**(16-k)), trailing zeros dropped,
 either in fixed form (-4 <= k <= 16) or as d.ddd followed by e+kk.  D is
 read off y = |x| * 10**(16-k) computed in WIDE (correctly rounded powers
-of ten, one more rounding in the product), with k from floor(log10|x|);
-integers decide its rounding where 10**(16-k) is exact (-11 <= k <= 13
-for a 64-bit long double).  Python's '%.17g' prints the value where, at
-other k, the error bound of y, from np.finfo(WIDE), cannot rule out that
-y lies on the other side of a half-integer, where k came out one off or
-D carries into the next exponent (D outside [1e16, 1e17)), and for inf
-and nan; where long double is plain double, that is every value.
+of ten, one more rounding in the product), with k from floor(log10|x|).
+Where 10**(16-k) is exact (-11 <= k <= 13 for a 64-bit long double), y is
+the product rounded once, and integers decide D from it.  Python's '%.17g'
+prints every other value: those at other k, those where k came out one off
+or D carries into the next exponent (D outside [1e16, 1e17)), and inf and
+nan; where long double is plain double, that is every value.
 
 Each value's text is assembled in a 32-byte slot, and the nulls left in
 the slots are deleted at the end:
@@ -48,13 +47,8 @@ def tables():
     p = np.arange(16 - K_MAX, 17 - K_MIN)  # 16 - k for every exponent k
     with np.errstate(over="ignore"):  # 1e340 is inf where long double is double
         powers = np.array([f"1e{i}" for i in p], dtype=WIDE)
-    # relative error bound of y: one rounding where 10**p is exact, two
-    # elsewhere, and 1% for the rounding of the bound itself
-    u = float(wide.eps) / 2
-    exact = (p >= 0) & (p * np.log2(5) < wide.nmant + 1)
-    rel_error = np.where(exact, u, 2 * u + u * u) * 1.01
     # 5**p where _round settles D with integers (3 <= p <= 27, 10**p exact, WIDE of 58+ bits)
-    settles = exact & (p >= 3) & (p <= 27) & (wide.nmant >= 57)
+    settles = (p >= 3) & (p <= 27) & (p * np.log2(5) < wide.nmant + 1) & (wide.nmant >= 57)
     fives = np.array([5 ** i if s else 0 for i, s in zip(p.tolist(), settles.tolist())], np.uint64)
     # heads 2p and 2p + 1 have digits after d0 and none; tails p are bytes 24-31
     heads = tails = b""
@@ -69,13 +63,13 @@ def tables():
     kept = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0
     chars = (digits + ord("0")).astype(np.uint8)
     quads = np.concatenate([chars, chars * kept]).view("<u4").ravel()
-    arrays = (powers, rel_error, fives, *(np.frombuffer(b, "<u8") for b in (heads, tails)), quads)
+    arrays = (powers, fives, *(np.frombuffer(b, "<u8") for b in (heads, tails)), quads)
     for array in arrays:
         array.setflags(write=False)  # every write shares them
     return arrays
 
 
-def _round(values, powers, rel_error, fives):
+def _round(values, powers, fives):
     """(p, D, slow) of each value: its row p = K_MAX - k, its 17 digits D,
     and whether Python prints it; D is 0 for zero and for those."""
     finite = np.isfinite(values)
@@ -98,12 +92,7 @@ def _round(values, powers, rel_error, fives):
     side = ((bits & np.uint64(2 ** 52 - 1)) | np.uint64(2 ** 52)) * five
     side -= (2 * whole + 1).view(np.uint64) << s
     digits = whole - (-(side.view(np.int64) + (whole & 1)) >> 63)
-    slow = (whole < 10 ** 16) | ~finite  # k came out one too high
-    rest = np.flatnonzero(five == 0)
-    if rest.size:  # D off y, where its error bound keeps it on its side of a half-integer
-        half = (y[rest] - whole[rest]).astype(np.float64) - 0.5  # exact: y, whole share a binade
-        digits[rest] = whole[rest] + (half > 0)
-        slow[rest] |= ~(np.abs(half) > whole[rest] * np.take(rel_error, p[rest]))
+    slow = (five == 0) | (whole < 10 ** 16) | ~finite  # no exact 10**q, or k came out one too high
     # D >= 1e17 needs |x| within 5e-18 of 10**(k+1), where log10 gives k + 1: no double
     # within 20000 steps of a power of ten reaches it, so it guards a log10 that errs low
     slow |= digits >= 10 ** 17
@@ -134,9 +123,9 @@ def _split(digits):
 def text(values, columns, first):
     """The float64 vector values as '%.17g' texts, each followed by ',' or,
     when (first + its index) % columns is the last column, by a newline."""
-    powers, rel_error, fives, heads, tails, quads = tables()
+    powers, fives, heads, tails, quads = tables()
     n = values.size
-    p, digits, slow = _round(values, powers, rel_error, fives)
+    p, digits, slow = _round(values, powers, fives)
     lead, rows, bare = _split(digits)
     slots = np.empty(n, SLOT)
     slots["digits"] = np.take(quads, rows).view("V16")

@@ -142,10 +142,9 @@ def lambda_matrix(frequencies) -> np.ndarray:
     freqs = _checked_frequencies(frequencies)
     p = len(freqs)
     out = np.zeros((2 * p + 1, 2 * p + 1))
-    if p:
-        w = np.diag(freqs)
-        out[1:p + 1, p + 1:] = -w
-        out[p + 1:, 1:p + 1] = w
+    w = np.diag(freqs)
+    out[1:p + 1, p + 1:] = -w
+    out[p + 1:, 1:p + 1] = w
     return out
 
 
@@ -269,10 +268,7 @@ def mu_closed_form(spec: DisturbanceSpec, t):
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     tt = np.atleast_1d(t_arr)
-    if spec.p:
-        angles = (tt[:, None, None] * np.array(spec.frequencies)[None, None, :]
-                  + spec.phase_table[None, :, :])
-        out = spec.offsets[None, :] + (spec.amplitude_table[None, :, :] * np.sin(angles)).sum(axis=2)
-    else:
-        out = np.repeat(spec.offsets[None, :], tt.size, axis=0)
+    angles = (tt[:, None, None] * np.array(spec.frequencies)[None, None, :]
+              + spec.phase_table[None, :, :])
+    out = spec.offsets[None, :] + (spec.amplitude_table[None, :, :] * np.sin(angles)).sum(axis=2)
     return out[0] if scalar else out

@@ -30,8 +30,8 @@ Integration certifies nothing and never reads the target embedding;
 operations on full blocks of values whatever the row width: the private
 `_g17` module reads the 17 digits off a long double product, settles
 their rounding with integers where the power of ten is exact, lays the
-text out through lookup tables built on the first write, and hands the
-few values it cannot settle, and inf and nan, to Python's '%.17g'.
+text out through lookup tables built on the first write, and hands every
+other value, inf and nan among them, to Python's '%.17g'.
 """
 
 from __future__ import annotations

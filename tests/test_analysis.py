@@ -6,6 +6,7 @@ independently of the eigensolver.
 """
 
 import cmath
+import re
 import warnings
 
 import numpy as np
@@ -234,6 +235,26 @@ def test_assignment_rule_validation():
         AssignmentRule("star")
     with pytest.raises(ValueError, match="apply only to triangle_acyclic"):
         AssignmentRule("triangle_cyclic", root=1)
+
+
+@pytest.mark.parametrize("root, third, name", [(1.0, None, "root"), (True, None, "root"),
+                                               (1, "2", "third")])
+def test_assignment_rule_takes_only_int_vertex_labels(root, third, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int vertex label$"):
+        AssignmentRule("triangle_acyclic", root=root, third=third)
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((1, 2), (2, 3)), "assignment edge (1, 3) is not in the framework"),
+    (((1, 2), (1, 3), (2, 3), (1, 4)), "assignment does not cover every framework edge"),
+])
+def test_certify_needs_a_trace_with_the_frameworks_edges(edges, message):
+    # the trace builds the triangle (1, 2), (1, 3), (2, 3)
+    trace = ConstructionTrace(2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)),))
+    n = max(map(max, edges))
+    fw = Framework(FormationGraph(n, edges), 2, np.eye(n, 2), np.ones(len(edges)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        certify(fw, AssignmentRule("henneberg_2d"), trace=trace)
 
 
 def test_certify_reorients_and_remaps_distances():

@@ -84,11 +84,11 @@ def test_values_on_a_half_integer_are_settled_without_python():
     rng = np.random.default_rng(21)
     values = rng.uniform(1.0, 10.0, size=400_000) * 10.0 ** rng.integers(-11, 14, size=400_000)
     values[::2] *= -1
-    powers, rel_error, ties = _g17.tables()[:3]
+    powers, fives = _g17.tables()[:2]
     row = _g17.K_MAX - np.floor(np.log10(np.abs(values))).astype(int)
     y = np.abs(values).astype(powers.dtype) * powers[row]
     assert (y - y.astype(np.int64) == 0.5).sum() > 500
-    assert not _g17._round(values, powers, rel_error, ties)[2].any()
+    assert not _g17._round(values, powers, fives)[2].any()
     _assert_prints_as_savetxt(values)
 
 
@@ -123,16 +123,17 @@ def test_zeros_infinities_and_nan_print_as_savetxt():
 
 
 def test_wide_estimate_stays_inside_its_error_bound():
-    # the premise of the doubt band: |y - |x| 10**(16-k)| <= floor(y) * rel_error
-    powers, rel_error = _g17.tables()[:2]
+    # the premise of the integer rule: where 10**(16-k) is exact (fives is
+    # nonzero), whole = int64(y) is floor(|x| 10**(16-k)) or one more
+    powers, fives = _g17.tables()[:2]
     rng = np.random.default_rng(13)
-    x = rng.uniform(1.0, 10.0, size=4000) * 10.0 ** rng.integers(-320, 300, size=4000)
+    x = rng.uniform(1.0, 10.0, size=4000) * 10.0 ** rng.integers(-11, 14, size=4000)
     k = np.floor(np.log10(x)).astype(int)
     row = _g17.K_MAX - k  # of 10**(16-k)
-    y = x.astype(powers.dtype) * powers[row]
-    for xi, ki, yi, bound in zip(x.tolist(), k.tolist(), y, (np.floor(y).astype(float) * rel_error[row]).tolist()):
-        exact = Fraction(xi) * Fraction(10) ** (16 - ki)
-        assert abs(Fraction(*yi.as_integer_ratio()) - exact) <= Fraction(bound), xi
+    settled = fives[row] != 0
+    whole = (x.astype(powers.dtype) * powers[row]).astype(np.int64)
+    for xi, ki, wi in zip(x[settled].tolist(), k[settled].tolist(), whole[settled].tolist()):
+        assert wi - math.floor(Fraction(xi) * Fraction(10) ** (16 - ki)) in (0, 1), xi
 
 
 def _assert_file_as_savetxt(traj, tmp_path):
@@ -210,12 +211,12 @@ def test_write_csv_memory_does_not_grow_with_the_run(tmp_path, n, dim, bound):
 
 
 def test_without_extended_precision_every_value_prints_exactly(monkeypatch):
-    # where long double is plain double, the doubt band derived from its
-    # eps covers every value, so all take the exact path, with no warnings
+    # where long double is plain double, no power of ten settles with
+    # integers, so every value takes the exact path, with no warnings
     monkeypatch.setattr(_g17, "WIDE", np.float64)
     monkeypatch.setattr(_g17, "tables", functools.cache(_g17.tables.__wrapped__))
-    rel_error = _g17.tables()[1]
-    assert (1e16 * rel_error > 0.5).all()
+    fives = _g17.tables()[1]
+    assert not fives.any()
     rng = np.random.default_rng(11)
     values = np.concatenate([
         rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64).view(np.float64),

@@ -6,6 +6,7 @@ any closed-loop test depends on it.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.integrate import solve_ivp
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
+    ExosystemState,
     InternalModelBasis,
     check_observability,
     default_basis,
@@ -115,6 +117,26 @@ def test_initial_state_error_paths():
         exosystem_initial_state(spec, InternalModelBasis(1.0, (0.0, 0.0), (1.0,)))
     with pytest.raises(ValueError, match="frequency lists differ"):
         exosystem_initial_state(spec, default_basis((2.0,)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DisturbanceSpec((1.0,), ((0.0, (0.0,), (0.0,)),)),
+     "edge 1: entries must be EdgeDisturbance"),
+    (lambda: DisturbanceSpec.from_tables((1.0,), [0.0], [[0.0, 0.0]], [[0.0, 0.0]]),
+     "edge 1: needs one (amplitude, phase) pair per frequency"),
+    (lambda: ExosystemState(np.zeros(3)), "w must be a (edges, 2p+1) array"),
+])
+def test_disturbance_records_name_what_they_reject(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_silent_frequency_without_output_weights_leaves_its_channels_zero():
+    # both b2 entries of the 2.0 rad/s tone are zero: no sinusoid there is fine
+    spec = DisturbanceSpec((1.0, 2.0), (EdgeDisturbance(0.5, (1.0, 0.0), (0.0, 0.0)),))
+    basis = InternalModelBasis(1.0, (1.0, 0.0, 0.0, 0.0), (1.0, 2.0))
+    w = exosystem_initial_state(spec, basis).w
+    assert np.array_equal(w, [[0.5, 0.0, 0.0, -1.0, 0.0]])
 
 
 def test_initial_state_reproduces_output_via_scipy():

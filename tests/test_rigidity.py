@@ -5,6 +5,7 @@ edge map before anything downstream relies on it.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,36 @@ def test_framework_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         Framework(graph, 2, bad, np.ones(3))
+
+
+def test_graph_equality_and_repr_read_its_vertex_count_and_table():
+    graph = FormationGraph(3, ((1, 2), (2, 3)))
+    assert graph == FormationGraph(3, [[1, 2], [2, 3]])
+    assert graph != FormationGraph(4, ((1, 2), (2, 3)))
+    assert graph != FormationGraph(3, ((2, 1), (2, 3)))
+    assert repr(graph) == "FormationGraph(3, array([[1, 2],\n       [2, 3]]))"
+
+
+_TRIANGLE = FormationGraph(3, ((1, 2), (2, 3), (1, 3)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Framework(_TRIANGLE, 4, np.zeros((3, 4)), np.ones(3)), "dim must be 2 or 3"),
+    (lambda: Framework(_TRIANGLE, 2, np.zeros((3, 2)), np.ones(2)),
+     "need one target distance per edge (3)"),
+    (lambda: numeric_rank(np.ones(3)), "rank is defined for 2-D matrices"),
+    (lambda: rigid_rank_target(1, 2), "2-D rigidity test needs n >= 2"),
+    (lambda: rigid_rank_target(2, 3), "3-D rigidity test needs n >= 3"),
+    (lambda: rigid_rank_target(4, 4), "dim must be 2 or 3"),
+    (lambda: ConstructionTrace(2, (1.0,), ((1, 2),)), "steps must be InsertionStep instances"),
+    (lambda: ConstructionTrace(4, (1.0,) * 6), "dim must be 2 or 3"),
+    (lambda: random_trace(1, 2, np.random.default_rng(0)), "2-D trace needs n >= 2"),
+    (lambda: random_trace(5, 4, np.random.default_rng(0)), "dim must be 2 or 3"),
+    (lambda: random_trace(3, 3, np.random.default_rng(0)), "3-D trace needs n >= 4"),
+])
+def test_rigidity_records_name_what_they_reject(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_outward_proposal_clears_every_placed_vertex():

@@ -3,9 +3,11 @@ how many records one load builds, and the same outcome as the
 hand-written loader it replaced on randomly mutated files."""
 
 import copy
+import dataclasses
 import json
 import random
 import re
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rigiform import (
+    AssignmentRule,
     ConstructionTrace,
     DisturbanceSpec,
     EdgeDisturbance,
@@ -353,6 +356,60 @@ def test_subclassed_json_values_load_like_plain_ones():
 def test_generate_scenario_takes_only_integer_sizes(n, dim, message):
     with pytest.raises(ScenarioError, match=message):
         generate_scenario(n, dim, 0)
+
+
+_EPUCK, _TETRA = builtin_scenario("epuck2d"), builtin_scenario("tetra3d")
+
+
+@pytest.mark.parametrize("base, changes, message", [
+    (_EPUCK, {"name": ""}, "scenario needs a nonempty name"),
+    (_EPUCK, {"dim": 4}, "dim must be 2 or 3"),
+    (_EPUCK, {"distances": (1.0,) * 4}, "need exactly one distance per edge"),
+    (_EPUCK, {"disturbance": None}, "disturbance must be a DisturbanceSpec"),
+    (_EPUCK, {"output_every": 0}, "output_every must be at least 1"),
+    (_TETRA, {"construction": "trace"}, "construction must be a ConstructionTrace"),
+    (_TETRA, {"construction": generate_scenario(3, 2, 0).construction},
+     "construction trace dimension differs from the scenario's"),
+    (_TETRA, {"assignment": "growth_3d"}, "assignment must be an AssignmentRule"),
+    (_TETRA, {"assignment": AssignmentRule("henneberg_2d")}, "henneberg_2d needs a 2-D trace"),
+    (generate_scenario(3, 2, 0, "triangle_cyclic"),
+     {"assignment": AssignmentRule("triangle_acyclic")}, "assignment rule does not reproduce the scenario's edge orientation"),
+])
+def test_scenario_names_each_field_it_rejects(base, changes, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(base, **changes)
+
+
+def test_a_scenario_equals_no_other_type():
+    assert _EPUCK != scenario_to_dict(_EPUCK) and _EPUCK.__eq__(_EPUCK.name) is NotImplemented
+
+
+_DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "Is a directory"),
+    ('{"version": ' + "1" * (_DIGITS + 1) + "}",
+     f"invalid JSON: Exceeds the limit ({_DIGITS} digits) for integer string conversion: "
+     f"value has {_DIGITS + 1} digits; use sys.set_int_max_str_digits() to increase the limit"),
+], ids=["directory", "integer-past-the-digit-limit"])
+def test_load_scenario_names_what_it_cannot_read(tmp_path, text, message):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "big.json"
+        path.write_text(text)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("n, dim, seed, assignment, message", [
+    (2, 2, 0, "trace", "2-D generation needs n >= 3"),
+    (3, 2, 0, "cyclic", "assignment must be 'trace', 'triangle_cyclic', or 'triangle_acyclic'"),
+    (3, 2, -1, "trace", "seed must be a nonnegative integer"),
+])
+def test_generate_scenario_names_each_argument_it_rejects(n, dim, seed, assignment, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        generate_scenario(n, dim, seed, assignment)
 
 
 def _with_xi0(data):

@@ -510,6 +510,32 @@ def test_trajectory_validation():
         )
 
 
+@pytest.mark.parametrize("times, rows, message", [
+    ([], 0, "times must be a nonempty vector"),
+    ([[0.0, 0.1]], 1, "times must be a nonempty vector"),
+    ([0.0, 0.1, 0.1], 3, "sample times must be strictly increasing"),
+    ([0.0, 0.2, 0.1], 3, "sample times must be strictly increasing"),
+    ([0.0, 0.1, 0.3], 3, "sample times must have a uniform stride"),
+    ([0.0, 0.1, 0.2], 2, "positions must have 3 axes with one row per sample"),
+])
+def test_trajectory_names_each_record_it_rejects(times, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Trajectory(times=times, positions=np.zeros((rows, 2, 2)), errors=np.zeros((rows, 1)),
+                   speeds=np.zeros((rows, 2)), mu=np.zeros((rows, 1)), mu_hat=np.zeros((rows, 1)))
+
+
+@pytest.mark.parametrize("speed", [None, 0.0, -1.0])
+def test_an_orbit_verdict_needs_a_positive_speed(speed):
+    with pytest.raises(ValueError, match="^an orbit verdict needs a positive steady speed$"):
+        sim.RunVerdict(False, 0.1, None, None, speed, True, False)
+
+
+def test_propagate_exosystem_needs_a_sample_stride_of_at_least_one():
+    spec = _zero_disturbance(2)
+    with pytest.raises(ValueError, match="^output_every must be at least 1$"):
+        propagate_exosystem(spec, default_basis(spec.frequencies), t_end=0.012, output_every=0)
+
+
 def test_csv_header_and_round_trip(tmp_path):
     traj = integrate(_triangle_scenario(t_end=1.0))
     path = tmp_path / "traj.csv"
