@@ -36,7 +36,6 @@ from .rigidity import (
     ConstructionTrace,
     FormationGraph,
     Framework,
-    InsertionStep,
     consistent_errors,
     edge_function,
     is_infinitesimally_rigid,
@@ -86,7 +85,6 @@ __all__ = [
     "FormationGraph",
     "Framework",
     "HURWITZ_TOL",
-    "InsertionStep",
     "InternalModelBasis",
     "MODES",
     "RANK_TOL",

@@ -34,6 +34,7 @@ from .rigidity import (
     rigid_rank_target,
     rigidity_matrix,
     s2_matrix,
+    trace_graph,
 )
 
 HURWITZ_TOL = 1e-9
@@ -203,9 +204,9 @@ def select_estimating_agents(source, rule: AssignmentRule) -> tuple[tuple[int, i
     """Edges oriented so each tail is the agent estimating that edge.
 
     `source` is a FormationGraph for the triangle and tetrahedron rules and
-    a ConstructionTrace for the construction-order rules, which return its
-    `edges`: that orientation already makes each anchor its edge's tail.
-    Edge order is preserved.
+    a ConstructionTrace for the construction-order rules, which return the
+    edges of its `trace_graph`: that orientation already makes each anchor
+    its edge's tail.  Edge order is preserved.
     """
     want = _TRACE_DIMS.get(rule.kind)
     if want:
@@ -213,7 +214,7 @@ def select_estimating_agents(source, rule: AssignmentRule) -> tuple[tuple[int, i
             raise ValueError(f"{rule.kind} needs a ConstructionTrace")
         if source.dim != want:
             raise ValueError(f"{rule.kind} needs a {want}-D trace")
-        return source.edges
+        return trace_graph(source).edges
     if not isinstance(source, FormationGraph):
         raise ValueError(f"{rule.kind} needs a FormationGraph")
     owners = _owner_table(source, rule)

@@ -9,7 +9,7 @@ state: mu = w @ basis.vector, row by row.
 The estimator in `sim`'s closed loop embeds a copy of these dynamics, so the
 representability and observability checks live here too.  A spec keeps
 its entries as read-only offset, amplitude and phase tables, checked and
-normalized whole; EdgeDisturbance records are built only when read.
+normalized whole; EdgeDisturbance is the row form its constructor accepts.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class DisturbanceSpec(_Tables):
     edge's generator block the same shape.  The entries are kept as the
     read-only tables `offsets` (|E|,), `amplitude_table` and `phase_table`
     (|E|, p), which `from_tables(frequencies, offsets, amplitudes, phases)`
-    takes; `edges` spells them as EdgeDisturbance records when it is read.
+    takes; the constructor takes one EdgeDisturbance row per edge.
     """
 
     def __init__(self, frequencies, edges):
@@ -105,6 +105,12 @@ class DisturbanceSpec(_Tables):
             if len(ed.amplitudes) != p:
                 raise ValueError(f"edge {k}: needs one (amplitude, phase) pair per frequency")
         self._fill(frequencies, *zip(*map(attrgetter("offset", "amplitudes", "phases"), edges)))
+
+    @classmethod
+    def from_tables(cls, frequencies, offsets, amplitudes, phases) -> DisturbanceSpec:
+        spec = cls.__new__(cls)
+        spec._fill(frequencies, offsets, amplitudes, phases)
+        return spec
 
     def _fill(self, frequencies, offsets, amplitudes, phases):
         self.frequencies = _checked_frequencies(frequencies)
@@ -125,11 +131,6 @@ class DisturbanceSpec(_Tables):
     @property
     def edge_count(self) -> int:
         return len(self.offsets)
-
-    @cached_property
-    def edges(self) -> tuple[EdgeDisturbance, ...]:
-        return tuple(map(EdgeDisturbance, self.offsets.tolist(), self.amplitude_table.tolist(),
-                         self.phase_table.tolist()))
 
 
 def lambda_matrix(frequencies) -> np.ndarray:

@@ -13,8 +13,8 @@ strongly connected components split the rigidity matrix into diagonal
 blocks (`Framework.diagonal_blocks`), and only a formation whose blocks do
 not prove its rank takes a dense SVD.  Graphs and construction traces keep
 their edges and steps as read-only integer tables, checked whole with
-numpy for the first bad edge or step; InsertionStep records and edge
-tuples are built only when something reads them.
+numpy for the first bad edge or step; a graph spells its edges as tuples
+only when something reads them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
-from operator import attrgetter
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -55,20 +54,13 @@ def _same(a, b) -> bool:
 
 
 class _Tables:
-    """A value kept as read-only tables: == and repr read `_key()`, and
-    `from_tables` checks tables as the constructor checks its records."""
+    """A value kept as read-only tables: == and repr read `_key()`."""
 
     def __eq__(self, other):
         return _same(self._key(), other._key()) if type(other) is type(self) else NotImplemented
 
     def __repr__(self):
         return f"{type(self).__name__}{self._key()!r}"
-
-    @classmethod
-    def from_tables(cls, *tables):
-        value = cls.__new__(cls)
-        value._fill(*tables)
-        return value
 
 
 def _endpoint_table(n: int, edges) -> np.ndarray:
@@ -344,16 +336,13 @@ def _diagonal_blocks(fw: Framework) -> tuple[BlockStack, ...]:
 
 
 def rigid_rank_target(n: int, dim: int) -> int:
-    """Rank the rigidity matrix attains at an infinitesimally rigid embedding."""
-    if dim == 2:
-        if n < 2:
-            raise ValueError("2-D rigidity test needs n >= 2")
-        return 2 * n - 3
-    if dim == 3:
-        if n < 3:
-            raise ValueError("3-D rigidity test needs n >= 3")
-        return 3 * n - 6
-    raise ValueError("dim must be 2 or 3")
+    """Rank the rigidity matrix attains at an infinitesimally rigid embedding:
+    every pair's edge for n <= dim (a simplex), else dim n - dim (dim + 1) / 2."""
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    if n < 2:
+        raise ValueError(f"{dim}-D rigidity test needs n >= 2")
+    return n * (n - 1) // 2 if n <= dim else dim * n - dim * (dim + 1) // 2
 
 
 def is_infinitesimally_rigid(fw: Framework) -> tuple[bool, int]:
@@ -369,8 +358,9 @@ def is_minimally_rigid(fw: Framework) -> bool:
 
 
 def _check_steps(anchors: np.ndarray, distances: np.ndarray) -> None:
-    """InsertionStep's checks of a table of steps, one per row, raising for
-    the first step that fails one."""
+    """Check a table of steps, one per row, raising for the first step
+    whose anchors are too few or too many, repeat a vertex, or lack one
+    positive finite distance each."""
     if not len(anchors):
         return
     if anchors.shape[1] not in (2, 3):
@@ -384,19 +374,6 @@ def _check_steps(anchors: np.ndarray, distances: np.ndarray) -> None:
     if np.count_nonzero(bad):
         raise ValueError("step anchors must be distinct" if repeats[bad.argmax()] else
                          "step distances must be positive and finite")
-
-
-@dataclass(frozen=True)
-class InsertionStep:
-    """One new vertex: two anchors in 2-D, three pairwise adjacent anchors in 3-D."""
-
-    anchors: tuple[int, ...]
-    distances: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "anchors", tuple(map(int, self.anchors)))
-        object.__setattr__(self, "distances", tuple(map(float, self.distances)))
-        _check_steps(_integers([self.anchors]), np.array([self.distances]))
 
 
 _PAIRS = np.array(((0, 0, 1), (1, 2, 2)))
@@ -434,24 +411,13 @@ class ConstructionTrace(_Tables):
     tetrahedron on {1,2,3,4} with seed_distances ordered
     (d12, d13, d23, d14, d24, d34).  Step t inserts vertex seed+t anchored
     to vertices that already exist; in 3-D the three anchors must be
-    pairwise adjacent in the graph built so far.  The steps are kept as the
-    read-only (steps, dim) tables `anchors` and `distances`; `steps` spells
-    them as InsertionStep records when it is read.  `from_tables(dim,
-    seed_distances, counts, anchors, distances)` takes the steps' anchors
-    and distances listed one step after another, counts[i] of each at step i.
+    pairwise adjacent in the graph built so far.  The steps' anchors and
+    distances are listed one step after another, counts[i] of each at
+    step i (a count other than dim raises once the steps before it pass),
+    and kept as the read-only (steps, dim) tables `anchors` and `distances`.
     """
 
-    def __init__(self, dim: int, seed_distances, steps=()):
-        steps = tuple(steps)
-        good = [*map(isinstance, steps, repeat(InsertionStep)), False].index(False)
-        records = map(attrgetter("anchors", "distances"), steps[:good])
-        anchors, distances = [*zip(*records)] or [(), ()]
-        self._fill(dim, seed_distances, list(map(len, anchors)),
-                   list(chain.from_iterable(anchors)), list(chain.from_iterable(distances)))
-        if good < len(steps):
-            raise ValueError("steps must be InsertionStep instances")
-
-    def _fill(self, dim, seed_distances, counts, anchors, distances):
+    def __init__(self, dim: int, seed_distances, counts=(), anchors=(), distances=()):
         if dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         seed = tuple(map(float, seed_distances))
@@ -479,10 +445,6 @@ class ConstructionTrace(_Tables):
         return (2 if self.dim == 2 else 4) + len(self.anchors)
 
     @cached_property
-    def steps(self) -> tuple[InsertionStep, ...]:
-        return tuple(map(InsertionStep, self.anchors.tolist(), self.distances.tolist()))
-
-    @cached_property
     def endpoints(self) -> np.ndarray:
         """(tail, head) pairs in construction order, a read-only (|E|, 2) table.
 
@@ -494,11 +456,6 @@ class ConstructionTrace(_Tables):
         heads = np.repeat(np.arange(3 if self.dim == 2 else 5, self.n + 1), self.dim)
         inserted = np.array((self.anchors.ravel(), heads)).T
         return _read_only(np.concatenate((_SEED_EDGES[self.dim], inserted)))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """`endpoints` as (tail, head) tuples."""
-        return tuple(map(tuple, self.endpoints.tolist()))
 
 
 def trace_graph(trace: ConstructionTrace) -> FormationGraph:
@@ -576,8 +533,8 @@ def _trace(dim, anchors, pts) -> ConstructionTrace:
     seed = [float(np.linalg.norm(pts[i - 1] - pts[j - 1])) for i, j in _SEED_EDGES[dim]]
     placed = np.repeat(np.arange(2 if dim == 2 else 4, len(pts)), dim)  # each step's vertex
     legs = pts[placed] - pts[np.array(anchors, dtype=np.intp) - 1]
-    return ConstructionTrace.from_tables(dim, seed, [dim] * (len(anchors) // dim), anchors,
-                                         np.sqrt(_squared_norms(legs)))
+    return ConstructionTrace(dim, seed, [dim] * (len(anchors) // dim), anchors,
+                             np.sqrt(_squared_norms(legs)))
 
 
 _PROPOSALS_2D = 500  # per vertex, before the outward fallback takes over

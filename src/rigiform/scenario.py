@@ -70,6 +70,8 @@ from .rigidity import (
 
 BUILTIN_NAMES = ("epuck2d", "tetra3d")
 MODES = ("gradient_only", "estimator")
+# the largest n generate_scenario draws: the README measures generate up to it in 2-D and 3-D
+MAX_AGENTS = 10_000
 
 
 def _float_rows(rows):
@@ -204,7 +206,7 @@ class Scenario:
                     raise ScenarioError(
                         f"assignment {self.assignment.kind} needs a construction trace"
                     )
-                # the rule would return construction.edges, equal to edges above
+                # the rule would return the construction's endpoints, equal to edges above
                 if self.construction.dim != want:
                     raise ScenarioError(f"{self.assignment.kind} needs a {want}-D trace")
             else:
@@ -427,7 +429,7 @@ _SCENARIO = _Object({
             "distances": ([_NUMBER], _REQUIRED),
         }, _step_table, lambda ctx, anchors, distances: _check_steps(
             _integers([anchors[1]]), np.array([distances[1]], dtype=float))), []),
-    }, lambda ctx, seeds, steps: [ConstructionTrace.from_tables(ctx["dim"], seeds[0], *steps[0])]),
+    }, lambda ctx, seeds, steps: [ConstructionTrace(ctx["dim"], seeds[0], *steps[0])]),
         None),
     "assignment": (_Object({
         "kind": (_STRING, _REQUIRED),
@@ -710,7 +712,7 @@ def _tetra3d() -> Scenario:
     center_y = side * math.sqrt(3.0) / 6.0
     apex_z = side * math.sqrt(2.0 / 3.0)
     offsets = (0.9, -0.6, 1.3, 0.7, -1.1, 0.5, 1.6, -0.8, 1.0)
-    construction = ConstructionTrace.from_tables(3, (side,) * 6, (3,), (1, 2, 3), (side,) * 3)
+    construction = ConstructionTrace(3, (side,) * 6, (3,), (1, 2, 3), (side,) * 3)
     return Scenario(
         name="tetra3d",
         dim=3,
@@ -754,8 +756,9 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
     Each draw is a construction trace, a small random initial offset and a
     random offset-plus-sinusoid disturbance, built into a Scenario; the
     first whose target certifies (rank test and Hurwitz error dynamics) is
-    returned.  Deterministic per seed.  Raises ScenarioError when the trace
-    sampler stalls or 100 draws fail to certify.
+    returned.  Deterministic per seed.  Raises ScenarioError for n above
+    MAX_AGENTS, when the trace sampler stalls or when 100 draws fail to
+    certify.
 
     assignment selects the estimating-agent rule: "trace" follows the
     construction order; the triangle rules apply only to n = 3, dim = 2
@@ -770,6 +773,8 @@ def generate_scenario(n: int, dim: int, seed: int, assignment: str = "trace") ->
         raise ScenarioError("2-D generation needs n >= 3")
     if dim == 3 and n < 4:
         raise ScenarioError("3-D generation needs n >= 4")
+    if n > MAX_AGENTS:
+        raise ScenarioError(f"generation needs n <= {MAX_AGENTS} (MAX_AGENTS)")
     if assignment not in ("trace", "triangle_cyclic", "triangle_acyclic"):
         raise ScenarioError(
             "assignment must be 'trace', 'triangle_cyclic', or 'triangle_acyclic'"

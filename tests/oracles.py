@@ -4,7 +4,9 @@ its certificate, the np.savetxt trajectory writer its vectorised '%.17g'
 formatter replaced, the numpy-array trace sampler its float-level 2-D
 proposals replaced, the hand-written scenario loader its table-driven
 one replaced, and the record-by-record checks of edges, disturbance
-entries and insertion steps its whole-table checks replaced."""
+entries and insertion steps its whole-table checks replaced.  Traces are
+built through ConstructionTrace's table constructor after each step has
+passed `insertion_step`."""
 
 import io
 import math
@@ -26,7 +28,7 @@ from rigiform import (
     rigidity_matrix,
     s2_matrix,
 )
-from rigiform.rigidity import ConstructionTrace, InsertionStep
+from rigiform.rigidity import ConstructionTrace
 from rigiform.scenario import MODES
 
 
@@ -148,7 +150,7 @@ def random_trace(n, dim, rng):
                     continue
                 if _min_gap(pts[:m], cand) < 0.35:
                     continue
-                steps.append(InsertionStep(
+                steps.append(insertion_step(
                     (a + 1, b + 1),
                     (float(np.linalg.norm(cand - pts[a])), float(np.linalg.norm(cand - pts[b]))),
                 ))
@@ -156,7 +158,7 @@ def random_trace(n, dim, rng):
                 break
             else:
                 raise RuntimeError("2-D trace sampling stalled")
-        return ConstructionTrace(2, (float(np.linalg.norm(pts[1] - pts[0])),), tuple(steps)), pts
+        return _trace_of(2, (float(np.linalg.norm(pts[1] - pts[0])),), steps), pts
 
     for _attempt in range(500):
         pts = [
@@ -187,7 +189,7 @@ def random_trace(n, dim, rng):
             vol = abs(np.linalg.det(np.array([pts[b] - pts[a], pts[c] - pts[a], cand - pts[a]]))) / 6.0
             if vol < 0.3:
                 continue
-            steps.append(InsertionStep(
+            steps.append(insertion_step(
                 (a + 1, b + 1, c + 1),
                 tuple(float(np.linalg.norm(cand - pts[v])) for v in (a, b, c)),
             ))
@@ -198,12 +200,13 @@ def random_trace(n, dim, rng):
             raise RuntimeError("3-D trace sampling stalled")
     seed_pairs = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
     seed = tuple(float(np.linalg.norm(pts[i] - pts[j])) for i, j in seed_pairs)
-    return ConstructionTrace(3, seed, tuple(steps)), pts
+    return _trace_of(3, seed, steps), pts
 
 
 # The checks the library made one record at a time before it checked whole
-# tables: EdgeDisturbance's, InsertionStep's, FormationGraph's edge loop and
-# ConstructionTrace's adjacency loop.  Each raises the same ValueError.
+# tables: EdgeDisturbance's, the insertion step record's, FormationGraph's
+# edge loop and ConstructionTrace's adjacency loop.  Each raises the same
+# ValueError.
 
 def edge_disturbance(offset, amplitudes=(), phases=()):
     """(offset, amplitudes, phases) as EdgeDisturbance normalized them."""
@@ -230,7 +233,7 @@ def edge_disturbance(offset, amplitudes=(), phases=()):
 
 
 def insertion_step(anchors, distances):
-    """(anchors, distances) as InsertionStep checked them."""
+    """(anchors, distances) as the insertion step record checked them."""
     anchors = tuple(map(int, anchors))
     distances = tuple(map(float, distances))
     if len(anchors) not in (2, 3):
@@ -242,6 +245,13 @@ def insertion_step(anchors, distances):
     if not all(map(math.isfinite, distances)) or min(distances) <= 0:
         raise ValueError("step distances must be positive and finite")
     return anchors, distances
+
+
+def _trace_of(dim, seed_distances, steps) -> ConstructionTrace:
+    """The trace of checked (anchors, distances) steps, from its tables."""
+    anchors, distances = [*zip(*steps)] or [(), ()]
+    return ConstructionTrace(dim, seed_distances, list(map(len, anchors)),
+                             list(chain.from_iterable(anchors)), list(chain.from_iterable(distances)))
 
 
 def graph_edges(n, edges):
@@ -514,7 +524,7 @@ def _parse_disturbance(value) -> DisturbanceSpec:
 
 
 def _check_steps(items):
-    """Walk the construction's steps, each as far as its InsertionStep."""
+    """Walk the construction's steps, each as far as its insertion_step."""
     for i, item in enumerate(items):
         path = ("construction", "steps", i)
         item = _expect_dict(item, path)
@@ -524,7 +534,7 @@ def _check_steps(items):
             _integer(a, path + ("anchors", j))
         distances = _number_list(_require(item, "distances", path), path + ("distances",))
         try:
-            InsertionStep(tuple(anchors), distances)
+            insertion_step(anchors, distances)
         except ValueError as exc:
             raise _error(path, exc) from exc
 
@@ -543,12 +553,12 @@ def _parse_construction(value, dim) -> ConstructionTrace:
         _check_steps(items)
     anchors, distances = columns
     try:
-        steps = tuple(map(InsertionStep, anchors, distances))
+        steps = list(map(insertion_step, anchors, distances))
     except (OverflowError, ValueError):
         _check_steps(items)
         raise
     try:
-        return ConstructionTrace(dim, seed, steps)
+        return _trace_of(dim, seed, steps)
     except ValueError as exc:
         raise _error(path, exc) from exc
 

@@ -19,7 +19,6 @@ from rigiform import (
     ConstructionTrace,
     FormationGraph,
     Framework,
-    InsertionStep,
     builtin_scenario,
     certificate,
     certify,
@@ -187,13 +186,11 @@ def test_select_estimating_agents_tetrahedron():
     # however its edges point, the rule orients the complete graph as a 3-D construction's seed
     flipped = FormationGraph(4, tuple((b, a) for a, b in graph.edges))
     assert select_estimating_agents(flipped, AssignmentRule("tetrahedron")) == \
-        ConstructionTrace(3, (1.0,) * 6).edges
+        trace_graph(ConstructionTrace(3, (1.0,) * 6)).edges
 
 
 def test_select_estimating_agents_trace_rules():
-    trace = ConstructionTrace(
-        2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)), InsertionStep((2, 3), (1.0, 1.0)))
-    )
+    trace = ConstructionTrace(2, (1.0,), [2, 2], (1, 2, 2, 3), (1.0,) * 4)
     oriented = select_estimating_agents(trace, AssignmentRule("henneberg_2d"))
     assert oriented == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
     # the rules return the trace's own edges: each seed edge estimated by its
@@ -203,10 +200,9 @@ def test_select_estimating_agents_trace_rules():
             for seed in range(10):
                 trace, _ = random_trace(n, dim, np.random.default_rng(seed))
                 owners = [1] if dim == 2 else [1, 1, 2, 1, 2, 3]
-                for step in trace.steps:
-                    owners.extend(step.anchors)
+                owners.extend(trace.anchors.ravel().tolist())
                 oriented = select_estimating_agents(trace, AssignmentRule(kind))
-                assert oriented == trace.edges
+                assert oriented == trace_graph(trace).edges
                 assert [t for t, _ in oriented] == owners
 
 
@@ -219,7 +215,7 @@ def test_select_estimating_agents_errors():
         select_estimating_agents(square, AssignmentRule("tetrahedron"))
     with pytest.raises(ValueError, match="needs a ConstructionTrace"):
         select_estimating_agents(graph, AssignmentRule("henneberg_2d"))
-    trace = ConstructionTrace(2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)),))
+    trace = ConstructionTrace(2, (1.0,), [2], (1, 2), (1.0, 1.0))
     with pytest.raises(ValueError, match="needs a FormationGraph"):
         select_estimating_agents(trace, AssignmentRule("triangle_cyclic"))
     with pytest.raises(ValueError, match="3-D trace"):
@@ -250,7 +246,7 @@ def test_assignment_rule_takes_only_int_vertex_labels(root, third, name):
 ])
 def test_certify_needs_a_trace_with_the_frameworks_edges(edges, message):
     # the trace builds the triangle (1, 2), (1, 3), (2, 3)
-    trace = ConstructionTrace(2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)),))
+    trace = ConstructionTrace(2, (1.0,), [2], (1, 2), (1.0, 1.0))
     n = max(map(max, edges))
     fw = Framework(FormationGraph(n, edges), 2, np.eye(n, 2), np.ones(len(edges)))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output files, and determinism."""
 
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -88,6 +89,35 @@ def _square_file(tmp_path):
 def test_check_rejects_floppy_formation(tmp_path, capsys):
     assert main(["check", _square_file(tmp_path)]) == 1
     assert "not infinitesimally rigid" in capsys.readouterr().out
+
+
+def _pair_file(tmp_path, dim, length):
+    """Two agents on one edge of the given length, in dim dimensions."""
+    data = {"name": "pair", "dim": dim, "agents": [[0.0, 0.1, 0.0][:dim], [length, 0.0, 0.2][:dim]],
+            "edges": [{"tail": 1, "head": 2, "distance": length}],
+            "target_positions": [[0.0] * dim, [length] + [0.0] * (dim - 1)],
+            "disturbance": {"frequencies": [1.0], "edges": [{"alpha": 0.5}]},
+            "controller": {"mode": "estimator", "kappa": 1.0, "b1": 1.0, "b2": [1.0, 0.0]},
+            "sim": {"dt": 0.01, "t_end": 1.0, "output_every": 10}}
+    path = tmp_path / f"pair{dim}d.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("length, margin", [(1.0, "-1"), (2.5, "-6.25")])
+def test_two_agents_on_one_edge_certify_alike_in_2d_and_3d(tmp_path, capsys, length, margin):
+    # n <= dim needs every pair's edge: rank 1 for two agents in either dimension
+    text, records = {}, {}
+    for dim in (2, 3):
+        path = _pair_file(tmp_path, dim, length)
+        assert main(["check", path]) == 0
+        text[dim] = capsys.readouterr().out.splitlines()
+        assert main(["check", path, "--json"]) == 0
+        records[dim] = capsys.readouterr().out
+    assert text[2][1:] == text[3][1:] == [
+        "rank 1 of 1 needed: infinitesimally rigid, minimally rigid",
+        f"stability margin {margin}: hurwitz", "certified"]
+    assert records[2] == records[3]
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 1000.0, 1e6])
@@ -674,6 +704,22 @@ def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, command, buffere
     assert (done.returncode, done.stderr) == (0, "")
     if command == "run":
         assert json.loads((tmp_path / "run" / "verdict.json").read_text())["samples"] > 1
+
+
+def test_readme_command_line_names_every_subcommand_and_option():
+    from rigiform.cli import _parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (commands,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = []
+    for name, parser in commands.choices.items():
+        words = [f"rigiform {name}"] + [option for action in parser._actions
+                                        if not isinstance(action, argparse._HelpAction)
+                                        for option in action.option_strings]
+        missing += [(name, word) for word in words
+                    if not re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", section)]
+    assert not missing
 
 
 def test_help_exits_zero(capsys):

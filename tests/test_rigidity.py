@@ -16,7 +16,6 @@ from rigiform import (
     ConstructionTrace,
     FormationGraph,
     Framework,
-    InsertionStep,
     edge_function,
     is_infinitesimally_rigid,
     is_minimally_rigid,
@@ -28,6 +27,7 @@ from rigiform import (
     trace_distances,
     trace_graph,
 )
+from rigiform.rigidity import _check_steps
 
 
 def _random_framework(rng, dim):
@@ -313,7 +313,7 @@ def test_3d_seed_tail_pattern():
     # and the 2-D seed with one insertion: the anchors estimate the new edges
     for trace, edges in [
         (ConstructionTrace(3, (1.0,) * 6), ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))),
-        (ConstructionTrace(2, (1.0,), (InsertionStep((1, 2), (1.0, 1.0)),)), ((1, 2), (1, 3), (2, 3))),
+        (ConstructionTrace(2, (1.0,), [2], (1, 2), (1.0, 1.0)), ((1, 2), (1, 3), (2, 3))),
     ]:
         graph = trace_graph(trace)
         assert graph.edges == edges
@@ -340,30 +340,24 @@ def test_trace_validation_errors():
     with pytest.raises(ValueError, match="seed needs exactly 6"):
         ConstructionTrace(3, (1.0,))
     with pytest.raises(ValueError, match="anchors must already exist"):
-        ConstructionTrace(2, (1.0,), (InsertionStep((1, 5), (1.0, 1.0)),))
+        ConstructionTrace(2, (1.0,), [2], (1, 5), (1.0, 1.0))
     with pytest.raises(ValueError, match="needs 3 anchors"):
-        ConstructionTrace(3, (1.0,) * 6, (InsertionStep((1, 2), (1.0, 1.0)),))
+        ConstructionTrace(3, (1.0,) * 6, [2], (1, 2), (1.0, 1.0))
     # vertices 4 and 5 are never joined, so they cannot anchor vertex 6 together
     with pytest.raises(ValueError, match="not adjacent"):
-        ConstructionTrace(
-            3,
-            (1.0,) * 6,
-            (
-                InsertionStep((1, 2, 3), (1.0, 1.0, 1.0)),
-                InsertionStep((1, 4, 5), (1.0, 1.0, 1.0)),
-            ),
-        )
+        ConstructionTrace(3, (1.0,) * 6, [3, 3], (1, 2, 3, 1, 4, 5), (1.0,) * 6)
     with pytest.raises(ValueError, match="positive"):
         ConstructionTrace(2, (-1.0,))
 
 
 def test_insertion_step_validation():
     with pytest.raises(ValueError, match="distinct"):
-        InsertionStep((1, 1), (1.0, 1.0))
+        ConstructionTrace(2, (1.0,), [2], (1, 1), (1.0, 1.0))
+    # a trace's table has dim columns; the loader checks each row's own widths
     with pytest.raises(ValueError, match="one distance per anchor"):
-        InsertionStep((1, 2), (1.0,))
+        _check_steps(np.array([[1, 2]]), np.array([[1.0]]))
     with pytest.raises(ValueError, match="2 .*or 3"):
-        InsertionStep((1,), (1.0,))
+        _check_steps(np.array([[1]]), np.array([[1.0]]))
 
 
 def test_graph_validation():
@@ -398,6 +392,12 @@ def test_graph_equality_and_repr_read_its_vertex_count_and_table():
     assert repr(graph) == "FormationGraph(3, array([[1, 2],\n       [2, 3]]))"
 
 
+def test_rigid_rank_target_counts_every_pair_up_to_dim_agents():
+    # a simplex's edges for n <= dim, so two agents need rank 1 in either dimension
+    assert [rigid_rank_target(n, 2) for n in range(2, 6)] == [1, 3, 5, 7]
+    assert [rigid_rank_target(n, 3) for n in range(2, 7)] == [1, 3, 6, 9, 12]
+
+
 _TRIANGLE = FormationGraph(3, ((1, 2), (2, 3), (1, 3)))
 
 
@@ -407,13 +407,13 @@ _TRIANGLE = FormationGraph(3, ((1, 2), (2, 3), (1, 3)))
      "need one target distance per edge (3)"),
     (lambda: numeric_rank(np.ones(3)), "rank is defined for 2-D matrices"),
     (lambda: rigid_rank_target(1, 2), "2-D rigidity test needs n >= 2"),
-    (lambda: rigid_rank_target(2, 3), "3-D rigidity test needs n >= 3"),
+    (lambda: rigid_rank_target(1, 3), "3-D rigidity test needs n >= 2"),
     (lambda: rigid_rank_target(4, 4), "dim must be 2 or 3"),
-    (lambda: ConstructionTrace(2, (1.0,), ((1, 2),)), "steps must be InsertionStep instances"),
     (lambda: ConstructionTrace(4, (1.0,) * 6), "dim must be 2 or 3"),
     (lambda: random_trace(1, 2, np.random.default_rng(0)), "2-D trace needs n >= 2"),
     (lambda: random_trace(5, 4, np.random.default_rng(0)), "dim must be 2 or 3"),
     (lambda: random_trace(3, 3, np.random.default_rng(0)), "3-D trace needs n >= 4"),
+    (lambda: rigid_rank_target(1, 4), "dim must be 2 or 3"),
 ])
 def test_rigidity_records_name_what_they_reject(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

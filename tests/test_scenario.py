@@ -4,6 +4,7 @@ hand-written loader it replaced on randomly mutated files."""
 
 import copy
 import dataclasses
+import functools
 import json
 import random
 import re
@@ -23,7 +24,6 @@ from rigiform import (
     EdgeDisturbance,
     FormationGraph,
     Framework,
-    InsertionStep,
     ScenarioError,
     builtin_scenario,
     generate_scenario,
@@ -33,7 +33,7 @@ from rigiform import (
     scenario_to_dict,
 )
 from rigiform.cli import main
-from rigiform.scenario import _SCENARIO, _Object, canonical_json
+from rigiform.scenario import _SCENARIO, MAX_AGENTS, _Object, canonical_json
 
 
 def _tetra():
@@ -64,6 +64,23 @@ def _both(*edits):
     def edit(data):
         for e in edits:
             e(data)
+    return edit
+
+
+@functools.cache
+def _generated_7_3d():
+    return json.dumps(scenario_to_dict(generate_scenario(7, 3, 0)))
+
+
+def _on_generated(*edits):
+    """An edit that replaces the document by generate_scenario(7, 3, 0)'s,
+    whose steps insert vertices 5, 6 and 7 with anchors (1, 3, 4), (1, 3, 5)
+    and (1, 4, 5), and applies `edits` to it."""
+    def edit(_data):
+        data = json.loads(_generated_7_3d())
+        for e in edits:
+            e(data)
+        return data
     return edit
 
 
@@ -202,6 +219,19 @@ GOLDEN = {
     "anchor-not-yet-placed": (_set(("construction", "steps", 0, "anchors"), [1, 2, 5]),
                               "scenario field 'construction': "
                               "step inserting vertex 5: anchors must already exist"),
+    "step-two-anchors-in-3d": (_on_generated(_set(("construction", "steps", 1, "anchors"), [1, 3]),
+                                             _set(("construction", "steps", 1, "distances"), [2.0, 2.5])),
+                               "scenario field 'construction': step inserting vertex 6: needs 3 anchors"),
+    "step-distance-missing": (_on_generated(_set(("construction", "steps", 1, "distances"), [2.0, 2.5])),
+                              "scenario field 'construction.steps[1]': one distance per anchor"),
+    "step-one-anchor": (_on_generated(_set(("construction", "steps", 1, "anchors"), [1]),
+                                      _set(("construction", "steps", 1, "distances"), [2.0])),
+                        "scenario field 'construction.steps[1]': "
+                        "a step anchors to 2 (2-D) or 3 (3-D) existing vertices"),
+    # vertex 5 was anchored to 1, 3 and 4, so it is not adjacent to 2
+    "anchors-not-adjacent": (_on_generated(_set(("construction", "steps", 1, "anchors"), [2, 4, 5])),
+                             "scenario field 'construction': "
+                             "step inserting vertex 6: anchors (2, 5) are not adjacent"),
     "top-not-object": (lambda data: [data], "scenario field 'scenario': expected an object"),
     "dim-bool": (_set(("dim",), True), "scenario field 'dim': expected an integer"),
     "controller-not-object": (_set(("controller",), [1.0]),
@@ -279,8 +309,8 @@ def test_one_load_builds_one_record_per_section_and_none_per_edge(tmp_path, monk
     path = tmp_path / "gen.json"
     save_scenario(generate_scenario(250, 3, 0), path)
     # the method every construction of each class runs once
-    builds = {FormationGraph: "__init__", DisturbanceSpec: "_fill", ConstructionTrace: "_fill",
-              EdgeDisturbance: "__post_init__", InsertionStep: "__post_init__"}
+    builds = {FormationGraph: "__init__", DisturbanceSpec: "_fill", ConstructionTrace: "__init__",
+              EdgeDisturbance: "__post_init__"}
     calls = dict.fromkeys(builds, 0)
     for cls, name in builds.items():
         def counted(self, *args, cls=cls, original=getattr(cls, name)):
@@ -291,7 +321,7 @@ def test_one_load_builds_one_record_per_section_and_none_per_edge(tmp_path, monk
     sc.framework_initial()
     sc.framework_target()
     assert calls == {FormationGraph: 1, DisturbanceSpec: 1, ConstructionTrace: 1,
-                     EdgeDisturbance: 0, InsertionStep: 0}
+                     EdgeDisturbance: 0}
 
 
 @pytest.mark.parametrize("n, dim, assignment, graphs", [
@@ -406,10 +436,32 @@ def test_load_scenario_names_what_it_cannot_read(tmp_path, text, message):
     (2, 2, 0, "trace", "2-D generation needs n >= 3"),
     (3, 2, 0, "cyclic", "assignment must be 'trace', 'triangle_cyclic', or 'triangle_acyclic'"),
     (3, 2, -1, "trace", "seed must be a nonnegative integer"),
+    (10_001, 2, 0, "trace", "generation needs n <= 10000 (MAX_AGENTS)"),
+    (10_001, 3, 0, "trace", "generation needs n <= 10000 (MAX_AGENTS)"),
+    # the cap itself passes every argument check and reaches the sampler
+    (10_000, 3, 0, "trace", "cannot place 10000 agents: sampler reached (seed 0)"),
 ])
-def test_generate_scenario_names_each_argument_it_rejects(n, dim, seed, assignment, message):
+def test_generate_scenario_names_each_argument_it_rejects(monkeypatch, n, dim, seed, assignment,
+                                                          message):
+    def reached(*args):
+        raise RuntimeError("sampler reached")
+
+    monkeypatch.setattr("rigiform.scenario.random_trace", reached)
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         generate_scenario(n, dim, seed, assignment)
+
+
+def test_generate_past_the_agent_cap_exits_1_before_sampling(tmp_path, capsys, monkeypatch):
+    def reached(*args):
+        raise AssertionError("random_trace was called")
+
+    monkeypatch.setattr("rigiform.scenario.random_trace", reached)
+    out = tmp_path / "big.json"
+    assert MAX_AGENTS == 10_000
+    argv = ["generate", "--n", "10001", "--dim", "2", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: generation needs n <= 10000 (MAX_AGENTS)\n")
+    assert not out.exists()
 
 
 def _with_xi0(data):
