@@ -10,11 +10,11 @@ All matrices produced here follow the graph's edge order, so stacked
 quantities (errors, disturbances, estimator states) line up index for
 index across the package.  The rank test is structural: the orientation's
 strongly connected components split the rigidity matrix into diagonal
-blocks (`Framework.diagonal_blocks`), and only a formation whose blocks do
-not prove its rank takes a dense SVD.  Graphs and construction traces keep
-their edges and steps as read-only integer tables, checked whole with
-numpy for the first bad edge or step; a graph spells its edges as tuples
-only when something reads them.
+blocks (`Framework.diagonal_blocks`), counted as `numeric_rank` counts a
+matrix; only block ranks short of min(|E|, rigid_rank_target) take a dense
+SVD.  Graphs and construction traces keep their edges and steps as
+read-only integer tables, checked whole with numpy for the first bad edge
+or step; a graph spells its edges as tuples only when something reads them.
 """
 
 from __future__ import annotations
@@ -27,9 +27,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Singular values below RANK_TOL * sigma_max * max(shape) do not count
-# toward numeric rank.
+# A matrix's rank counts its singular values above RANK_TOL * sigma_max *
+# max(shape), each matrix at its own scale (`_count_rank`).
 RANK_TOL = 1e-10
+# R's entries above which the dense rank is refused: its SVD takes 2.5 s at
+# 2000 x 2000 on one Xeon core (one BLAS thread), growing as the size cubed.
+_DENSE_RANK_CAP = 2000 * 2000
+
+
+def _count_rank(s: np.ndarray, shape) -> int:
+    """Summed rank of matrices of one shape from their singular values s (last
+    axis, largest first): those above RANK_TOL * sigma_max * max(shape)."""
+    return int(np.count_nonzero(s > RANK_TOL * s[..., :1] * max(shape)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -170,19 +179,21 @@ class Framework:
     def rigidity_rank(self) -> int:
         """Rank of the rigidity matrix, computed once.
 
-        The diagonal blocks' ranks sum to a lower bound and the rigid rank
-        target is an upper bound, so when the blocks reach the target that
-        is the rank.  Otherwise it is numeric_rank of the dense matrix.
-        Block singular values count above RANK_TOL * ||R||_F * max(shape),
-        never a looser threshold than numeric_rank's sigma_max.
+        R is block lower-triangular, so its diagonal blocks' ranks, each
+        counted as numeric_rank counts a matrix, sum to a lower bound, and
+        min(|E|, rigid_rank_target) is an upper bound.  When they meet that
+        is the rank, and R is never built.  Otherwise it is numeric_rank of
+        the dense R, refused (ValueError) above _DENSE_RANK_CAP entries.
         """
         g = self.graph
-        z = self.relative_vectors
-        frobenius = math.sqrt(2.0 * np.einsum("kd,kd->", z, z))
-        tol = RANK_TOL * frobenius * max(g.edge_count, self.dim * g.n)
-        found = sum(int(np.count_nonzero(s.singular_values > tol)) for s in self.diagonal_blocks)
-        target = rigid_rank_target(g.n, self.dim)
-        return target if found >= target else numeric_rank(rigidity_matrix(self))
+        found = sum(_count_rank(s.singular_values, s.rigidity.shape[1:]) for s in self.diagonal_blocks)
+        bound = min(g.edge_count, rigid_rank_target(g.n, self.dim))
+        if found >= bound:
+            return bound
+        if g.edge_count * self.dim * g.n > _DENSE_RANK_CAP:
+            raise ValueError(f"rank not decided: a {g.edge_count} x {self.dim * g.n} SVD "
+                             f"is over the cap of {_DENSE_RANK_CAP} entries")
+        return numeric_rank(rigidity_matrix(self))
 
     def at_positions(self, positions) -> "Framework":
         """Same graph and distances, different embedding."""
@@ -227,10 +238,7 @@ def numeric_rank(matrix) -> int:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("rank is defined for 2-D matrices")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0] * max(a.shape)))
+    return _count_rank(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
 def strongly_connected_components(n: int, tails, heads) -> list[list[int]]:
@@ -425,6 +433,10 @@ class ConstructionTrace(_Tables):
             raise ValueError(f"{dim}-D seed needs exactly {1 if dim == 2 else 6} distances")
         if not all(map(math.isfinite, seed)) or min(seed) <= 0:
             raise ValueError("seed distances must be positive and finite")
+        need = int(np.sum(counts))
+        for name, size in ("anchors", len(anchors)), ("distances", len(distances)):
+            if size != need:
+                raise ValueError(f"{name}: {size} values, counts need {need}")
         wrong = (np.asarray(counts) != dim).nonzero()[0]
         good = int(wrong[0]) if wrong.size else len(counts)  # the steps before the first
         table = _integers(anchors)[: good * dim].reshape(good, dim)

@@ -24,12 +24,17 @@ from hypothesis import strategies as st
 
 from rigiform import (
     BUILTIN_NAMES,
+    FormationGraph,
+    Framework,
     builtin_scenario,
     generate_scenario,
     load_scenario,
+    random_trace,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    trace_distances,
+    trace_graph,
 )
 from rigiform.analysis import certificate
 from rigiform.cli import _execute_run, main
@@ -138,6 +143,49 @@ def test_distance_test_is_relative_to_each_edge(tmp_path, capsys, scale):
     off = dataclasses.replace(scaled, distances=missed)
     assert main(["check", _write_scenario(tmp_path / "off.json", off)]) == 1
     assert capsys.readouterr() == ("", "error: framework does not satisfy its edge distances\n")
+
+
+def _formation_file(tmp_path, fw):
+    """A framework as a scenario file for `check`: its positions as agents and
+    targets, its own edge lengths, no construction or assignment."""
+    ends, lengths = fw.graph.endpoints.tolist(), fw.target_distances.tolist()
+    data = {"name": "formation", "dim": fw.dim, "agents": fw.positions.tolist(),
+            "edges": [{"tail": t, "head": h, "distance": d} for (t, h), d in zip(ends, lengths)],
+            "target_positions": fw.positions.tolist(),
+            "disturbance": {"frequencies": [1.0], "edges": [{"alpha": 0.5}] * len(ends)},
+            "controller": {"mode": "estimator", "kappa": 1.0, "b1": 1.0, "b2": [1.0, 0.0]},
+            "sim": {"dt": 0.01, "t_end": 1.0, "output_every": 10}}
+    path = tmp_path / "formation.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_check_ranks_a_large_formation_one_edge_short_of_rigid_by_its_blocks(
+        tmp_path, capsys, monkeypatch):
+    # 3996 rows of a full-row-rank R: its blocks reach |E| = 3996, the upper
+    # bound, while a dense SVD at RANK_TOL would count only 3994 of them
+    from test_rigidity import _no_dense
+
+    trace, pts = random_trace(2000, 2, np.random.default_rng(0))
+    graph = FormationGraph(2000, trace_graph(trace).endpoints[:-1])
+    path = _formation_file(tmp_path, Framework(graph, 2, pts, trace_distances(trace)[:-1]))
+    _no_dense(monkeypatch)
+    assert main(["check", path, "--json"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert (record["rank"], record["rank_needed"], record["infinitesimally_rigid"]) == (
+        3996, 3997, False)
+
+
+def test_check_refuses_a_dense_rank_over_the_cap_in_one_line(tmp_path, capsys, monkeypatch):
+    # the last of 1001 agents sits on the line through its anchors, so the
+    # blocks fall one short and only a 1999 x 2002 R, over the cap, could decide
+    from test_rigidity import _no_dense, _strip
+
+    path = _formation_file(tmp_path, _strip(1001, thin=0.0))
+    _no_dense(monkeypatch)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr() == ("", "error: rank not decided: a 1999 x 2002 SVD is over the "
+                                       "cap of 4000000 entries\n")
 
 
 # sha256 of `check` stdout (text and --json) and its exit code, recorded

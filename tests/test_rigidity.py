@@ -6,13 +6,17 @@ edge map before anything downstream relies on it.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import s1_matrix
 from rigiform import (
+    RANK_TOL,
     ConstructionTrace,
     FormationGraph,
     Framework,
@@ -218,20 +222,115 @@ def test_non_rigid_dag_falls_back_to_the_dense_rank(monkeypatch):
         trace, pts = random_trace(12, dim, rng)
         graph = trace_graph(trace)
         # acyclic: every tail precedes its head; the last inserted vertex
-        # loses an edge, so its block has dim - 1 rows
+        # loses an edge, so its block has dim - 1 rows; every block keeps
+        # full rank, so the blocks reach |E|, the upper bound, on their own
         lean = FormationGraph(graph.n, graph.edges[:-1])
         fw = Framework(lean, dim, pts, trace_distances(trace)[:-1])
         assert all(t < h for t, h in lean.edges)
         expected = numeric_rank(rigidity_matrix(fw))
-        assert expected == rigid_rank_target(12, dim) - 1
+        assert expected == rigid_rank_target(12, dim) - 1 == lean.edge_count
         dense.clear()
         assert fw.rigidity_rank == expected
-        assert dense == [(lean.edge_count, dim * lean.n)]
-    # a vertex placed on the line through its two anchors: a singular block
+        assert dense == []
+    # a vertex placed on the line through its two anchors: a singular block,
+    # so the blocks fall short of the bound and the dense rank decides
     flat = _triangle(((0.0, 0.0), (2.0, 0.0), (1.0, 0.0)))
     dense.clear()
     assert is_infinitesimally_rigid(flat) == (False, 2)
     assert dense == [(3, 6)]
+
+
+def _no_dense(monkeypatch):
+    """Fail the test if rigidity builds R or takes a dense rank."""
+    import rigiform.rigidity as rigidity
+
+    def refuse(*_):
+        raise AssertionError("dense rigidity matrix")
+    monkeypatch.setattr(rigidity, "rigidity_matrix", refuse)
+    monkeypatch.setattr(rigidity, "numeric_rank", refuse)
+
+
+def _strip(n, thin=None):
+    """A 2-D zigzag strip, minimally rigid: vertex v at (v / 2, v % 2)
+    (zero-based), joined to v - 2 and v - 1, which estimate its edges; the
+    orientation is acyclic, so each block is one vertex's in-edges.  With
+    `thin`, the last vertex sits that far off the midpoint of its anchors:
+    its block's sigma_min / sigma_max is about 1.8 thin, 0 for thin = 0."""
+    v = np.arange(n)
+    pts = np.column_stack((0.5 * v, v % 2)).astype(float)
+    if thin is not None:
+        a, b = pts[n - 3], pts[n - 2]
+        d = (b - a) / np.hypot(*(b - a))
+        pts[n - 1] = 0.5 * (a + b) + thin * np.array([-d[1], d[0]])
+    heads = np.repeat(np.arange(3, n + 1), 2)
+    edges = np.concatenate(([[1, 2]], np.column_stack((heads - np.tile((2, 1), n - 2), heads))))
+    z = pts[edges[:, 0] - 1] - pts[edges[:, 1] - 1]
+    return Framework(FormationGraph(n, edges), 2, pts, np.sqrt((z * z).sum(axis=1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(4, 60), st.integers(0, 2 ** 32 - 1), st.data())
+def test_removing_k_edges_from_a_draw_lowers_its_rank_by_k_without_a_dense_svd(dim, n, seed, data):
+    trace, pts = random_trace(n, dim, np.random.default_rng(seed))
+    graph = trace_graph(trace)
+    removed = data.draw(st.sets(st.integers(0, graph.edge_count - 1)))
+    keep = [k for k in range(graph.edge_count) if k not in removed]
+    fw = Framework(FormationGraph(n, graph.endpoints[keep]), dim, pts,
+                   trace_distances(trace)[keep])
+    with pytest.MonkeyPatch.context() as mp:
+        _no_dense(mp)
+        assert fw.rigidity_rank == graph.edge_count - len(removed)
+
+
+def test_a_thin_triangle_in_a_long_strip_is_ranked_by_its_blocks(monkeypatch):
+    # Keep n = 2e4: a tolerance scaled by ||R||_F max(|E|, 2n) would call the
+    # thin block deficient here (1.2e-3 against its sigma_min of 1.4e-5),
+    # though not at n = 100, and R would be a 39997 x 40000 dense matrix.
+    fw = _strip(20_000, thin=1e-5)
+    _no_dense(monkeypatch)
+    tracemalloc.start()
+    try:
+        rank = fw.rigidity_rank
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == fw.graph.edge_count == rigid_rank_target(20_000, 2) == 39997
+    assert peak < 32e6  # R alone would take 12.8 GB
+    s = fw.diagonal_blocks[-1].singular_values
+    assert 1e-5 < (s[:, -1] / s[:, 0]).min() < 1e-4
+
+
+def test_a_singular_block_just_below_the_dense_cap_gets_its_dense_rank(monkeypatch):
+    import rigiform.rigidity as rigidity
+
+    dense = []
+    monkeypatch.setattr(rigidity, "numeric_rank", lambda m: dense.append(m.shape) or numeric_rank(m))
+    fw = _strip(1000, thin=0.0)  # a 1997 x 2000 R; test_cli checks 1001 agents, over the cap
+    assert 1997 * 2000 <= rigidity._DENSE_RANK_CAP < 1999 * 2002
+    assert fw.rigidity_rank == 1996
+    assert dense == [(1997, 2000)]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 10), (2, 100), (2, 500), (3, 10), (3, 100), (3, 300)])
+def test_block_rank_equals_the_dense_rank_where_that_is_clear(dim, n, monkeypatch):
+    # three draws each, with up to three edges removed: the blocks decide
+    import rigiform.rigidity as rigidity
+
+    dense = []
+    monkeypatch.setattr(rigidity, "numeric_rank", lambda m: dense.append(m.shape) or numeric_rank(m))
+    rng = np.random.default_rng(10 * n + dim)
+    for _ in range(3):
+        trace, pts = random_trace(n, dim, rng)
+        graph = trace_graph(trace)
+        keep = np.sort(rng.permutation(graph.edge_count)[int(rng.integers(4)):])
+        fw = Framework(FormationGraph(n, graph.endpoints[keep]), dim, pts,
+                       trace_distances(trace)[keep])
+        r = rigidity_matrix(fw)
+        s = np.linalg.svd(r, compute_uv=False)
+        rank = numeric_rank(r)
+        assert s[rank - 1] > 100 * RANK_TOL * s[0] * max(r.shape)  # far from the tolerance
+        assert fw.rigidity_rank == rank
+    assert dense == []
 
 
 def _scc_partition(labels):
@@ -348,6 +447,13 @@ def test_trace_validation_errors():
         ConstructionTrace(3, (1.0,) * 6, [3, 3], (1, 2, 3, 1, 4, 5), (1.0,) * 6)
     with pytest.raises(ValueError, match="positive"):
         ConstructionTrace(2, (-1.0,))
+    # the tables hold as many values as the counts add up to
+    with pytest.raises(ValueError, match="^anchors: 3 values, counts need 2$"):
+        ConstructionTrace(2, (1.0,), [2], (1, 2, 3), (1.0,) * 3)
+    with pytest.raises(ValueError, match="^anchors: 1 values, counts need 2$"):
+        ConstructionTrace(2, (1.0,), [2], (1,), (1.0,) * 2)
+    with pytest.raises(ValueError, match="^distances: 3 values, counts need 2$"):
+        ConstructionTrace(2, (1.0,), [2], (1, 2), (1.0,) * 3)
 
 
 def test_insertion_step_validation():
