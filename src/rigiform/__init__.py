@@ -64,7 +64,6 @@ from .sim import (
     DIVERGENCE_GUARD,
     RunVerdict,
     Trajectory,
-    closed_loop_derivative,
     integrate,
     propagate_exosystem,
     run_verdict,
@@ -96,7 +95,6 @@ __all__ = [
     "certificate",
     "certify",
     "check_observability",
-    "closed_loop_derivative",
     "consistent_errors",
     "default_basis",
     "edge_function",

@@ -8,9 +8,9 @@ RANK_TOL and HURWITZ_TOL; `certificate` alone makes that decision.  It
 never forms the |E|-square matrix: with edges grouped by the strongly
 connected component of their head, R and -R S2^T are block
 lower-triangular, so the spectrum is the union of the diagonal blocks'
-spectra and their ranks bound R's rank from below
-(`Framework.diagonal_blocks`).  Estimator placement rules map each edge to
-the agent that runs its internal-model unit, which fixes the edge
+spectra, which `Framework.diagonal_blocks` takes in the same pass as the
+blocks' ranks, behind one size guard.  Estimator placement rules map each
+edge to the agent that runs its internal-model unit, which fixes the edge
 orientations the controller uses: the construction-order rules
 (`_TRACE_DIMS`) keep the trace's, the others read an owner table by pair.
 """
@@ -30,7 +30,6 @@ from .rigidity import (
     FormationGraph,
     consistent_errors,
     is_infinitesimally_rigid,
-    is_minimally_rigid,
     rigid_rank_target,
     rigidity_matrix,
     s2_matrix,
@@ -77,24 +76,6 @@ def stability_matrix(framework: Framework) -> np.ndarray:
     return -rigidity_matrix(framework) @ s2_matrix(framework).T
 
 
-def _block_spectrum(framework: Framework) -> np.ndarray:
-    """Eigenvalues of -R S2^T: the union of its diagonal blocks' spectra.
-
-    A one-vertex block is -Z Z^T, whose eigenvalues are minus the squared
-    singular values of Z, already computed for the rank, and a zero for
-    each row past the dim-th; larger blocks take one eigvals per shape.
-    """
-    pieces = []
-    for stack in framework.diagonal_blocks:
-        count, rows, width = stack.rigidity.shape
-        if width == framework.dim:
-            sv = stack.singular_values
-            pieces += [-(sv * sv).ravel(), np.zeros(count * (rows - sv.shape[1]))]
-        else:
-            pieces.append(np.linalg.eigvals(-stack.rigidity @ stack.s2.transpose(0, 2, 1)).ravel())
-    return np.concatenate(pieces)
-
-
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """One target's certification, keyed as `check --json`: the rigidity
@@ -119,16 +100,18 @@ class Certificate:
 def certificate(framework: Framework) -> Certificate:
     """Certify a target framework from its diagonal blocks
     (`Framework.diagonal_blocks`), at RANK_TOL and HURWITZ_TOL.  Raises
-    ValueError when the framework does not satisfy its own distances."""
+    ValueError when the framework does not satisfy its own distances or a
+    dense decomposition is over the cap."""
     _require_own_distances(framework)
-    rigid, rank = is_infinitesimally_rigid(framework)
-    spectrum = _block_spectrum(framework)
+    g = framework.graph
+    rank, needed = framework.rigidity_rank, rigid_rank_target(g.n, framework.dim)
+    rigid = rank == needed
+    spectrum = np.concatenate([stack.eigenvalues for stack in framework.diagonal_blocks])
     margin = float(np.max(spectrum.real))
     hurwitz = margin < -HURWITZ_TOL
     spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
     spectrum.setflags(write=False)
-    needed = rigid_rank_target(framework.graph.n, framework.dim)
-    return Certificate(rank, needed, rigid, is_minimally_rigid(framework), hurwitz, margin,
+    return Certificate(rank, needed, rigid, rigid and g.edge_count == needed, hurwitz, margin,
                        spectrum, rigid and hurwitz)
 
 

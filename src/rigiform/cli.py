@@ -25,9 +25,8 @@ import numpy as np
 
 from .analysis import certificate
 # unused here, these stay importable: perfbench/tracing.py wraps them by name
-from .analysis import (  # noqa: F401
-    is_hurwitz, is_infinitesimally_rigid, is_minimally_rigid, stability_matrix,
-)
+from .analysis import is_hurwitz, is_infinitesimally_rigid, stability_matrix  # noqa: F401
+from .rigidity import is_minimally_rigid  # noqa: F401
 from .scenario import BUILTIN_NAMES, MODES, ScenarioError, builtin_scenario, canonical_json, \
     generate_scenario, load_scenario, save_scenario
 from .sim import RunVerdict, integrate, run_verdict, write_csv

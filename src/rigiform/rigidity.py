@@ -9,18 +9,21 @@ bookkeeping in the closed loop (`sim`) and the analysis module.
 All matrices produced here follow the graph's edge order, so stacked
 quantities (errors, disturbances, estimator states) line up index for
 index across the package.  The rank test is structural: the orientation's
-strongly connected components split the rigidity matrix into diagonal
-blocks (`Framework.diagonal_blocks`), counted as `numeric_rank` counts a
-matrix; only block ranks short of min(|E|, rigid_rank_target) take a dense
-SVD.  Graphs and construction traces keep their edges and steps as
-read-only integer tables, checked whole with numpy for the first bad edge
-or step; a graph spells its edges as tuples only when something reads them.
+strongly connected components split R and -R S2^T into diagonal blocks
+(`Framework.diagonal_blocks`), each taken in one pass: its rank, counted
+as `numeric_rank` counts a matrix, and its eigenvalues.  Block ranks
+short of min(|E|, rigid_rank_target) are counted again on the orientation
+from lower to higher vertex (R's rank ignores orientation); only then
+does R take a dense SVD.  `_dense_guard` bounds every dense block and R.
+Graphs and construction traces keep their edges and steps as read-only
+integer tables, checked whole with numpy for the first bad edge or step;
+a graph spells its edges as tuples only when something reads them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product, repeat
 from typing import NamedTuple
@@ -30,9 +33,16 @@ import numpy as np
 # A matrix's rank counts its singular values above RANK_TOL * sigma_max *
 # max(shape), each matrix at its own scale (`_count_rank`).
 RANK_TOL = 1e-10
-# R's entries above which the dense rank is refused: its SVD takes 2.5 s at
+# Entries above which a dense decomposition is refused: an SVD takes 2.5 s at
 # 2000 x 2000 on one Xeon core (one BLAS thread), growing as the size cubed.
 _DENSE_RANK_CAP = 2000 * 2000
+
+
+def _dense_guard(rows: int, cols: int, what: str = "SVD") -> None:
+    """Refuse (ValueError) a dense rows x cols decomposition over the cap."""
+    if rows * cols > _DENSE_RANK_CAP:
+        raise ValueError(f"rank not decided: a {rows} x {cols} {what} is over the cap "
+                         f"of {_DENSE_RANK_CAP} entries")
 
 
 def _count_rank(s: np.ndarray, shape) -> int:
@@ -164,14 +174,15 @@ class Framework:
 
     @cached_property
     def diagonal_blocks(self) -> tuple["BlockStack", ...]:
-        """The rigidity matrix's diagonal blocks, stacked by shape.
+        """The diagonal blocks of R and of -R S2^T, stacked by shape.
 
         Edges are grouped by the strongly connected component of their
         head, columns by the component of their vertex.  An edge's tail
         reaches its head, so its component precedes the head's in
         topological order and R is block lower-triangular; so is -R S2^T,
         whose entry (k, l) is nonzero only when head(l) is an endpoint of
-        edge k.  Computed once, with one SVD per distinct block shape.
+        edge k.  Computed once, with one SVD per distinct block shape and,
+        for blocks of more than one vertex, one eigvals.
         """
         return _diagonal_blocks(self)
 
@@ -179,20 +190,24 @@ class Framework:
     def rigidity_rank(self) -> int:
         """Rank of the rigidity matrix, computed once.
 
-        R is block lower-triangular, so its diagonal blocks' ranks, each
-        counted as numeric_rank counts a matrix, sum to a lower bound, and
-        min(|E|, rigid_rank_target) is an upper bound.  When they meet that
-        is the rank, and R is never built.  Otherwise it is numeric_rank of
-        the dense R, refused (ValueError) above _DENSE_RANK_CAP entries.
+        R is block lower-triangular, so its diagonal blocks' ranks sum to a
+        lower bound, and min(|E|, rigid_rank_target) is an upper bound.
+        Reversing an edge only negates its row of R, so when the blocks of
+        the graph's own orientation fall short, those of the orientation
+        from lower to higher vertex, one vertex each, are counted too.
+        When a sum meets the upper bound that is the rank, and R is never
+        built.  Otherwise it is numeric_rank of the dense R, within
+        `_dense_guard`'s cap.
         """
         g = self.graph
-        found = sum(_count_rank(s.singular_values, s.rigidity.shape[1:]) for s in self.diagonal_blocks)
         bound = min(g.edge_count, rigid_rank_target(g.n, self.dim))
+        found = sum(s.rank for s in self.diagonal_blocks)
+        if found < bound:
+            upward = replace(self, graph=FormationGraph(g.n, np.sort(g.endpoints, axis=1)))
+            found = max(found, sum(s.rank for s in upward.diagonal_blocks))
         if found >= bound:
             return bound
-        if g.edge_count * self.dim * g.n > _DENSE_RANK_CAP:
-            raise ValueError(f"rank not decided: a {g.edge_count} x {self.dim * g.n} SVD "
-                             f"is over the cap of {_DENSE_RANK_CAP} entries")
+        _dense_guard(g.edge_count, self.dim * g.n)
         return numeric_rank(rigidity_matrix(self))
 
     def at_positions(self, positions) -> "Framework":
@@ -295,13 +310,13 @@ def strongly_connected_components(n: int, tails, heads) -> list[list[int]]:
 
 class BlockStack(NamedTuple):
     """The diagonal blocks of one shape (r edges, s vertices): for each
-    strongly connected component, the rows of R and S2 of the edges whose
-    heads lie in it, restricted to its vertices' columns, rows in edge and
-    columns in vertex order."""
+    strongly connected component, the rows of R of the edges whose heads
+    lie in it, restricted to its vertices' columns, rows in edge and
+    columns in vertex order, and the r x r block of -R S2^T on those edges."""
 
-    rigidity: np.ndarray  # (B, r, dim*s)
-    s2: np.ndarray  # (B, r, dim*s): rigidity without the tail entries
-    singular_values: np.ndarray  # (B, min(r, dim*s)) of the rigidity blocks
+    rank: int  # summed over the stack, each block counted by _count_rank
+    singular_values: np.ndarray  # (B, min(r, dim*s)) of the R blocks
+    eigenvalues: np.ndarray  # (B*r,) of the -R S2^T blocks
 
 
 def _diagonal_blocks(fw: Framework) -> tuple[BlockStack, ...]:
@@ -321,11 +336,18 @@ def _diagonal_blocks(fw: Framework) -> tuple[BlockStack, ...]:
     for c, rows in enumerate(in_edges):
         if rows:
             shapes.setdefault((len(rows), len(components[c])), []).append(c)
+    for r, s in shapes:  # every dense block passes the guard before any is built
+        if s > 1:
+            _dense_guard(r, m * s)
+            _dense_guard(r, r, "eigenvalue problem")
     stacks = []
     for (r, s), members in sorted(shapes.items()):
         edges = np.array([in_edges[c] for c in members], dtype=np.intp)
-        if s == 1:  # one vertex v: both blocks are -Z_v, its in-edges' z_k
-            rigidity = s2 = -z[edges]
+        if s == 1:  # one vertex v: the R block is -Z_v, its in-edges' z_k
+            sv = np.linalg.svd(-z[edges], compute_uv=False)
+            # -Z Z^T: minus Z's squared singular values, and a zero per row past the dim-th
+            eigenvalues = np.concatenate((-(sv * sv).ravel(),
+                                          np.zeros(len(members) * (r - sv.shape[1]))))
         else:
             label_of, local_of = np.array(label), np.array(local)
             heads, tails = g.heads[edges], g.tails[edges]
@@ -339,7 +361,9 @@ def _diagonal_blocks(fw: Framework) -> tuple[BlockStack, ...]:
             s2 = wide[..., : m * s].copy()
             wide[b, i, m * tail_at[..., None] + cols] = z[edges]
             rigidity = wide[..., : m * s]
-        stacks.append(BlockStack(rigidity, s2, np.linalg.svd(rigidity, compute_uv=False)))
+            sv = np.linalg.svd(rigidity, compute_uv=False)
+            eigenvalues = np.linalg.eigvals(-rigidity @ s2.transpose(0, 2, 1)).ravel()
+        stacks.append(BlockStack(_count_rank(sv, (r, m * s)), sv, eigenvalues))
     return tuple(stacks)
 
 

@@ -4,12 +4,11 @@ The closed-loop state is one flat float64 vector y = [x | xi | w]: agent
 positions (n, dim), estimator bank (E, q) and signal generators (E, q),
 each stored row-major, so xi and w also form one (2, E, q) stack.  It is
 the only state layout: `integrate` packs y at t = 0 straight from the
-scenario, and `closed_loop_derivative` takes the three blocks as arrays.
-`_ClosedLoop` is the only implementation of the control law: one
-evaluation returns the derivative that `integrate` and
-`closed_loop_derivative` use together with the edge columns a Trajectory
-records.  On a sampled step `integrate` records from the evaluation that
-also serves as the next step's k1, so every step costs four evaluations.
+scenario.  `_ClosedLoop` is the only implementation of the control law:
+one evaluation returns the derivative that `integrate` steps together
+with the edge columns a Trajectory records.  On a sampled step
+`integrate` records from the evaluation that also serves as the next
+step's k1, so every step costs four evaluations.
 A sample keeps only what a run reports: the time, positions, speeds and
 the edge columns e, mu and mu_hat.  The compensated errors alpha are
 derived from those where they are read, the generator and estimator
@@ -213,18 +212,6 @@ class _ClosedLoop:
         self.kappa = float(scenario.kappa)
         self.estimator = scenario.mode == "estimator"
 
-    def pack(self, x, xi, w) -> np.ndarray:
-        return np.concatenate([np.ravel(x), np.ravel(xi), np.ravel(w)])
-
-    def split(self, y):
-        """(x, xi, w) views into a flat state or derivative."""
-        nx, ne = self.nx, self.ne
-        return (
-            y[:nx].reshape(self.n, self.dim),
-            y[nx:nx + ne].reshape(self.edge_count, self.q),
-            y[nx + ne:].reshape(self.edge_count, self.q),
-        )
-
     def evaluate(self, y):
         """(dy, e, mu, mu_hat) at y: the derivative and the per-edge terms."""
         edges, nx = self.edge_count, self.nx
@@ -257,26 +244,12 @@ class _ClosedLoop:
 
     def guard_reason(self, y) -> str:
         """What trips the divergence guard at y: non-finite blocks first."""
-        bad = [k for k, b in zip(("x", "xi", "w"), self.split(y)) if not np.isfinite(b).all()]
+        nx, ne = self.nx, self.ne
+        blocks = y[:nx], y[nx:nx + ne], y[nx + ne:]
+        bad = [k for k, b in zip(("x", "xi", "w"), blocks) if not np.isfinite(b).all()]
         if bad:
             return f"non-finite {', '.join(bad)}"
-        return f"position norm {np.linalg.norm(y[:self.nx]):.6g} > guard {DIVERGENCE_GUARD:g}"
-
-
-def closed_loop_derivative(x, xi, w, scenario):
-    """d/dt of the closed-loop state (x, xi, w): positions (n, dim) and the
-    estimator and generator banks (E, q) each.  Rejects non-finite or
-    misshapen blocks."""
-    x, xi, w = (np.asarray(a, dtype=float) for a in (x, xi, w))
-    if not (np.isfinite(x).all() and np.isfinite(xi).all() and np.isfinite(w).all()):
-        raise ValueError("state contains non-finite values")
-    loop = _ClosedLoop(scenario)
-    if x.shape != (loop.n, loop.dim):
-        raise ValueError(f"x must have shape {(loop.n, loop.dim)}")
-    want = (loop.edge_count, loop.q)
-    if xi.shape != want or w.shape != want:
-        raise ValueError(f"xi and w must have shape {want}")
-    return loop.split(loop(loop.pack(x, xi, w)))
+        return f"position norm {np.linalg.norm(y[:nx]):.6g} > guard {DIVERGENCE_GUARD:g}"
 
 
 def _step_count(dt: float, t_end: float, every: int, values_per_sample: int) -> int:
@@ -323,7 +296,8 @@ def integrate(scenario) -> Trajectory:
     speeds = np.empty((count, n))
 
     w0 = exosystem_initial_state(scenario.disturbance, scenario.basis()).w
-    y = loop.pack(scenario.framework_initial().positions, scenario.xi0_array(), w0)
+    y = np.concatenate([scenario.framework_initial().positions.ravel(),
+                        scenario.xi0_array().ravel(), w0.ravel()])
     divergence_step = reason = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):

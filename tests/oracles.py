@@ -1,4 +1,5 @@
-"""Test-only oracles: stacked-matrix forms of quantities the library
+"""Test-only oracles: the closed-loop derivative at one state, read off the
+library's kernel; stacked-matrix forms of quantities the library
 computes edge by edge inside its closed-loop kernel or block by block in
 its certificate, the np.savetxt trajectory writer its vectorised '%.17g'
 formatter replaced, the numpy-array trace sampler its float-level 2-D
@@ -30,6 +31,18 @@ from rigiform import (
 )
 from rigiform.rigidity import ConstructionTrace
 from rigiform.scenario import MODES
+from rigiform.sim import _ClosedLoop
+
+
+def closed_loop_rates(x, xi, w, scenario):
+    """(x_dot, xi_dot, w_dot) of the scenario's closed loop at positions x
+    (n, dim) and estimator and generator banks xi, w (E, q): one evaluation
+    of the kernel `integrate` steps, on the flat state it steps."""
+    loop = _ClosedLoop(scenario)
+    dy = loop(np.concatenate([np.ravel(x), np.ravel(xi), np.ravel(w)]).astype(float))
+    nx, ne = loop.nx, loop.ne
+    return (dy[:nx].reshape(loop.n, loop.dim), dy[nx:nx + ne].reshape(loop.edge_count, loop.q),
+            dy[nx + ne:].reshape(loop.edge_count, loop.q))
 
 
 def s1_matrix(fw: Framework) -> np.ndarray:

