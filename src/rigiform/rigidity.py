@@ -12,9 +12,10 @@ index across the package.  The rank test is structural: the orientation's
 strongly connected components split R and -R S2^T into diagonal blocks
 (`Framework.diagonal_blocks`), each taken in one pass: its rank, counted
 as `numeric_rank` counts a matrix, and its eigenvalues.  Block ranks
-short of min(|E|, rigid_rank_target) are counted again on the orientation
-from lower to higher vertex (R's rank ignores orientation); only then
-does R take a dense SVD.  `_dense_guard` bounds every dense block and R.
+short of min(|E|, rigid_rank_target), or a block over the cap, send the
+count to the orientation from lower to higher vertex (R's rank ignores
+orientation); only then does R take a dense SVD.  `_dense_guard` bounds
+every dense block and R.
 Graphs and construction traces keep their edges and steps as read-only
 integer tables, checked whole with numpy for the first bad edge or step;
 a graph spells its edges as tuples only when something reads them.
@@ -38,11 +39,15 @@ RANK_TOL = 1e-10
 _DENSE_RANK_CAP = 2000 * 2000
 
 
+class _OverCap(ValueError):
+    """A dense decomposition refused by `_dense_guard`."""
+
+
 def _dense_guard(rows: int, cols: int, what: str = "SVD") -> None:
-    """Refuse (ValueError) a dense rows x cols decomposition over the cap."""
+    """Refuse (_OverCap, a ValueError) a dense rows x cols decomposition over the cap."""
     if rows * cols > _DENSE_RANK_CAP:
-        raise ValueError(f"rank not decided: a {rows} x {cols} {what} is over the cap "
-                         f"of {_DENSE_RANK_CAP} entries")
+        raise _OverCap(f"rank not decided: a {rows} x {cols} {what} is over the cap "
+                       f"of {_DENSE_RANK_CAP} entries")
 
 
 def _count_rank(s: np.ndarray, shape) -> int:
@@ -193,15 +198,18 @@ class Framework:
         R is block lower-triangular, so its diagonal blocks' ranks sum to a
         lower bound, and min(|E|, rigid_rank_target) is an upper bound.
         Reversing an edge only negates its row of R, so when the blocks of
-        the graph's own orientation fall short, those of the orientation
-        from lower to higher vertex, one vertex each, are counted too.
-        When a sum meets the upper bound that is the rank, and R is never
-        built.  Otherwise it is numeric_rank of the dense R, within
-        `_dense_guard`'s cap.
+        the graph's own orientation fall short, or one of them is over the
+        cap, those of the orientation from lower to higher vertex, one
+        vertex each, are counted too.  When a sum meets the upper bound
+        that is the rank, and R is never built.  Otherwise it is
+        numeric_rank of the dense R, within `_dense_guard`'s cap.
         """
         g = self.graph
         bound = min(g.edge_count, rigid_rank_target(g.n, self.dim))
-        found = sum(s.rank for s in self.diagonal_blocks)
+        try:
+            found = sum(s.rank for s in self.diagonal_blocks)
+        except _OverCap:  # only the spectrum needs that block
+            found = 0
         if found < bound:
             upward = replace(self, graph=FormationGraph(g.n, np.sort(g.endpoints, axis=1)))
             found = max(found, sum(s.rank for s in upward.diagonal_blocks))

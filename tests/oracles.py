@@ -1,13 +1,14 @@
 """Test-only oracles: the closed-loop derivative at one state, read off the
-library's kernel; stacked-matrix forms of quantities the library
-computes edge by edge inside its closed-loop kernel or block by block in
-its certificate, the np.savetxt trajectory writer its vectorised '%.17g'
-formatter replaced, the numpy-array trace sampler its float-level 2-D
-proposals replaced, the hand-written scenario loader its table-driven
-one replaced, and the record-by-record checks of edges, disturbance
-entries and insertion steps its whole-table checks replaced.  Traces are
-built through ConstructionTrace's table constructor after each step has
-passed `insertion_step`."""
+library's kernel, and the edge-major einsum/matmul kernel it replaced;
+stacked-matrix forms of quantities the library computes edge by edge
+inside its closed-loop kernel or block by block in its certificate, the
+np.savetxt trajectory writer its vectorised '%.17g' formatter replaced,
+the numpy-array trace sampler its float-level 2-D proposals replaced,
+the hand-written scenario loader its table-driven one replaced, and the
+record-by-record checks of edges, disturbance entries and insertion
+steps its whole-table checks replaced.  Traces are built through
+ConstructionTrace's table constructor after each step has passed
+`insertion_step`."""
 
 import io
 import math
@@ -43,6 +44,43 @@ def closed_loop_rates(x, xi, w, scenario):
     nx, ne = loop.nx, loop.ne
     return (dy[:nx].reshape(loop.n, loop.dim), dy[nx:nx + ne].reshape(loop.edge_count, loop.q),
             dy[nx + ne:].reshape(loop.edge_count, loop.q))
+
+
+def closed_loop_reference(scenario, y):
+    """(dy, e, mu, mu_hat) of the scenario's closed loop at the flat state
+    y, as `_ClosedLoop.evaluate` returns them, computed edge-major: the
+    (2|E|, dim) edge rows, their squared lengths by einsum, the pushes by
+    broadcasting, and both bank products by matmul against the dense
+    generator matrix.  The kernel must match it bit for bit, signed zeros
+    included."""
+    fw, basis = scenario.framework_initial(), scenario.basis()
+    g, dim = fw.graph, fw.dim
+    edges, nx, q = g.edge_count, g.n * dim, basis.state_size
+    coords = np.arange(dim)
+    heads = g.heads[:, None] * dim + coords
+    tails = g.tails[:, None] * dim + coords
+    plus_at, minus_at = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+    rows = y[plus_at] - y[minus_at]
+    weights = np.einsum("kd,kd->k", rows, rows) - np.tile(fw.target_distances ** 2, 2)
+    r, e = weights[:edges], weights[edges:]
+    banks = y[nx:].reshape(2, edges, q)
+    outputs = banks @ basis.vector
+    mu_hat, mu = outputs[0], outputs[1]
+    r += mu
+    estimator = scenario.mode == "estimator"
+    if estimator:
+        r -= mu_hat
+    dy = np.empty_like(y)
+    pushes = weights[:, None] * rows
+    dy[:nx] = np.bincount(minus_at.ravel(), weights=pushes.ravel(), minlength=nx)
+    dbanks = dy[nx:].reshape(2, edges, q)
+    np.matmul(banks, np.ascontiguousarray(basis.dynamics_matrix.T), out=dbanks)
+    dxi = dbanks[0]
+    if estimator:
+        dxi += float(scenario.kappa) * r[:, None] * basis.vector
+    else:
+        dxi[...] = 0.0
+    return dy, e, mu, mu_hat
 
 
 def s1_matrix(fw: Framework) -> np.ndarray:

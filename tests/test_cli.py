@@ -243,15 +243,21 @@ RUN_DIGESTS = {
              "107599b5c4612d4de209d38d46bd30f23b9a6ce7249d0584f1ffdfa09dfda8d1", 0),
     "short": ("15ff3fd155ee600c4566676f5b76839aca82ff9d35b9282bcc076de96b90274c",
               "2133f63dc6dcb8ce18cc4b410597358430dfac11d01b3d933cb8ac1d16ee8852", 0),
+    "tetra3d": ("94ffb25374ade45922ebb1718e9c337984348a60936e89fced415f68bb3333c3",
+                "f720ea43027124c5236ccc31205b2dbc0349213810a0570730bdafec3b15257c", 0),
 }
 
 
 def _run_file(tmp_path, kind):
     """A full triangle run, one too short for a verdict (null_reason set),
-    or epuck2d at a step so large that the guard trips at step 8."""
+    epuck2d at a step so large that the guard trips at step 8, or the first
+    3 s of tetra3d's estimator run, the one 3-D kernel pinned here."""
     if kind == "diverged":
         sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=5e-3)
         return _write_scenario(tmp_path / "fast.json", sc)
+    if kind == "tetra3d":
+        sc = dataclasses.replace(builtin_scenario("tetra3d"), t_end=3.0, output_every=5)
+        return _write_scenario(tmp_path / "tetra3d.json", sc)
     return _triangle_file(tmp_path, t_end={"full": 6.0, "short": 0.1}[kind])
 
 

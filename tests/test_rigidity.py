@@ -31,6 +31,7 @@ from rigiform import (
     trace_distances,
     trace_graph,
 )
+from rigiform.analysis import certificate
 from rigiform.rigidity import _check_steps
 
 
@@ -326,6 +327,16 @@ def test_a_vertex_with_more_than_dim_in_edges_is_ranked_without_a_dense_svd(monk
     _no_dense(monkeypatch)
     assert sum(stack.rank for stack in fw.diagonal_blocks) == 1998
     assert fw.rigidity_rank == rigid_rank_target(1001, 2) == 1999
+
+
+def test_a_block_over_the_cap_leaves_the_rank_to_the_upward_blocks(monkeypatch):
+    # one strongly connected component: its 1999 x 2002 block is over the cap,
+    # while the lower-to-higher orientation's one-vertex blocks rank it at once
+    fw = _strip(1001, back=True)
+    _no_dense(monkeypatch)
+    assert fw.rigidity_rank == rigid_rank_target(1001, 2) == 1999
+    with pytest.raises(ValueError, match="^rank not decided: a 1999 x 2002 SVD is over the cap"):
+        certificate(fw)  # the spectrum still needs that block
 
 
 @pytest.mark.parametrize("dim, n", [(2, 10), (2, 100), (2, 500), (3, 10), (3, 100), (3, 300)])

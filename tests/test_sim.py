@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_loop_rates, s1_matrix
+from oracles import closed_loop_rates, closed_loop_reference, s1_matrix
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
@@ -360,6 +360,48 @@ def test_kernel_matches_a_per_edge_loop(name, mode):
         got = closed_loop_rates(x, xi, w, sc)
         for a, want in zip(got, _law_by_edge(sc, x, xi, w)):
             assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _with_sinusoids(sc, frequencies):
+    """sc with a random disturbance at the given frequencies, so its banks
+    hold q = 2p + 1 states, and an output vector with a zero in each
+    frequency's (sine, cosine) pair."""
+    rng = np.random.default_rng(len(frequencies))
+    p = len(frequencies)
+    entries = tuple(EdgeDisturbance(rng.normal(), tuple(rng.normal(size=p)),
+                                    tuple(rng.uniform(-3.0, 3.0, p))) for _ in sc.edges)
+    b2 = tuple(rng.uniform(0.5, 1.5, p)) + (0.0,) * p
+    return dataclasses.replace(sc, disturbance=DisturbanceSpec(frequencies, entries), b2=b2)
+
+
+KERNEL_CASES = {
+    "epuck2d": lambda: builtin_scenario("epuck2d"),
+    "tetra3d": lambda: builtin_scenario("tetra3d"),
+    "generated 2-D n=30": lambda: generate_scenario(30, 2, 1),
+    "generated 3-D n=40": lambda: generate_scenario(40, 3, 2),
+    "p=0": lambda: _with_sinusoids(generate_scenario(12, 3, 3), ()),
+    "p=1": lambda: _with_sinusoids(generate_scenario(12, 2, 4), (1.3,)),
+    "p=2": lambda: _with_sinusoids(generate_scenario(12, 3, 5), (0.7, 2.1)),
+}
+
+
+@pytest.mark.parametrize("mode", ["gradient_only", "estimator"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_the_edge_major_reference_bit_for_bit(case, mode):
+    # compared as uint64 so that signed zeros count; every other state zeroes
+    # a third of its entries, half of them as -0.0
+    sc = dataclasses.replace(KERNEL_CASES[case](), mode=mode, kappa=0.37)
+    loop = sim._ClosedLoop(sc)
+    rng = np.random.default_rng(11)
+    for i in range(6):
+        y = rng.normal(size=loop.nx + 2 * loop.ne)
+        if i % 2:
+            zero = rng.random(y.size) < 1 / 3
+            y[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        got, want = loop.evaluate(y), closed_loop_reference(sc, y)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_sampling_stride_leaves_the_trajectory_bitwise_unchanged():
