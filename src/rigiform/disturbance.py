@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .rigidity import _read_only, _Tables, numeric_rank
+from .rigidity import _read_only, _Tables
 
 
 def _checked_frequencies(frequencies) -> tuple[float, ...]:
@@ -191,27 +191,26 @@ class InternalModelBasis:
 
 
 def default_basis(frequencies) -> InternalModelBasis:
-    """b1 = 1 and the pair (1, 0) per frequency; observable whenever the
-    frequencies are distinct and positive."""
+    """b1 = 1 and the pair (1, 0) per frequency; observable for every
+    frequency list `_checked_frequencies` accepts."""
     freqs = _checked_frequencies(frequencies)
-    p = len(freqs)
-    return InternalModelBasis(1.0, (1.0,) * p + (0.0,) * p, freqs)
+    return InternalModelBasis(1.0, (1.0,) * len(freqs) + (0.0,) * len(freqs), freqs)
+
+
+def _blind_channels(basis: InternalModelBasis, verdict: str):
+    """(channel, "<channel> <verdict>: <why>") for each mode of Lambda that b
+    cannot see, channel 0 the constant and 1 + i frequency i.  Lambda's modes
+    are distinct, so by the Hautus test these are b1 = 0 and (0, 0) b2 pairs."""
+    if basis.b1 == 0.0:
+        yield 0, f"constant channel {verdict}: b1 is zero"
+    for i, (w, b_sin, b_cos) in enumerate(zip(basis.frequencies, basis.b2, basis.b2[basis.p:])):
+        if b_sin == 0.0 and b_cos == 0.0:
+            yield 1 + i, f"sinusoid at {w} rad/s {verdict}: both b2 entries for it are zero"
 
 
 def check_observability(basis: InternalModelBasis) -> bool:
-    """Full numeric rank of the stacked output/dynamics rows.
-
-    The dynamics are divided by the largest frequency when it exceeds 1:
-    that scales row j by its -j-th power, which keeps the rank and keeps
-    b Lambda^j finite however fast the tones are.
-    """
-    q = basis.state_size
-    lam = basis.dynamics_matrix / max((1.0, *basis.frequencies))
-    rows = np.empty((q, q))
-    rows[0] = basis.vector
-    for j in range(1, q):
-        rows[j] = rows[j - 1] @ lam
-    return numeric_rank(rows) == q
+    """Whether b sees every mode of Lambda, by `_blind_channels`' exact rule."""
+    return next(_blind_channels(basis, "unobservable"), None) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,34 +229,33 @@ class ExosystemState:
 def exosystem_initial_state(spec: DisturbanceSpec, basis: InternalModelBasis) -> ExosystemState:
     """State at t = 0 whose output reproduces the spec's signal for all time.
 
-    The constant channel stores offset / b1.  Each frequency's (sine,
-    cosine) pair solves the 2x2 system matching the sinusoid's value and
-    quadrature through the rotation block and that frequency's b2
-    sub-vector; a zero sub-vector cannot carry a nonzero amplitude.
+    The constant channel stores offset / b1; each frequency's (sine, cosine)
+    pair solves the 2x2 system matching the sinusoid's value and quadrature
+    through the rotation block and its b2 pair.  A channel b cannot see
+    stays zero and may carry no signal; a state that overflows is refused.
     """
     if spec.frequencies != basis.frequencies:
         raise ValueError("disturbance and basis frequency lists differ")
-    if basis.b1 == 0.0:
-        raise ValueError("constant channel unrepresentable: b1 is zero")
+    used = np.column_stack((spec.offsets, spec.amplitude_table)) != 0.0  # one column per channel
+    for channel, reason in _blind_channels(basis, "unrepresentable"):
+        if used[:, channel].any():
+            raise ValueError(reason)
     p = spec.p
     w = np.zeros((spec.edge_count, basis.state_size))
-    w[:, 0] = spec.offsets / basis.b1
-    for i in range(p):
-        b_sin = basis.b2[i]
-        b_cos = basis.b2[p + i]
-        den = b_sin * b_sin + b_cos * b_cos
-        amps = spec.amplitude_table[:, i]
-        if den == 0.0:
-            if np.any(amps != 0.0):
-                raise ValueError(
-                    f"sinusoid at {spec.frequencies[i]} rad/s unrepresentable: "
-                    "both b2 entries for it are zero"
-                )
-            continue
-        sin_ph = np.sin(spec.phase_table[:, i])
-        cos_ph = np.cos(spec.phase_table[:, i])
-        w[:, 1 + i] = (b_sin * amps * sin_ph + b_cos * amps * cos_ph) / den
-        w[:, 1 + p + i] = (b_cos * amps * sin_ph - b_sin * amps * cos_ph) / den
+    with np.errstate(all="ignore"):  # a non-finite state is refused below
+        w[:, 0] = spec.offsets / basis.b1 if basis.b1 != 0.0 else 0.0
+        for i in range(p):
+            b_sin, b_cos = basis.b2[i], basis.b2[p + i]
+            den = b_sin * b_sin + b_cos * b_cos
+            amps = spec.amplitude_table[:, i]
+            if den == 0.0 and not used[:, 1 + i].any():  # blind, or its squares underflow
+                continue  # a used one divides by zero and is refused below
+            sin_ph = np.sin(spec.phase_table[:, i])
+            cos_ph = np.cos(spec.phase_table[:, i])
+            w[:, 1 + i] = (b_sin * amps * sin_ph + b_cos * amps * cos_ph) / den
+            w[:, 1 + p + i] = (b_cos * amps * sin_ph - b_sin * amps * cos_ph) / den
+    if not np.isfinite(w).all():
+        raise ValueError("generator state not finite: the signal over b overflows")
     return ExosystemState(w)
 
 

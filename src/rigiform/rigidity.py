@@ -43,10 +43,10 @@ class _OverCap(ValueError):
     """A dense decomposition refused by `_dense_guard`."""
 
 
-def _dense_guard(rows: int, cols: int, what: str = "SVD") -> None:
+def _dense_guard(undecided: str, rows: int, cols: int, what: str = "SVD") -> None:
     """Refuse (_OverCap, a ValueError) a dense rows x cols decomposition over the cap."""
     if rows * cols > _DENSE_RANK_CAP:
-        raise _OverCap(f"rank not decided: a {rows} x {cols} {what} is over the cap "
+        raise _OverCap(f"{undecided} not decided: a {rows} x {cols} {what} is over the cap "
                        f"of {_DENSE_RANK_CAP} entries")
 
 
@@ -215,7 +215,7 @@ class Framework:
             found = max(found, sum(s.rank for s in upward.diagonal_blocks))
         if found >= bound:
             return bound
-        _dense_guard(g.edge_count, self.dim * g.n)
+        _dense_guard("rank", g.edge_count, self.dim * g.n)
         return numeric_rank(rigidity_matrix(self))
 
     def at_positions(self, positions) -> "Framework":
@@ -346,8 +346,8 @@ def _diagonal_blocks(fw: Framework) -> tuple[BlockStack, ...]:
             shapes.setdefault((len(rows), len(components[c])), []).append(c)
     for r, s in shapes:  # every dense block passes the guard before any is built
         if s > 1:
-            _dense_guard(r, m * s)
-            _dense_guard(r, r, "eigenvalue problem")
+            _dense_guard("spectrum", r, m * s)  # the rank falls back on the upward blocks
+            _dense_guard("spectrum", r, r, "eigenvalue problem")
     stacks = []
     for (r, s), members in sorted(shapes.items()):
         edges = np.array([in_edges[c] for c in members], dtype=np.intp)

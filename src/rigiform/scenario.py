@@ -53,7 +53,7 @@ import numpy as np
 from .analysis import _TRACE_DIMS, AssignmentRule, certificate, select_estimating_agents
 # unused here, these stay importable: perfbench/tracing.py wraps them by name
 from .analysis import is_hurwitz, is_infinitesimally_rigid, stability_matrix  # noqa: F401
-from .disturbance import DisturbanceSpec, InternalModelBasis, _edge_tables, check_observability
+from .disturbance import DisturbanceSpec, InternalModelBasis, _blind_channels, _edge_tables
 from .rigidity import (
     ConstructionTrace,
     FormationGraph,
@@ -160,9 +160,10 @@ class Scenario:
                 raise ScenarioError(f"mode must be one of {MODES}")
             if not math.isfinite(self.kappa) or self.kappa <= 0:
                 raise ScenarioError("kappa must be positive and finite")
-            # the gradient law never inverts the internal model
-            if self.mode == "estimator" and not check_observability(basis):
-                raise ScenarioError("estimator mode needs an observable internal-model basis")
+            blind = [why for _, why in _blind_channels(basis, "unobservable")]
+            if self.mode == "estimator" and blind:  # the gradient law never inverts the model
+                raise ScenarioError("estimator mode needs an observable internal-model basis: "
+                                    + blind[0])
         except ScenarioError:
             raise
         except ValueError as exc:

@@ -2,6 +2,7 @@
 library's kernel, and the edge-major einsum/matmul kernel it replaced;
 stacked-matrix forms of quantities the library computes edge by edge
 inside its closed-loop kernel or block by block in its certificate, the
+exact rational Krylov rank its observability rule must agree with, the
 np.savetxt trajectory writer its vectorised '%.17g' formatter replaced,
 the numpy-array trace sampler its float-level 2-D proposals replaced,
 the hand-written scenario loader its table-driven one replaced, and the
@@ -12,6 +13,7 @@ ConstructionTrace's table constructor after each step has passed
 
 import io
 import math
+from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -122,6 +124,32 @@ def block_spectrum(fw: Framework) -> np.ndarray:
     edge_label = strong_components(g.n, g.tails, g.heads)[g.heads]
     blocks = [np.flatnonzero(edge_label == c) for c in np.unique(edge_label)]
     return np.concatenate([np.linalg.eigvals(matrix[np.ix_(k, k)]) for k in blocks])
+
+
+def krylov_rank(basis) -> int:
+    """Exact rank of the observability matrix [b; b L; ...; b L^(q-1)], L
+    the basis's generator matrix, by Gaussian elimination over Fractions: a
+    float is a dyadic rational, so no product, pivot or cancellation rounds.
+    b observes every mode of L exactly when this is q."""
+    q = basis.state_size
+    lam = [[Fraction(v) for v in row] for row in basis.dynamics_matrix.tolist()]
+    rows = [[Fraction(v) for v in basis.vector.tolist()]]
+    for _ in range(1, q):
+        prev = rows[-1]
+        rows.append([sum((prev[r] * lam[r][c] for r in range(q) if prev[r] and lam[r][c]),
+                         Fraction(0)) for c in range(q)])
+    rank = 0
+    for col in range(q):
+        pivot = next((i for i in range(rank, q) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, q):
+            if rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def savetxt_text(table) -> bytes:

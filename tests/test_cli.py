@@ -205,8 +205,8 @@ def test_check_refuses_one_block_over_the_cap_before_building_it(tmp_path, capsy
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert capsys.readouterr() == ("", "error: rank not decided: a 1999 x 2002 SVD is over the "
-                                       "cap of 4000000 entries\n")
+    assert capsys.readouterr() == ("", "error: spectrum not decided: a 1999 x 2002 SVD is over "
+                                       "the cap of 4000000 entries\n")
     assert elapsed < 1.0
     assert peak < 8e6  # the block alone would take 1999 x 2004 x 8 bytes = 32 MB
 
@@ -418,6 +418,52 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def _tetra3d_file(tmp_path, name, edit):
+    data = scenario_to_dict(builtin_scenario("tetra3d"))
+    data["sim"].update(t_end=1.0, output_every=100)
+    edit(data)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_check_certifies_an_estimator_with_octave_frequencies(tmp_path, capsys):
+    # b sees every tone of (0.5, 1, ..., 16) rad/s, though its Krylov matrix
+    # has condition number about 1e10
+    def octaves(data):
+        data["disturbance"]["frequencies"] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+        data["controller"]["b2"] = [1.0] * 6 + [0.0] * 6
+
+    assert main(["check", _tetra3d_file(tmp_path, "octaves", octaves)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "certified"
+
+
+def test_estimator_refusal_names_the_first_channel_b_cannot_see(tmp_path, capsys):
+    def blind(data):
+        data["disturbance"]["frequencies"] = [1.0, 2.0, 3.0]
+        data["controller"]["b2"] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    assert main(["check", _tetra3d_file(tmp_path, "blind", blind)]) == 1
+    assert capsys.readouterr() == ("", "error: estimator mode needs an observable internal-model "
+                                       "basis: sinusoid at 2.0 rad/s unobservable: both b2 "
+                                       "entries for it are zero\n")
+
+
+@pytest.mark.parametrize("alpha, code", [(0.0, 0), (0.4, 1)])
+def test_gradient_run_with_b1_zero_refuses_only_a_nonzero_offset(tmp_path, capsys, alpha, code):
+    def gradient(data):
+        data["controller"].update(mode="gradient_only", b1=0.0)
+        for edge in data["disturbance"]["edges"]:
+            edge["alpha"] = 0.0
+        data["disturbance"]["edges"][2]["alpha"] = alpha
+
+    out = tmp_path / "out"
+    assert main(["run", _tetra3d_file(tmp_path, "gradient", gradient), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "error: constant channel unrepresentable: b1 is zero\n")
+    assert (out / "verdict.json").exists() == (code == 0)
 
 
 def test_unknown_scenario_reference(capsys):
@@ -641,7 +687,7 @@ def test_generated_certification_decomposes_only_dim_wide_blocks(tmp_path, monke
     seen["svd"].clear()
     assert main(["check", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["certified"] is True
-    assert len(seen["svd"]) == 4  # three block shapes and the estimator's observability
+    assert len(seen["svd"]) == 3  # one per block shape
     assert all(shape[-1] <= 3 for shape in seen["svd"] + seen["eigvals"])
 
 

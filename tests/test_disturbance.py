@@ -11,8 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from oracles import krylov_rank
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
@@ -76,6 +79,9 @@ def test_default_basis_is_observable():
     flat = default_basis(())
     assert np.array_equal(flat.vector, np.array([1.0]))
     assert check_observability(flat)
+    # Krylov matrices with condition numbers up to about 1e10
+    for freqs in [(0.5, 1.0, 2.0, 4.0, 8.0, 16.0), (0.01, 1000.0), (0.001, 0.01), (1e-6,)]:
+        assert check_observability(default_basis(freqs))
 
 
 def test_observability_frozen_cases():
@@ -117,6 +123,29 @@ def test_initial_state_error_paths():
         exosystem_initial_state(spec, InternalModelBasis(1.0, (0.0, 0.0), (1.0,)))
     with pytest.raises(ValueError, match="frequency lists differ"):
         exosystem_initial_state(spec, default_basis((2.0,)))
+
+
+def test_a_channel_b_cannot_see_is_refused_only_when_the_signal_uses_it():
+    # the offset is 0 and the 2 rad/s tone absent, so b1 = 0 and a zero b2
+    # pair for that tone are fine; the 1 rad/s channel is stored as before
+    spec = DisturbanceSpec((1.0, 2.0), (EdgeDisturbance(0.0, (0.5, 0.0), (0.3, 0.0)),))
+    full = exosystem_initial_state(spec, InternalModelBasis(1.0, (1.0, 1.0, 0.0, 0.0), (1.0, 2.0)))
+    blind = exosystem_initial_state(spec, InternalModelBasis(0.0, (1.0, 0.0, 0.0, 0.0), (1.0, 2.0)))
+    assert np.array_equal(blind.w[:, [1, 3]], full.w[:, [1, 3]])
+    assert np.array_equal(blind.w[:, [0, 2, 4]], np.zeros((1, 3)))
+
+def test_a_generator_state_that_overflows_is_refused():
+    # b sees every channel, but offset / b1 overflows, or the 1 rad/s pair's
+    # squares underflow to a zero divisor
+    spec = DisturbanceSpec((1.0,), (EdgeDisturbance(0.5, (0.5,), (0.3,)),))
+    for basis in (InternalModelBasis(1e-320, (1.0, 0.0), (1.0,)),
+                  InternalModelBasis(1.0, (1e-170, 0.0), (1.0,))):
+        assert check_observability(basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^generator state not finite: the signal over b "
+                                                 "overflows$"):
+                exosystem_initial_state(spec, basis)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -238,8 +267,23 @@ def test_exosystem_output_broadcasts():
     assert np.abs(single - mu_closed_form(spec, 0.0)).max() < 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e), max_size=6, unique=True),
+       st.data())
+def test_observability_agrees_with_the_exact_krylov_rank(freqs, data):
+    # frequencies log-uniform over 16 decades; any finite b, up to three
+    # entries zeroed, which can blind the constant or one tone
+    q = 2 * len(freqs) + 1
+    b = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=q, max_size=q))
+    for k in data.draw(st.sets(st.integers(0, q - 1), max_size=3)):
+        b[k] = 0.0
+    basis = InternalModelBasis(b[0], tuple(b[1:]), tuple(freqs))
+    assert check_observability(basis) == (krylov_rank(basis) == q)
+
+
 def test_observability_survives_huge_frequencies():
-    # b Lambda^j overflows at 1e200 rad/s unless the rows are rescaled
+    # no power of Lambda is formed, so nothing overflows at 1e200 rad/s
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_observability(InternalModelBasis(1.0, (1.0, 0.0), (1e200,)))

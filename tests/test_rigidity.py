@@ -335,7 +335,7 @@ def test_a_block_over_the_cap_leaves_the_rank_to_the_upward_blocks(monkeypatch):
     fw = _strip(1001, back=True)
     _no_dense(monkeypatch)
     assert fw.rigidity_rank == rigid_rank_target(1001, 2) == 1999
-    with pytest.raises(ValueError, match="^rank not decided: a 1999 x 2002 SVD is over the cap"):
+    with pytest.raises(ValueError, match="^spectrum not decided: a 1999 x 2002 SVD is over the cap"):
         certificate(fw)  # the spectrum still needs that block
 
 
