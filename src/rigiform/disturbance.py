@@ -232,7 +232,8 @@ def exosystem_initial_state(spec: DisturbanceSpec, basis: InternalModelBasis) ->
     The constant channel stores offset / b1; each frequency's (sine, cosine)
     pair solves the 2x2 system matching the sinusoid's value and quadrature
     through the rotation block and its b2 pair.  A channel b cannot see
-    stays zero and may carry no signal; a state that overflows is refused.
+    stays zero and may carry no signal; a state that overflows is refused,
+    and so is a used tone whose b2 pair overflows when squared.
     """
     if spec.frequencies != basis.frequencies:
         raise ValueError("disturbance and basis frequency lists differ")
@@ -250,6 +251,9 @@ def exosystem_initial_state(spec: DisturbanceSpec, basis: InternalModelBasis) ->
             amps = spec.amplitude_table[:, i]
             if den == 0.0 and not used[:, 1 + i].any():  # blind, or its squares underflow
                 continue  # a used one divides by zero and is refused below
+            if math.isinf(den) and used[:, 1 + i].any():  # its quotients would round to 0
+                raise ValueError(f"sinusoid at {basis.frequencies[i]} rad/s unrepresentable: "
+                                 "its b2 pair overflows when squared")
             sin_ph = np.sin(spec.phase_table[:, i])
             cos_ph = np.cos(spec.phase_table[:, i])
             w[:, 1 + i] = (b_sin * amps * sin_ph + b_cos * amps * cos_ph) / den

@@ -24,6 +24,7 @@ a graph spells its edges as tuples only when something reads them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product, repeat
@@ -584,10 +585,77 @@ def _trace(dim, anchors, pts) -> ConstructionTrace:
 _PROPOSALS_2D = 500  # per vertex, before the outward fallback takes over
 
 
+class _Draws:
+    """The scalar draws of a PCG64 Generator, read off its bit generator's
+    raw 64-bit words in blocks: each method serves what the Generator's
+    method of that name serves, from the same stream, at a fraction of
+    its per-call cost.  `integers(high)`, for 1 <= high < 2**32, is
+    Lemire's multiply-and-reject on 32-bit half-words, low half first,
+    the high half buffered as PCG64 buffers it (`has_uint32`, `uinteger`);
+    `random()` is a word's top 53 bits times 2**-53.  `restore()` leaves
+    the generator where those calls would have: its entry state advanced
+    by the words used, with their buffered half-word.
+    """
+
+    def __init__(self, rng):
+        bits = getattr(rng, "bit_generator", None)
+        if type(bits) is not np.random.PCG64:
+            raise ValueError("random_trace needs a numpy Generator over PCG64, "
+                             "as np.random.default_rng makes")
+        state = bits.state
+        self.bits, self.buffered, self.half = bits, state["has_uint32"], state["uinteger"]
+        self.fetched = 0
+        self.words = iter(())
+        self.next_word = self.words.__next__
+
+    def _refill(self) -> int:
+        block = min(max(16, self.fetched), 4096)
+        self.fetched += block
+        self.words = iter(self.bits.random_raw(block).tolist())
+        self.next_word = self.words.__next__
+        return self.next_word()
+
+    def integers(self, high: int) -> int:
+        if high == 1:
+            return 0  # numpy draws nothing for a one-value range
+        while True:
+            if self.buffered:
+                self.buffered, x = 0, self.half
+            else:
+                try:
+                    word = self.next_word()
+                except StopIteration:
+                    word = self._refill()
+                self.buffered, self.half, x = 1, word >> 32, word & 0xFFFFFFFF
+            m = x * high
+            low = m & 0xFFFFFFFF
+            # reject the low words below 2**32 % high, which is < high
+            if low >= high or low >= 0x100000000 % high:
+                return m >> 32
+
+    def uniform(self, low: float, high: float) -> float:
+        try:
+            word = self.next_word()
+        except StopIteration:
+            word = self._refill()
+        return low + (high - low) * ((word >> 11) * 2.0**-53)
+
+    def random(self) -> float:
+        return self.uniform(0.0, 1.0)  # 0.0 + 1.0 * u is u
+
+    def restore(self) -> None:
+        # step back over the words fetched but not used; advance wraps mod 2**128
+        self.bits.advance(-operator.length_hint(self.words))
+        state = self.bits.state  # advance emptied the half-word buffer
+        state["has_uint32"], state["uinteger"] = self.buffered, self.half
+        self.bits.state = state
+
+
 def _anchor_pair(m, rng) -> tuple[int, int]:
     """The sorted pair rng.choice(m, 2, replace=False) draws, from the same
-    stream: Floyd's algorithm's two bounded integers, then the one uint32
-    the two-element shuffle consumes (the order it sets is discarded)."""
+    stream (rng a Generator or its _Draws): Floyd's algorithm's two bounded
+    integers, then the one the two-element shuffle draws (the order it sets
+    is discarded)."""
     a = int(rng.integers(m - 1))
     b = int(rng.integers(m))
     if b == a:
@@ -615,70 +683,77 @@ def _outward_proposal(placed, rng):
 def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
     """Random trace on n vertices together with an embedding realizing it.
 
+    rng is a numpy Generator over PCG64, as np.random.default_rng makes;
+    one over another bit generator is refused.  The draw takes what the
+    numpy-array sampler took from it, and leaves it in the same state.
+
     Geometry guards (minimum vertex separation, anchor triangle area,
     tetrahedron volume) keep the sampled embeddings away from degenerate
     configurations so downstream rank and spectrum checks stay clean.
 
-    Proposals work in Python floats and draw what the numpy-array sampler
-    drew, from the same stream: `_anchor_pair` consumes what
+    Proposals work in Python floats on scalar draws that `_Draws` reads off
+    the generator's raw words: `_anchor_pair` consumes what
     `rng.choice(m, 2, replace=False)` did, and the candidate repeats
-    `rng.uniform`'s own arithmetic on `rng.random`'s doubles.  The
-    separation test decides as `_min_gap(placed, cand) < gap` would.  A
-    `_GapGrid` block holds every placed point within a gap of the candidate.
-    `math.dist` and the BLAS dot under `_min_gap` differ by a few ulps, far
-    inside the grid's 1e-12 relative margin.  So a nearest distance below
-    the margin rejects, one above it accepts, and only a distance within it
-    goes to `_min_gap` itself.
+    `rng.uniform`'s own arithmetic.  The separation test decides as
+    `_min_gap(placed, cand) < gap` would.  A `_GapGrid` block holds every
+    placed point within a gap of the candidate.  `math.dist` and the BLAS
+    dot under `_min_gap` differ by a few ulps, far inside the grid's 1e-12
+    relative margin.  So a nearest distance below the margin rejects, one
+    above it accepts, and only a distance within it goes to `_min_gap`
+    itself.
     """
-    if dim == 2:
-        if n < 2:
-            raise ValueError("2-D trace needs n >= 2")
-        pts = np.zeros((n, 2))  # rows below m are placed
-        pts[1, 0] = float(rng.uniform(1.0, 2.0))
-        coords = pts.tolist()  # the same rows as Python floats
-        grid = _GapGrid(0.35, coords[:2])
-        anchors = []  # each step's two, one step after another
-        for m in range(2, n):
-            for attempt in range(2 * _PROPOSALS_2D):
-                if attempt < _PROPOSALS_2D:
-                    # anchors: a random pair; candidate: a random step off their midpoint
-                    a, b = _anchor_pair(m, rng)
-                    (xa, ya), (xb, yb) = coords[a], coords[b]
-                    # rng.uniform(0, 2 pi) and rng.uniform(0.7, 1.5) from the same two
-                    # doubles u, by uniform's own formula low + (high - low) * u
-                    turn, reach = rng.random(2).tolist()
-                    angle = 2.0 * math.pi * turn
-                    radius = 0.7 + (1.5 - 0.7) * reach
-                    cx = 0.5 * (xa + xb) + radius * math.cos(angle)
-                    cy = 0.5 * (ya + yb) + radius * math.sin(angle)
-                else:
-                    a, b, cand = _outward_proposal(pts[:m], rng)
-                    (xa, ya), (xb, yb) = coords[a], coords[b]
-                    cx, cy = cand.tolist()
-                if 0.5 * abs((xb - xa) * (cy - ya) - (yb - ya) * (cx - xa)) < 0.25:
-                    continue
-                if grid.crowds((cx, cy), pts[:m]):
-                    continue
-                anchors += (a + 1, b + 1)
-                pts[m] = cx, cy
-                coords[m] = (cx, cy)
-                grid.add(coords[m])
-                break
-            else:
-                raise RuntimeError("2-D trace sampling stalled")
-        return _trace(2, anchors, pts), pts
-
-    if dim != 3:
+    if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    if n < 4:
-        raise ValueError("3-D trace needs n >= 4")
+    if n < 2 * dim - 2:
+        raise ValueError(f"{dim}-D trace needs n >= {2 * dim - 2}")
+    draws = _Draws(rng)
+    try:
+        return (_sample_2d if dim == 2 else _sample_3d)(n, draws)
+    finally:
+        draws.restore()
+
+
+def _sample_2d(n: int, rng: _Draws) -> tuple[ConstructionTrace, np.ndarray]:
+    pts = np.zeros((n, 2))  # rows below m are placed
+    pts[1, 0] = rng.uniform(1.0, 2.0)
+    coords = pts.tolist()  # the same rows as Python floats
+    grid = _GapGrid(0.35, coords[:2])
+    anchors = []  # each step's two, one step after another
+    for m in range(2, n):
+        for attempt in range(2 * _PROPOSALS_2D):
+            if attempt < _PROPOSALS_2D:
+                # anchors: a random pair; candidate: a random step off their midpoint
+                a, b = _anchor_pair(m, rng)
+                (xa, ya), (xb, yb) = coords[a], coords[b]
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                radius = rng.uniform(0.7, 1.5)
+                cx = 0.5 * (xa + xb) + radius * math.cos(angle)
+                cy = 0.5 * (ya + yb) + radius * math.sin(angle)
+            else:
+                a, b, cand = _outward_proposal(pts[:m], rng)
+                (xa, ya), (xb, yb) = coords[a], coords[b]
+                cx, cy = cand.tolist()
+            if 0.5 * abs((xb - xa) * (cy - ya) - (yb - ya) * (cx - xa)) < 0.25:
+                continue
+            if grid.crowds((cx, cy), pts[:m]):
+                continue
+            anchors += (a + 1, b + 1)
+            pts[m] = cx, cy
+            coords[m] = (cx, cy)
+            grid.add(coords[m])
+            break
+        else:
+            raise RuntimeError("2-D trace sampling stalled")
+    return _trace(2, anchors, pts), pts
+
+
+def _sample_3d(n: int, rng: _Draws) -> tuple[ConstructionTrace, np.ndarray]:
     for _attempt in range(500):
         pts = [
             np.zeros(3),
-            np.array([float(rng.uniform(1.2, 2.2)), 0.0, 0.0]),
-            np.array([float(rng.uniform(-0.5, 2.5)), float(rng.uniform(0.8, 2.2)), 0.0]),
-            np.array([float(rng.uniform(-0.5, 2.5)), float(rng.uniform(-0.3, 2.0)),
-                      float(rng.uniform(0.8, 2.2))]),
+            np.array([rng.uniform(1.2, 2.2), 0.0, 0.0]),
+            np.array([rng.uniform(-0.5, 2.5), rng.uniform(0.8, 2.2), 0.0]),
+            np.array([rng.uniform(-0.5, 2.5), rng.uniform(-0.3, 2.0), rng.uniform(0.8, 2.2)]),
         ]
         gaps = [float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[:i]]
         if min(gaps) < 0.4:
@@ -695,13 +770,12 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
     anchors = []  # each step's three, one step after another
     for m in range(4, n):
         for _attempt in range(500):
-            a, b, c = triangles[int(rng.integers(len(triangles)))]
+            a, b, c = triangles[rng.integers(len(triangles))]
             (xa, ya, za), (xb, yb, zb), (xc, yc, zc) = coords[a], coords[b], coords[c]
-            # the centroid plus rng.uniform(-1.4, 1.4, size=3), from its three doubles
-            ux, uy, uz = rng.random(3).tolist()
-            p = ((xa + xb + xc) / 3.0 + (-1.4 + 2.8 * ux),
-                 (ya + yb + yc) / 3.0 + (-1.4 + 2.8 * uy),
-                 (za + zb + zc) / 3.0 + (-1.4 + 2.8 * uz))
+            # the centroid plus rng.uniform(-1.4, 1.4, size=3)
+            p = ((xa + xb + xc) / 3.0 + rng.uniform(-1.4, 1.4),
+                 (ya + yb + yc) / 3.0 + rng.uniform(-1.4, 1.4),
+                 (za + zb + zc) / 3.0 + rng.uniform(-1.4, 1.4))
             if grid.crowds(p, pts[:m]):
                 continue
             legs = ((xb - xa, yb - ya, zb - za), (xc - xa, yc - ya, zc - za),
@@ -716,5 +790,4 @@ def random_trace(n: int, dim: int, rng) -> tuple[ConstructionTrace, np.ndarray]:
             break
         else:
             raise RuntimeError("3-D trace sampling stalled")
-
     return _trace(3, anchors, pts), pts

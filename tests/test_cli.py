@@ -451,6 +451,17 @@ def test_estimator_refusal_names_the_first_channel_b_cannot_see(tmp_path, capsys
                                        "entries for it are zero\n")
 
 
+def test_run_refuses_a_tone_whose_b2_pair_overflows_when_squared(tmp_path, capsys):
+    def huge(data):
+        data["controller"]["b2"] = [1e200, 0.0]
+
+    out = tmp_path / "out"
+    assert main(["run", _tetra3d_file(tmp_path, "huge", huge), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: sinusoid at 1.0 rad/s unrepresentable: its b2 "
+                                       "pair overflows when squared\n")
+    assert not (out / "verdict.json").exists()
+
+
 @pytest.mark.parametrize("alpha, code", [(0.0, 0), (0.4, 1)])
 def test_gradient_run_with_b1_zero_refuses_only_a_nonzero_offset(tmp_path, capsys, alpha, code):
     def gradient(data):

@@ -148,6 +148,21 @@ def test_a_generator_state_that_overflows_is_refused():
                 exosystem_initial_state(spec, basis)
 
 
+def test_a_used_tone_whose_b2_pair_overflows_when_squared_is_refused():
+    # |b2| near 1e200 squares to inf, which would round the tone's state to 0
+    # (w @ b = 0 against the 0.1478 the tone gives at t = 0); an unused tone
+    # there, or a pair just short of overflow, keeps its state
+    spec = DisturbanceSpec((1.0, 2.0), (EdgeDisturbance(0.0, (0.5, 0.0), (0.3, 0.0)),))
+    for b2 in ((1e200, 1.0, 0.0, 0.0), (1.0, 1.0, -1e200, 0.0)):
+        with pytest.raises(ValueError, match=r"^sinusoid at 1\.0 rad/s unrepresentable: its b2 "
+                                             r"pair overflows when squared$"):
+            exosystem_initial_state(spec, InternalModelBasis(1.0, b2, (1.0, 2.0)))
+    for b2 in ((1.0, 1e200, 0.0, 0.0), (1e150, 1.0, 0.0, 0.0)):
+        basis = InternalModelBasis(1.0, b2, (1.0, 2.0))
+        w = exosystem_initial_state(spec, basis).w
+        assert np.allclose(w @ basis.vector, mu_closed_form(spec, 0.0), rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: DisturbanceSpec((1.0,), ((0.0, (0.0,), (0.0,)),)),
      "edge 1: entries must be EdgeDisturbance"),

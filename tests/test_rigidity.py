@@ -568,8 +568,11 @@ def test_outward_proposal_clears_every_placed_vertex():
             assert _min_gap(placed, cand) >= 0.35
 
 
-def _assert_same_draw(n, dim, seed):
+def _assert_same_draw(n, dim, seed, buffered=False):
     old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # each generator holds the high half of a word on entry
+        assert old_rng.integers(7) == new_rng.integers(7)
+        assert new_rng.bit_generator.state["has_uint32"] == 1
     old_trace, old_pts = oracles.random_trace(n, dim, old_rng)
     trace, pts = random_trace(n, dim, new_rng)
     assert trace == old_trace
@@ -582,6 +585,13 @@ def _assert_same_draw(n, dim, seed):
 def test_random_trace_draws_what_the_array_sampler_drew(n, dim):
     for seed in range(20):
         _assert_same_draw(n, dim, seed)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [4, 5, 40, 200, 250])
+def test_random_trace_draws_what_the_array_sampler_drew_after_a_buffered_half_word(n, dim):
+    for seed in range(20):
+        _assert_same_draw(n, dim, seed, buffered=True)
 
 
 def test_random_trace_steps_outward_as_the_array_sampler_did():
@@ -599,6 +609,50 @@ def test_anchor_pair_consumes_the_stream_rng_choice_does():
             assert list(_anchor_pair(m, new)) == sorted(old.choice(m, 2, replace=False).tolist())
             assert new.random(2).tolist() == old.random(2).tolist()
             assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [0, 1])
+def test_draws_serve_what_the_generators_own_calls_serve(buffered):
+    # Lemire's rejection takes a second half-word for about half the draws
+    # at 2**31 + 1; 150 rounds cross several block refills
+    from rigiform.rigidity import _Draws
+
+    for seed in range(4):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            assert rng.integers(3) == twin.integers(3)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == buffered
+        draws, got, want = _Draws(rng), [], []
+        for high in (1, 2, 3, 7, 200, 10**4, 2**31 + 1, 2**32 - 1):
+            for _ in range(150):
+                got += [draws.integers(high), draws.random(), draws.integers(high),
+                        draws.uniform(-1.4, 1.4), draws.integers(high)]
+                want += [int(twin.integers(high)), float(twin.random()), int(twin.integers(high)),
+                         float(twin.uniform(-1.4, 1.4)), int(twin.integers(high))]
+        draws.restore()
+        assert got == want
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_random_trace_draws_through_the_bit_generator_alone():
+    # every draw is read off the PCG64 words; another bit generator is refused
+    class Silent(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            raise AssertionError("Generator.integers called")
+
+        random = uniform = integers
+
+    for n, dim in [(200, 2), (900, 2), (250, 3)]:
+        old_rng, new_rng = np.random.default_rng(0), Silent(np.random.PCG64(0))
+        old_trace, _ = oracles.random_trace(n, dim, old_rng)
+        assert random_trace(n, dim, new_rng)[0] == old_trace
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    rng, twin = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+    with pytest.raises(ValueError, match=r"^random_trace needs a numpy Generator over PCG64, as "
+                                         r"np\.random\.default_rng makes$"):
+        random_trace(10, 2, rng)
+    assert rng.random(4).tolist() == twin.random(4).tolist()  # nothing drawn
 
 
 @pytest.mark.parametrize("dim, gap", [(2, 0.35), (3, 0.4)])
