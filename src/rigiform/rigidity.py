@@ -609,7 +609,7 @@ class _Draws:
         self.next_word = self.words.__next__
 
     def _refill(self) -> int:
-        block = min(max(16, self.fetched), 4096)
+        block = min(max(16, self.fetched), 1024)  # a list while used: 4096 words cost 90 KiB
         self.fetched += block
         self.words = iter(self.bits.random_raw(block).tolist())
         self.next_word = self.words.__next__
@@ -651,31 +651,30 @@ class _Draws:
         self.bits.state = state
 
 
-def _anchor_pair(m, rng) -> tuple[int, int]:
+def _anchor_pair(m, rng: _Draws) -> tuple[int, int]:
     """The sorted pair rng.choice(m, 2, replace=False) draws, from the same
-    stream (rng a Generator or its _Draws): Floyd's algorithm's two bounded
-    integers, then the one the two-element shuffle draws (the order it sets
-    is discarded)."""
-    a = int(rng.integers(m - 1))
-    b = int(rng.integers(m))
+    stream: Floyd's algorithm's two bounded integers, then the one the
+    two-element shuffle draws (the order it sets is discarded)."""
+    a = rng.integers(m - 1)
+    b = rng.integers(m)
     if b == a:
         b = m - 1
     rng.integers(2)
     return (a, b) if a < b else (b, a)
 
 
-def _outward_proposal(placed, rng):
+def _outward_proposal(placed, rng: _Draws):
     """Anchors: the vertex furthest along a random direction and a random
     other one; candidate: a step of 0.7 to 1.5 from the first, within 60
     degrees of that direction.  The step gains at least half its length
     along the direction, so no placed vertex lies within 0.35 of the
     candidate, however crowded the formation is."""
-    direction = float(rng.uniform(0.0, 2.0 * math.pi))
+    direction = rng.uniform(0.0, 2.0 * math.pi)
     a = int(np.argmax(placed @ np.array([math.cos(direction), math.sin(direction)])))
-    b = int(rng.integers(len(placed) - 1))
+    b = rng.integers(len(placed) - 1)
     b += b >= a  # any vertex but a
-    angle = direction + float(rng.uniform(-math.pi / 3.0, math.pi / 3.0))
-    radius = float(rng.uniform(0.7, 1.5))
+    angle = direction + rng.uniform(-math.pi / 3.0, math.pi / 3.0)
+    radius = rng.uniform(0.7, 1.5)
     cand = placed[a] + radius * np.array([math.cos(angle), math.sin(angle)])
     return min(a, b), max(a, b), cand
 

@@ -5,10 +5,13 @@ positions (n, dim), estimator bank (E, q) and signal generators (E, q),
 each stored row-major, so xi and w also form one (2, E, q) stack.  It is
 the only state layout: `integrate` packs y at t = 0 straight from the
 scenario.  `_ClosedLoop` is the only implementation of the control law:
-one evaluation returns the derivative that `integrate` steps together
-with the edge columns a Trajectory records, from coordinate-major edge
-rows and Lambda as a signed permutation of the bank slots; only b.xi and
-b.w stay a matrix product.  On a sampled step `integrate` records from the
+its `rates` writes the derivative into a given buffer and leaves the edge
+columns a Trajectory records in its own work buffers.  Every buffer is
+made once per run with the views read or written (in `integrate`: state,
+next state, stage state and the four RK4 slopes), so a step is a fixed
+sequence of ufuncs; what one holds lasts until the next evaluation, so
+`integrate` copies e, mu and mu_hat when it records them and `evaluate`
+returns fresh arrays.  On a sampled step `integrate` records from the
 evaluation that also serves as the next step's k1, so every step costs
 four evaluations.
 A sample keeps only what a run reports (see Trajectory), and the
@@ -48,7 +51,7 @@ from .scenario import ScenarioError, _output_every
 # aborted with the samples recorded so far.
 DIVERGENCE_GUARD = 1e9
 # Caps checked before a run allocates its samples: the step count bounds its
-# time (a step costs about 55 us at n = 4 and 0.4 ms at 3-D n = 400 on one
+# time (a step costs about 45 us at n = 4 and 0.33 ms at 3-D n = 400 on one
 # 2.1 GHz Xeon core) and the recorded values, float64 each, bound its memory.
 MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
@@ -163,14 +166,6 @@ class RunVerdict:
             raise ValueError("an orbit verdict needs a positive steady speed")
 
 
-def _rk4_step(y, dt, deriv, k1):
-    """One classical Runge-Kutta step of dy/dt = deriv(y), given k1 = deriv(y)."""
-    k2 = deriv(y + 0.5 * dt * k1)
-    k3 = deriv(y + 0.5 * dt * k2)
-    k4 = deriv(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 class _ClosedLoop:
     """The closed loop of a scenario over one flat state vector
     y = [x (n*dim) | xi (E*q) | w (E*q)].
@@ -211,38 +206,57 @@ class _ClosedLoop:
         self.bank_coef = np.concatenate((value * self.estimator, value))
         self.edge_of = np.repeat(np.arange(self.edge_count), self.q)
         self.b_tiled = np.tile(self.b, self.edge_count)
-        # 0-d arrays: numpy takes them as operands faster than Python floats
-        self.kappa, self.zero = np.array(float(scenario.kappa)), np.array(0.0)
+        # operands as whole vectors: a ufunc broadcasting a scalar runs slower
+        self.kappa, self.zero = np.full(g.edge_count, float(scenario.kappa)), np.zeros(2 * self.ne)
+        # the work buffers of one evaluation and their views
+        self.gathered, self.outputs = np.empty(self.ends.shape), np.empty((2, g.edge_count))
+        self.mu_hat, self.mu = self.outputs
+        self.rows, self.sq = np.empty((2, self.dim, 2 * g.edge_count))
+        self.rows_flat, self.weights = self.rows.ravel(), self.sq[0]  # weights: in place
+        self.r, self.e = np.split(self.weights, 2)
+        self.kappa_r, self.pushed = np.empty(g.edge_count), np.empty(self.ne)
+
+    def views(self, a):
+        """The flat state or derivative a, its x, banks and xi parts, and
+        its banks as a (2, E, q) stack: the views `rates` takes."""
+        nx = self.nx
+        return a, a[:nx], a[nx:], a[nx:nx + self.ne], a[nx:].reshape(2, self.edge_count, self.q)
+
+    def rates(self, state, out):
+        """Write the derivative at the state into out, both as `views`
+        gives them, and leave e, mu and mu_hat at the state in the loop's
+        buffers."""
+        y, banks = state[0], state[4]
+        _, dx, dbanks, dxi, _ = out
+        ends, rows, sq, weights, r = self.gathered, self.rows, self.sq, self.weights, self.r
+        y.take(self.ends, out=ends, mode="clip")  # mode="raise" would copy through a temporary
+        np.subtract(ends[0], ends[1], rows)
+        # squared lengths, summed as einsum sums them, less d^2: r and e in place
+        np.multiply(rows, rows, sq)
+        if self.dim == 3:
+            np.add(weights, sq[2], weights)
+        np.add(weights, sq[1], weights)
+        np.subtract(weights, self.d_sq, weights)
+        np.matmul(banks, self.b, self.outputs)
+        np.add(r, self.mu, r)
+        y.take(self.bank_from, out=dbanks, mode="clip")
+        np.multiply(dbanks, self.bank_coef, dbanks)
+        np.add(dbanks, self.zero, dbanks)  # a -0 product reads +0, as in a matrix product's sum
+        if self.estimator:
+            np.subtract(r, self.mu_hat, r)
+            # kappa * r before b: folding kappa into b would round differently
+            np.multiply(self.kappa, r, self.kappa_r)
+            self.kappa_r.take(self.edge_of, out=self.pushed, mode="clip")
+            np.multiply(self.pushed, self.b_tiled, self.pushed)
+            np.add(dxi, self.pushed, dxi)
+        np.multiply(rows, weights, rows)
+        dx[...] = np.bincount(self.slots, weights=self.rows_flat, minlength=self.nx)
 
     def evaluate(self, y):
-        """(dy, e, mu, mu_hat) at y: the derivative and the per-edge terms."""
-        edges, nx = self.edge_count, self.nx
-        ends = y[self.ends]
-        rows = ends[0] - ends[1]
-        # squared lengths, summed as einsum sums them, less d^2: r and e in place
-        sq = rows * rows
-        weights = sq[0]
-        if self.dim == 3:
-            weights += sq[2]
-        weights += sq[1]
-        weights -= self.d_sq
-        r, e = weights[:edges], weights[edges:]
-        outputs = y[nx:].reshape(2, edges, self.q) @ self.b
-        mu_hat, mu = outputs[0], outputs[1]  # unpacking would iterate the array: slower
-        r += mu
-        dbanks = y[self.bank_from]
-        dbanks *= self.bank_coef
-        dbanks += self.zero  # a -0 product reads +0, as in a matrix product's sum
-        if self.estimator:
-            r -= mu_hat
-            # kappa * r before b: folding kappa into b would round differently
-            dbanks[:self.ne] += (self.kappa * r)[self.edge_of] * self.b_tiled
-        rows *= weights
-        dx = np.bincount(self.slots, weights=rows.ravel(), minlength=nx)
-        return np.concatenate((dx, dbanks)), e, mu, mu_hat
-
-    def __call__(self, y) -> np.ndarray:
-        return self.evaluate(y)[0]
+        """(dy, e, mu, mu_hat) at y as fresh arrays: the derivative and the per-edge terms."""
+        dy = np.empty(y.shape)
+        self.rates(self.views(y), self.views(dy))
+        return dy, self.e.copy(), self.mu.copy(), self.mu_hat.copy()
 
     def guard_reason(self, y) -> str:
         """What trips the divergence guard at y: non-finite blocks first."""
@@ -296,35 +310,52 @@ def integrate(scenario) -> Trajectory:
     errors, mu, mu_hat = (np.empty((count, edges)) for _ in range(3))
     speeds = np.empty((count, n))
 
+    size = loop.nx + 2 * loop.ne
+    y, y_next, stage, k1, k2, k3, k4 = (loop.views(np.empty(size)) for _ in range(7))
     w0 = exosystem_initial_state(scenario.disturbance, scenario.basis()).w
-    y = np.concatenate([scenario.framework_initial().positions.ravel(),
-                        scenario.xi0_array().ravel(), w0.ravel()])
-    divergence_step = reason = None
+    np.concatenate([scenario.framework_initial().positions.ravel(),
+                    scenario.xi0_array().ravel(), w0.ravel()], out=y[0])
+    # dy/dt = rates(y) by classical RK4: k2 at y + (0.5 dt) k1, k3 at
+    # y + (0.5 dt) k2, k4 at y + dt k3, y_next = y + (dt/6)(k1 + 2 (k2 + k3) + k4)
+    half, full, sixth, nothing = (np.full(size, c) for c in (0.5 * dt, dt, dt / 6.0, 0.0))
+    stages = ((k1, k2, half), (k2, k3, half), (k3, k4, full))
+    flat_positions, k1_agents = positions.reshape(count, -1), k1[1].reshape(n, dim)
+    divergence_step = reason = final_errors = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             if step:
-                y_next = _rk4_step(y, dt, loop, k1)
-                x_next = y_next[:loop.nx]
-                # sqrt(x.x) is exactly what np.linalg.norm computes, minus its overhead
-                if (not np.isfinite(y_next).all()
-                        or math.sqrt(x_next.dot(x_next)) > DIVERGENCE_GUARD):
-                    divergence_step, reason = step, loop.guard_reason(y_next)
+                for k, k_next, h in stages:
+                    np.multiply(h, k[0], stage[0])
+                    np.add(y[0], stage[0], stage[0])
+                    loop.rates(stage, k_next)
+                total = np.add(k2[0], k3[0], k2[0])
+                np.add(total, total, total)  # x + x is 2.0 * x exactly
+                np.add(k1[0], total, total)
+                np.add(total, k4[0], total)
+                np.multiply(sixth, total, total)
+                np.add(y[0], total, y_next[0])
+                # 0 * y is nan just where y is not finite; sqrt(x.x) is what np.linalg.norm computes
+                if (not math.isfinite(y_next[0].dot(nothing))
+                        or math.sqrt(y_next[1].dot(y_next[1])) > DIVERGENCE_GUARD):
+                    divergence_step, reason = step, loop.guard_reason(y_next[0])
+                    # the buffers hold the last stage's terms: evaluate the last good state again
+                    final_errors = loop.evaluate(y[0])[1]
                     count = (step - 1) // every + 1
                     break
-                y = y_next
+                y, y_next = y_next, y
             # the evaluation at y is the next step's k1 and a sampled step's sample
-            k1, e, mu_y, mu_hat_y = loop.evaluate(y)
+            loop.rates(y, k1)
             if step % every == 0:
                 i = step // every
-                positions[i] = y[:loop.nx].reshape(n, dim)
-                errors[i], mu[i], mu_hat[i] = e, mu_y, mu_hat_y
-                speeds[i] = np.linalg.norm(k1[:loop.nx].reshape(n, dim), axis=1)
+                flat_positions[i] = y[1]
+                errors[i], mu[i], mu_hat[i] = loop.e, loop.mu, loop.mu_hat
+                speeds[i] = np.linalg.norm(k1_agents, axis=1)
 
     for buffer in (positions, errors, speeds, mu, mu_hat):
         buffer.setflags(write=False)  # the Trajectory keeps them without a copy
     return Trajectory(
         np.arange(count) * every * dt, positions[:count], errors[:count], speeds[:count],
-        mu[:count], mu_hat[:count], divergence_step, e, reason,
+        mu[:count], mu_hat[:count], divergence_step, final_errors, reason,
     )
 
 
@@ -411,16 +442,15 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     if every < 1:
         raise ValueError("output_every must be at least 1")
     lam_t = np.ascontiguousarray(basis.dynamics_matrix.T)
-
-    def deriv(w):
-        return w @ lam_t
-
     w = exosystem_initial_state(spec, basis).w
     steps = _step_count(float(dt), float(t_end), every, 1 + w.size)
     states = np.empty((steps // every + 1, *w.shape))
     states[0] = w
-    for step in range(1, steps + 1):
-        w = _rk4_step(w, dt, deriv, deriv(w))
+    for step in range(1, steps + 1):  # classical RK4 of dw/dt = w Lambda^T
+        k1 = w @ lam_t
+        k2 = (w + 0.5 * dt * k1) @ lam_t
+        k3 = (w + 0.5 * dt * k2) @ lam_t
+        w = w + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + (w + dt * k3) @ lam_t)
         if step % every == 0:
             states[step // every] = w
     return np.arange(0, steps + 1, every) * dt, states

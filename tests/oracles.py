@@ -28,7 +28,9 @@ from rigiform import (
     Framework,
     Scenario,
     ScenarioError,
+    Trajectory,
     consistent_errors,
+    exosystem_initial_state,
     rigidity_matrix,
     s2_matrix,
 )
@@ -42,7 +44,7 @@ def closed_loop_rates(x, xi, w, scenario):
     (n, dim) and estimator and generator banks xi, w (E, q): one evaluation
     of the kernel `integrate` steps, on the flat state it steps."""
     loop = _ClosedLoop(scenario)
-    dy = loop(np.concatenate([np.ravel(x), np.ravel(xi), np.ravel(w)]).astype(float))
+    dy = loop.evaluate(np.concatenate([np.ravel(x), np.ravel(xi), np.ravel(w)]).astype(float))[0]
     nx, ne = loop.nx, loop.ne
     return (dy[:nx].reshape(loop.n, loop.dim), dy[nx:nx + ne].reshape(loop.edge_count, loop.q),
             dy[nx + ne:].reshape(loop.edge_count, loop.q))
@@ -83,6 +85,46 @@ def closed_loop_reference(scenario, y):
     else:
         dxi[...] = 0.0
     return dy, e, mu, mu_hat
+
+
+def rk4_reference(scenario) -> Trajectory:
+    """The run `integrate` makes of the scenario, by the textbook loop:
+    every stage of classical RK4 evaluates `closed_loop_reference` on a
+    fresh state array, a sample is taken from the evaluation at the
+    step's state, and the run stops at the first state with a non-finite
+    entry or a position norm above the guard.  Assumes a valid grid."""
+    dt, every = float(scenario.dt), int(scenario.output_every)
+    steps = round(float(scenario.t_end) / dt)
+    w0 = exosystem_initial_state(scenario.disturbance, scenario.basis()).w
+    x0 = scenario.framework_initial().positions
+    n, dim = x0.shape
+    nx, ne = n * dim, w0.size
+    y = np.concatenate([x0.ravel(), scenario.xi0_array().ravel(), w0.ravel()])
+    samples, divergence_step, reason = [], None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1, e, mu, mu_hat = closed_loop_reference(scenario, y)
+        for step in range(steps + 1):
+            if step:
+                k2 = closed_loop_reference(scenario, y + 0.5 * dt * k1)[0]
+                k3 = closed_loop_reference(scenario, y + 0.5 * dt * k2)[0]
+                k4 = closed_loop_reference(scenario, y + dt * k3)[0]
+                y_next = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+                blocks = {"x": y_next[:nx], "xi": y_next[nx:nx + ne], "w": y_next[nx + ne:]}
+                bad = [name for name, block in blocks.items() if not np.isfinite(block).all()]
+                norm = np.linalg.norm(y_next[:nx])
+                if bad or norm > 1e9:
+                    divergence_step = step
+                    reason = f"non-finite {', '.join(bad)}" if bad else \
+                        f"position norm {norm:.6g} > guard 1e+09"
+                    break
+                y = y_next
+                k1, e, mu, mu_hat = closed_loop_reference(scenario, y)
+            if step % every == 0:
+                speeds = np.linalg.norm(k1[:nx].reshape(n, dim), axis=1)
+                samples.append((y[:nx].reshape(n, dim), e, speeds, mu, mu_hat))
+    columns = (np.array(c) for c in zip(*samples))
+    return Trajectory(np.arange(len(samples)) * every * dt, *columns, divergence_step,
+                      e if divergence_step else None, reason)
 
 
 def s1_matrix(fw: Framework) -> np.ndarray:

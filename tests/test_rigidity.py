@@ -557,15 +557,17 @@ def test_rigidity_records_name_what_they_reject(build, message):
 def test_outward_proposal_clears_every_placed_vertex():
     # however crowded the placed vertices, the fallback's candidate keeps
     # the sampler's 0.35 separation from all of them
-    from rigiform.rigidity import _min_gap, _outward_proposal
+    from rigiform.rigidity import _Draws, _min_gap, _outward_proposal
 
     rng = np.random.default_rng(7)
     for m in (2, 3, 50, 400):
         placed = rng.uniform(-3.0, 3.0, size=(m, 2))
+        draws = _Draws(rng)
         for _ in range(50):
-            a, b, cand = _outward_proposal(placed, rng)
+            a, b, cand = _outward_proposal(placed, draws)
             assert 0 <= a < b < m
             assert _min_gap(placed, cand) >= 0.35
+        draws.restore()
 
 
 def _assert_same_draw(n, dim, seed, buffered=False):
@@ -601,12 +603,14 @@ def test_random_trace_steps_outward_as_the_array_sampler_did():
 
 def test_anchor_pair_consumes_the_stream_rng_choice_does():
     # a numpy that changes Floyd's algorithm or the shuffle in Generator.choice fails here
-    from rigiform.rigidity import _anchor_pair
+    from rigiform.rigidity import _anchor_pair, _Draws
 
     for m in [*range(2, 61), 200, 10_000]:
         for seed in range(200):
             old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert list(_anchor_pair(m, new)) == sorted(old.choice(m, 2, replace=False).tolist())
+            draws = _Draws(new)
+            assert list(_anchor_pair(m, draws)) == sorted(old.choice(m, 2, replace=False).tolist())
+            draws.restore()
             assert new.random(2).tolist() == old.random(2).tolist()
             assert new.bit_generator.state == old.bit_generator.state
 
@@ -653,6 +657,22 @@ def test_random_trace_draws_through_the_bit_generator_alone():
                                          r"np\.random\.default_rng makes$"):
         random_trace(10, 2, rng)
     assert rng.random(4).tolist() == twin.random(4).tolist()  # nothing drawn
+
+
+@pytest.mark.parametrize("n, dim, bound", [(200, 2, 240), (250, 3, 550)])
+def test_a_generated_draw_holds_no_large_word_block(n, dim, bound):
+    # the reader's word blocks are Python lists while they last; at up to
+    # 4096 words the second call peaked at 287 and 569 KiB, at up to 1024 at 195 and 526
+    from rigiform import generate_scenario
+
+    generate_scenario(n, dim, 0)  # lookup tables built on a first call stay out of the peak
+    tracemalloc.start()
+    try:
+        generate_scenario(n, dim, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 1024
 
 
 @pytest.mark.parametrize("dim, gap", [(2, 0.35), (3, 0.4)])

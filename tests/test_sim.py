@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_loop_rates, closed_loop_reference, s1_matrix
+from oracles import closed_loop_rates, closed_loop_reference, rk4_reference, s1_matrix
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
@@ -402,6 +402,50 @@ def test_kernel_matches_the_edge_major_reference_bit_for_bit(case, mode):
         assert [a.shape for a in got] == [a.shape for a in want]
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_RUN_FIELDS = ("times", "positions", "errors", "speeds", "mu", "mu_hat", "final_errors")
+
+
+def _assert_same_run(got, want):
+    # compared as uint64, so signed zeros and nan payloads count
+    for name in _RUN_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert got.divergence_step == want.divergence_step
+    assert got.divergence_reason == want.divergence_reason
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("mode", ["gradient_only", "estimator"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_integrate_matches_the_textbook_rk4_loop_bit_for_bit(case, mode, every):
+    # the loop reuses its buffers from stage to stage; the oracle's stages
+    # each evaluate the edge-major kernel on a fresh array
+    sc = KERNEL_CASES[case]()
+    sc = dataclasses.replace(sc, mode=mode, kappa=0.37, t_end=28 * sc.dt, output_every=every)
+    _assert_same_run(integrate(sc), rk4_reference(sc))
+
+
+@pytest.mark.parametrize("dt, step", [(5e-3, 8), (2e-2, 2)])
+def test_a_diverged_run_matches_the_textbook_rk4_loop(dt, step):
+    # when the guard trips, the loop's buffers hold the rejected step's
+    # last stage, so aliasing would show in final_errors
+    sc = dataclasses.replace(builtin_scenario("epuck2d"), dt=dt)
+    got, want = integrate(sc), rk4_reference(sc)
+    assert got.divergence_step == step
+    _assert_same_run(got, want)
+
+
+def test_an_evaluation_keeps_its_arrays_through_later_evaluations():
+    sc = dataclasses.replace(KERNEL_CASES["p=2"](), mode="estimator", kappa=0.37)
+    loop = sim._ClosedLoop(sc)
+    rng = np.random.default_rng(3)
+    first = loop.evaluate(rng.normal(size=loop.nx + 2 * loop.ne))
+    kept = [a.copy() for a in first]
+    loop.evaluate(rng.normal(size=loop.nx + 2 * loop.ne))
+    for a, b in zip(first, kept):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_sampling_stride_leaves_the_trajectory_bitwise_unchanged():
