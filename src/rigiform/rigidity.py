@@ -592,9 +592,9 @@ class _Draws:
     its per-call cost.  `integers(high)`, for 1 <= high < 2**32, is
     Lemire's multiply-and-reject on 32-bit half-words, low half first,
     the high half buffered as PCG64 buffers it (`has_uint32`, `uinteger`);
-    `random()` is a word's top 53 bits times 2**-53.  `restore()` leaves
-    the generator where those calls would have: its entry state advanced
-    by the words used, with their buffered half-word.
+    `uniform` scales a word's top 53 bits times 2**-53.  `restore()`
+    leaves the generator where those calls would have: its entry state
+    advanced by the words used, with their buffered half-word.
     """
 
     def __init__(self, rng):
@@ -639,9 +639,6 @@ class _Draws:
         except StopIteration:
             word = self._refill()
         return low + (high - low) * ((word >> 11) * 2.0**-53)
-
-    def random(self) -> float:
-        return self.uniform(0.0, 1.0)  # 0.0 + 1.0 * u is u
 
     def restore(self) -> None:
         # step back over the words fetched but not used; advance wraps mod 2**128
@@ -748,15 +745,13 @@ def _sample_2d(n: int, rng: _Draws) -> tuple[ConstructionTrace, np.ndarray]:
 
 def _sample_3d(n: int, rng: _Draws) -> tuple[ConstructionTrace, np.ndarray]:
     for _attempt in range(500):
+        # seed pairs are 0.8 or more apart: x1, y2, z3 >= 0.8 and z0 = z1 = z2 = 0
         pts = [
             np.zeros(3),
             np.array([rng.uniform(1.2, 2.2), 0.0, 0.0]),
             np.array([rng.uniform(-0.5, 2.5), rng.uniform(0.8, 2.2), 0.0]),
             np.array([rng.uniform(-0.5, 2.5), rng.uniform(-0.3, 2.0), rng.uniform(0.8, 2.2)]),
         ]
-        gaps = [float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[:i]]
-        if min(gaps) < 0.4:
-            continue
         if not _too_flat([(pts[k] - pts[0]).tolist() for k in (1, 2, 3)]):
             break
     else:

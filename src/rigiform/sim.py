@@ -7,13 +7,13 @@ the only state layout: `integrate` packs y at t = 0 straight from the
 scenario.  `_ClosedLoop` is the only implementation of the control law:
 its `rates` writes the derivative into a given buffer and leaves the edge
 columns a Trajectory records in its own work buffers.  Every buffer is
-made once per run with the views read or written (in `integrate`: state,
-next state, stage state and the four RK4 slopes), so a step is a fixed
-sequence of ufuncs; what one holds lasts until the next evaluation, so
-`integrate` copies e, mu and mu_hat when it records them and `evaluate`
-returns fresh arrays.  On a sampled step `integrate` records from the
-evaluation that also serves as the next step's k1, so every step costs
-four evaluations.
+made once per run with the views read or written (in `_rk4`, the one RK4
+loop: state, next state, stage state and the four slopes), so a step is a
+fixed sequence of ufuncs; what one holds lasts until the next evaluation,
+so `integrate` copies e, mu and mu_hat when it records them and
+`evaluate` returns fresh arrays.  On a sampled step `integrate` records
+from the evaluation that also serves as the next step's k1, so every step
+costs four evaluations.
 A sample keeps only what a run reports (see Trajectory), and the
 recorded-value cap counts exactly those values.
 Integration is classical fourth-order Runge-Kutta with a constant step,
@@ -292,6 +292,32 @@ def _step_count(dt: float, t_end: float, every: int, values_per_sample: int) -> 
     return steps
 
 
+def _rk4(rates, views, y0, dt, steps):
+    """Classical RK4 of dy/dt = rates(y) from y0 with the constant step dt,
+    where rates(state, out) writes the derivative into out, both as `views`
+    gives them.  Yields (step, y, y_before, k1 = rates(y)) for step 0 ...
+    steps, y_before unset at step 0, on buffers made once per run."""
+    y, y_next, stage, k1, k2, k3, k4 = (views(np.empty(y0.size)) for _ in range(7))
+    y[0][...] = y0
+    half, full, sixth = (np.full(y0.size, c) for c in (0.5 * dt, dt, dt / 6.0))
+    stages = ((k1, k2, half), (k2, k3, half), (k3, k4, full))
+    for step in range(steps + 1):
+        if step:
+            for k, k_next, h in stages:
+                np.multiply(h, k[0], stage[0])
+                np.add(y[0], stage[0], stage[0])
+                rates(stage, k_next)
+            total = np.add(k2[0], k3[0], k2[0])
+            np.add(total, total, total)  # x + x is 2.0 * x exactly
+            np.add(k1[0], total, total)
+            np.add(total, k4[0], total)
+            np.multiply(sixth, total, total)
+            np.add(y[0], total, y_next[0])
+            y, y_next = y_next, y
+        rates(y, k1)
+        yield step, y, y_next, k1
+
+
 def integrate(scenario) -> Trajectory:
     """Run the scenario from t = 0 to t_end, sampling every output_every steps.
 
@@ -310,46 +336,25 @@ def integrate(scenario) -> Trajectory:
     errors, mu, mu_hat = (np.empty((count, edges)) for _ in range(3))
     speeds = np.empty((count, n))
 
-    size = loop.nx + 2 * loop.ne
-    y, y_next, stage, k1, k2, k3, k4 = (loop.views(np.empty(size)) for _ in range(7))
-    w0 = exosystem_initial_state(scenario.disturbance, scenario.basis()).w
-    np.concatenate([scenario.framework_initial().positions.ravel(),
-                    scenario.xi0_array().ravel(), w0.ravel()], out=y[0])
-    # dy/dt = rates(y) by classical RK4: k2 at y + (0.5 dt) k1, k3 at
-    # y + (0.5 dt) k2, k4 at y + dt k3, y_next = y + (dt/6)(k1 + 2 (k2 + k3) + k4)
-    half, full, sixth, nothing = (np.full(size, c) for c in (0.5 * dt, dt, dt / 6.0, 0.0))
-    stages = ((k1, k2, half), (k2, k3, half), (k3, k4, full))
-    flat_positions, k1_agents = positions.reshape(count, -1), k1[1].reshape(n, dim)
+    y0 = np.concatenate([scenario.framework_initial().positions.ravel(), scenario.xi0_array().ravel(),
+                         exosystem_initial_state(scenario.disturbance, scenario.basis()).w.ravel()])
+    flat_positions, nothing = positions.reshape(count, -1), np.zeros(y0.size)
     divergence_step = reason = final_errors = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps + 1):
-            if step:
-                for k, k_next, h in stages:
-                    np.multiply(h, k[0], stage[0])
-                    np.add(y[0], stage[0], stage[0])
-                    loop.rates(stage, k_next)
-                total = np.add(k2[0], k3[0], k2[0])
-                np.add(total, total, total)  # x + x is 2.0 * x exactly
-                np.add(k1[0], total, total)
-                np.add(total, k4[0], total)
-                np.multiply(sixth, total, total)
-                np.add(y[0], total, y_next[0])
-                # 0 * y is nan just where y is not finite; sqrt(x.x) is what np.linalg.norm computes
-                if (not math.isfinite(y_next[0].dot(nothing))
-                        or math.sqrt(y_next[1].dot(y_next[1])) > DIVERGENCE_GUARD):
-                    divergence_step, reason = step, loop.guard_reason(y_next[0])
-                    # the buffers hold the last stage's terms: evaluate the last good state again
-                    final_errors = loop.evaluate(y[0])[1]
-                    count = (step - 1) // every + 1
-                    break
-                y, y_next = y_next, y
-            # the evaluation at y is the next step's k1 and a sampled step's sample
-            loop.rates(y, k1)
+        for step, y, y_before, k1 in _rk4(loop.rates, loop.views, y0, dt, steps):
+            # 0 * y is nan just where y is not finite; sqrt(x.x) is what np.linalg.norm computes
+            if step and (not math.isfinite(y[0].dot(nothing))
+                         or math.sqrt(y[1].dot(y[1])) > DIVERGENCE_GUARD):
+                divergence_step, reason = step, loop.guard_reason(y[0])
+                # the buffers hold the rejected state's terms: evaluate the last good state again
+                final_errors = loop.evaluate(y_before[0])[1]
+                count = (step - 1) // every + 1
+                break
             if step % every == 0:
                 i = step // every
                 flat_positions[i] = y[1]
                 errors[i], mu[i], mu_hat[i] = loop.e, loop.mu, loop.mu_hat
-                speeds[i] = np.linalg.norm(k1_agents, axis=1)
+                speeds[i] = np.linalg.norm(k1[1].reshape(n, dim), axis=1)
 
     for buffer in (positions, errors, speeds, mu, mu_hat):
         buffer.setflags(write=False)  # the Trajectory keeps them without a copy
@@ -433,8 +438,9 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     """Integrate the generator bank alone; returns (times, states (T, E, q)).
 
     Exists as the integration half of the closed-form/integration
-    cross-check; the closed loop embeds the same dynamics.  The grid follows
-    integrate's rule: it must end on a recorded sample at t_end.
+    cross-check; it steps dw/dt = w Lambda^T through `_rk4`, the loop every
+    run steps, so the check covers that loop.  The grid follows integrate's
+    rule: it must end on a recorded sample at t_end.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
@@ -445,14 +451,10 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     w = exosystem_initial_state(spec, basis).w
     steps = _step_count(float(dt), float(t_end), every, 1 + w.size)
     states = np.empty((steps // every + 1, *w.shape))
-    states[0] = w
-    for step in range(1, steps + 1):  # classical RK4 of dw/dt = w Lambda^T
-        k1 = w @ lam_t
-        k2 = (w + 0.5 * dt * k1) @ lam_t
-        k3 = (w + 0.5 * dt * k2) @ lam_t
-        w = w + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + (w + dt * k3) @ lam_t)
+    for step, y, _, _ in _rk4(lambda state, out: np.matmul(state[1], lam_t, out[1]),
+                              lambda a: (a, a.reshape(w.shape)), w.ravel(), float(dt), steps):
         if step % every == 0:
-            states[step // every] = w
+            states[step // every] = y[1]
     return np.arange(0, steps + 1, every) * dt, states
 
 

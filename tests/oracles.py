@@ -1,5 +1,7 @@
 """Test-only oracles: the closed-loop derivative at one state, read off the
 library's kernel, and the edge-major einsum/matmul kernel it replaced;
+the textbook RK4 loops the buffered one replaced, over the closed loop
+and over the generator bank alone;
 stacked-matrix forms of quantities the library computes edge by edge
 inside its closed-loop kernel or block by block in its certificate, the
 exact rational Krylov rank its observability rule must agree with, the
@@ -125,6 +127,24 @@ def rk4_reference(scenario) -> Trajectory:
     columns = (np.array(c) for c in zip(*samples))
     return Trajectory(np.arange(len(samples)) * every * dt, *columns, divergence_step,
                       e if divergence_step else None, reason)
+
+
+def propagate_reference(spec, basis, t_end, dt, output_every):
+    """(times, states) as `propagate_exosystem` returns them, by the
+    textbook loop it replaced: every stage of classical RK4 multiplies a
+    fresh (E, q) array by Lambda^T.  Assumes a valid grid."""
+    lam_t = np.ascontiguousarray(basis.dynamics_matrix.T)
+    w = exosystem_initial_state(spec, basis).w
+    steps = round(t_end / dt)
+    states = [w]
+    for step in range(1, steps + 1):
+        k1 = w @ lam_t
+        k2 = (w + 0.5 * dt * k1) @ lam_t
+        k3 = (w + 0.5 * dt * k2) @ lam_t
+        w = w + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + (w + dt * k3) @ lam_t)
+        if step % output_every == 0:
+            states.append(w)
+    return np.arange(0, steps + 1, output_every) * dt, np.array(states)
 
 
 def s1_matrix(fw: Framework) -> np.ndarray:

@@ -630,13 +630,31 @@ def test_draws_serve_what_the_generators_own_calls_serve(buffered):
         draws, got, want = _Draws(rng), [], []
         for high in (1, 2, 3, 7, 200, 10**4, 2**31 + 1, 2**32 - 1):
             for _ in range(150):
-                got += [draws.integers(high), draws.random(), draws.integers(high),
+                got += [draws.integers(high), draws.uniform(0.0, 1.0), draws.integers(high),
                         draws.uniform(-1.4, 1.4), draws.integers(high)]
                 want += [int(twin.integers(high)), float(twin.random()), int(twin.integers(high)),
                          float(twin.uniform(-1.4, 1.4)), int(twin.integers(high))]
         draws.restore()
         assert got == want
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_a_volume_at_the_threshold_is_decided_by_the_determinant(monkeypatch):
+    # a triple product within 1e-9 of the Hadamard bound of 1.8 goes to
+    # np.linalg.det; rotating the 1.8 x 1 x 1 frame lands on both sides
+    from rigiform.rigidity import _too_flat
+
+    det, calls = np.linalg.det, []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a) or det(a))
+    rng = np.random.default_rng(5)
+    frames = [np.diag(d) for d in ([1.8, 1.0, 1.0], [1.0, -1.0, 1.8], [0.9, 2.0, 1.0])]
+    frames += [frames[0] @ np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(200)]
+    decided = []
+    for legs in frames:
+        decided.append(_too_flat(legs.tolist()))
+        assert decided[-1] == (abs(det(legs)) / 6.0 < 0.3)
+    assert len(calls) == len(frames)
+    assert 10 < sum(decided) < len(frames) - 10
 
 
 def test_random_trace_draws_through_the_bit_generator_alone():

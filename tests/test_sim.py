@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_loop_rates, closed_loop_reference, rk4_reference, s1_matrix
+from oracles import (
+    closed_loop_rates,
+    closed_loop_reference,
+    propagate_reference,
+    rk4_reference,
+    s1_matrix,
+)
 from rigiform import (
     DisturbanceSpec,
     EdgeDisturbance,
@@ -425,6 +431,18 @@ def test_integrate_matches_the_textbook_rk4_loop_bit_for_bit(case, mode, every):
     sc = KERNEL_CASES[case]()
     sc = dataclasses.replace(sc, mode=mode, kappa=0.37, t_end=28 * sc.dt, output_every=every)
     _assert_same_run(integrate(sc), rk4_reference(sc))
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("case", ["p=0", "p=1", "p=2"])
+def test_propagate_exosystem_matches_the_textbook_rk4_loop_bit_for_bit(case, every):
+    # the generator bank steps through the closed loop's buffered RK4 loop
+    sc = KERNEL_CASES[case]()
+    args = sc.disturbance, sc.basis(), 3.5, 0.05, every
+    got, want = propagate_exosystem(*args), propagate_reference(*args)
+    assert got[1].shape == (70 // every + 1, sc.disturbance.edge_count, sc.basis().state_size)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("dt, step", [(5e-3, 8), (2e-2, 2)])
