@@ -2,7 +2,7 @@
 
 The closed-loop state is one flat float64 vector y = [x | xi | w]: agent
 positions (n, dim), estimator bank (E, q) and signal generators (E, q),
-each stored row-major, so xi and w also form one (2, E, q) stack.  It is
+each stored row-major, so xi and w also form one (2|E|, q) matrix.  It is
 the only state layout: `integrate` packs y at t = 0 straight from the
 scenario.  `_ClosedLoop` is the only implementation of the control law:
 its `rates` writes the derivative into a given buffer and leaves the edge
@@ -51,7 +51,7 @@ from .scenario import ScenarioError, _output_every
 # aborted with the samples recorded so far.
 DIVERGENCE_GUARD = 1e9
 # Caps checked before a run allocates its samples: the step count bounds its
-# time (a step costs about 45 us at n = 4 and 0.33 ms at 3-D n = 400 on one
+# time (a step costs about 39 us at n = 4 and 0.33 ms at 3-D n = 400 on one
 # 2.1 GHz Xeon core) and the recorded values, float64 each, bound its memory.
 MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
@@ -181,7 +181,8 @@ class _ClosedLoop:
     so each push (a row times r for the tail rows, e for the head rows) runs
     along a contiguous axis; one bincount sums them per agent in edge order.
     Lambda, one nonzero per row, acts on the banks as a signed permutation;
-    b.xi_k and b.w_k stay a matrix product: no elementwise sum rounds alike.
+    b.xi_k and b.w_k stay a matrix product, one gemv of the (2|E|, q) banks
+    by b: no elementwise sum rounds alike.
     """
 
     def __init__(self, scenario):
@@ -193,34 +194,41 @@ class _ClosedLoop:
         # push onto the tail, head rows read tail - head and push onto the head
         heads, tails = (v * self.dim + np.arange(self.dim)[:, None] for v in (g.heads, g.tails))
         # C-ordered (an F-ordered index array gathers several times slower)
-        self.ends = np.stack([np.concatenate(p, axis=1) for p in ((heads, tails), (tails, heads))])
-        self.slots = self.ends[1].ravel()
+        ends = np.stack([np.concatenate(p, axis=1) for p in ((heads, tails), (tails, heads))])
+        self.slots = ends[1].ravel()
         self.d_sq = np.tile(fw.target_distances ** 2, 2)  # one per gathered row
         self.b, self.estimator = basis.vector, scenario.mode == "estimator"
         # Lambda's nonzero per row as (column, value) for each slot of both
         # banks; gradient mode's xi values are 0.0, so d(xi)/dt is +0
         lam = basis.dynamics_matrix
         column = (lam != 0).argmax(axis=1)  # a zero row reads column 0 times 0.0
-        self.bank_from = (np.arange(self.nx, self.nx + 2 * self.ne, self.q)[:, None] + column).ravel()
+        bank_from = (np.arange(self.nx, self.nx + 2 * self.ne, self.q)[:, None] + column).ravel()
         value = np.tile(lam[np.arange(self.q), column], self.edge_count)
         self.bank_coef = np.concatenate((value * self.estimator, value))
         self.edge_of = np.repeat(np.arange(self.edge_count), self.q)
         self.b_tiled = np.tile(self.b, self.edge_count)
         # operands as whole vectors: a ufunc broadcasting a scalar runs slower
         self.kappa, self.zero = np.full(g.edge_count, float(scenario.kappa)), np.zeros(2 * self.ne)
-        # the work buffers of one evaluation and their views
-        self.gathered, self.outputs = np.empty(self.ends.shape), np.empty((2, g.edge_count))
-        self.mu_hat, self.mu = self.outputs
+        # the work buffers of one evaluation and every view `rates` reads;
+        # one gather brings both edge ends and each bank slot's Lambda source
+        self.take_from = np.concatenate((ends.ravel(), bank_from))
+        self.gathered = np.empty(self.take_from.size)
+        self.plus, self.minus = self.gathered[:ends.size].reshape(ends.shape)
+        self.bank_sources = self.gathered[ends.size:]
+        self.outputs = np.empty(2 * g.edge_count)
+        self.mu_hat, self.mu = np.split(self.outputs, 2)
         self.rows, self.sq = np.empty((2, self.dim, 2 * g.edge_count))
         self.rows_flat, self.weights = self.rows.ravel(), self.sq[0]  # weights: in place
+        self.sq_rest = tuple(self.sq[:0:-1])  # the rows added onto weights, last first
         self.r, self.e = np.split(self.weights, 2)
         self.kappa_r, self.pushed = np.empty(g.edge_count), np.empty(self.ne)
 
     def views(self, a):
         """The flat state or derivative a, its x, banks and xi parts, and
-        its banks as a (2, E, q) stack: the views `rates` takes."""
+        its banks as one (2|E|, q) matrix, xi's rows over w's, that a
+        single gemv by b turns into mu_hat and mu: the views `rates` takes."""
         nx = self.nx
-        return a, a[:nx], a[nx:], a[nx:nx + self.ne], a[nx:].reshape(2, self.edge_count, self.q)
+        return a, a[:nx], a[nx:], a[nx:nx + self.ne], a[nx:].reshape(2 * self.edge_count, self.q)
 
     def rates(self, state, out):
         """Write the derivative at the state into out, both as `views`
@@ -228,19 +236,17 @@ class _ClosedLoop:
         buffers."""
         y, banks = state[0], state[4]
         _, dx, dbanks, dxi, _ = out
-        ends, rows, sq, weights, r = self.gathered, self.rows, self.sq, self.weights, self.r
-        y.take(self.ends, out=ends, mode="clip")  # mode="raise" would copy through a temporary
-        np.subtract(ends[0], ends[1], rows)
+        rows, sq, weights, r = self.rows, self.sq, self.weights, self.r
+        y.take(self.take_from, out=self.gathered, mode="clip")  # "raise" copies via a temporary
+        np.subtract(self.plus, self.minus, rows)
         # squared lengths, summed as einsum sums them, less d^2: r and e in place
         np.multiply(rows, rows, sq)
-        if self.dim == 3:
-            np.add(weights, sq[2], weights)
-        np.add(weights, sq[1], weights)
+        for row in self.sq_rest:
+            np.add(weights, row, weights)
         np.subtract(weights, self.d_sq, weights)
-        np.matmul(banks, self.b, self.outputs)
+        np.dot(banks, self.b, self.outputs)
         np.add(r, self.mu, r)
-        y.take(self.bank_from, out=dbanks, mode="clip")
-        np.multiply(dbanks, self.bank_coef, dbanks)
+        np.multiply(self.bank_sources, self.bank_coef, dbanks)
         np.add(dbanks, self.zero, dbanks)  # a -0 product reads +0, as in a matrix product's sum
         if self.estimator:
             np.subtract(r, self.mu_hat, r)
@@ -334,7 +340,7 @@ def integrate(scenario) -> Trajectory:
     count = steps // every + 1
     positions = np.empty((count, n, dim))
     errors, mu, mu_hat = (np.empty((count, edges)) for _ in range(3))
-    speeds = np.empty((count, n))
+    speeds, squares = np.empty((count, n)), np.empty((n, dim))
 
     y0 = np.concatenate([scenario.framework_initial().positions.ravel(), scenario.xi0_array().ravel(),
                          exosystem_initial_state(scenario.disturbance, scenario.basis()).w.ravel()])
@@ -354,7 +360,10 @@ def integrate(scenario) -> Trajectory:
                 i = step // every
                 flat_positions[i] = y[1]
                 errors[i], mu[i], mu_hat[i] = loop.e, loop.mu, loop.mu_hat
-                speeds[i] = np.linalg.norm(k1[1].reshape(n, dim), axis=1)
+                # the ufuncs np.linalg.norm(velocities, axis=1) runs, without its argument handling
+                velocities, speed = k1[1].reshape(n, dim), speeds[i]
+                np.multiply(velocities, velocities, squares)
+                np.sqrt(np.add.reduce(squares, axis=1, out=speed), speed)
 
     for buffer in (positions, errors, speeds, mu, mu_hat):
         buffer.setflags(write=False)  # the Trajectory keeps them without a copy

@@ -1095,3 +1095,24 @@ def test_no_method_of_a_private_class_is_unread():
                  and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
     unread = [entry for entry in methods if entry[2] not in read]
     assert not unread, unread
+
+
+def test_no_attribute_a_private_class_stores_is_unread():
+    # an attribute a private class stores on self (a work buffer, a view, a
+    # table) that no expression under src/ loads is left over from a deletion;
+    # an augmented assignment loads its target too
+    package = Path(__file__).resolve().parents[1] / "src" / "rigiform"
+    stored, loaded = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        stored |= {(path.name, cls.name, node.attr) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+                   for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)}
+        loaded |= {node.target.attr for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
+                   and isinstance(node.target, ast.Attribute)}
+    unread = sorted(entry for entry in stored if entry[2] not in loaded)
+    assert not unread, unread

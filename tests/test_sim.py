@@ -383,12 +383,19 @@ def _with_sinusoids(sc, frequencies):
 KERNEL_CASES = {
     "epuck2d": lambda: builtin_scenario("epuck2d"),
     "tetra3d": lambda: builtin_scenario("tetra3d"),
+    "generated 2-D n=3": lambda: generate_scenario(3, 2, 6),
     "generated 2-D n=30": lambda: generate_scenario(30, 2, 1),
+    "generated 3-D n=4": lambda: generate_scenario(4, 3, 7),
+    "generated 3-D n=6": lambda: generate_scenario(6, 3, 8),
     "generated 3-D n=40": lambda: generate_scenario(40, 3, 2),
     "p=0": lambda: _with_sinusoids(generate_scenario(12, 3, 3), ()),
     "p=1": lambda: _with_sinusoids(generate_scenario(12, 2, 4), (1.3,)),
     "p=2": lambda: _with_sinusoids(generate_scenario(12, 3, 5), (0.7, 2.1)),
+    "p=3": lambda: _with_sinusoids(generate_scenario(7, 2, 8), (0.4, 1.1, 2.9)),
 }
+# 2|E| (the rows of the stacked banks) takes every even residue mod 8, so
+# the bank product's remainder rows are pinned against the reference's
+# stacked matmul
 
 
 @pytest.mark.parametrize("mode", ["gradient_only", "estimator"])
