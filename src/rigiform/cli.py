@@ -29,7 +29,8 @@ from .analysis import is_hurwitz, is_infinitesimally_rigid, stability_matrix  # 
 from .rigidity import is_minimally_rigid  # noqa: F401
 from .scenario import BUILTIN_NAMES, MODES, ScenarioError, builtin_scenario, canonical_json, \
     generate_scenario, load_scenario, save_scenario
-from .sim import RunVerdict, integrate, run_verdict, write_csv
+from .sim import RunVerdict, run_verdict, stream_run
+from .sim import integrate, write_csv  # noqa: F401  unused here, wrapped like those above
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,46 +82,45 @@ def cmd_check(args) -> int:
 
 
 def _execute_run(sc, out_dir):
-    """Integrate, write trajectory.csv and verdict.json, return
-    (record, trajectory, wall_seconds)."""
+    """Integrate while writing trajectory.csv, write verdict.json, return
+    (record, streamed run, seconds integrating, the CSV writes not counted)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    traj = integrate(sc)
-    wall = time.perf_counter() - start
-    write_csv(traj, out / "trajectory.csv")
-    record = {"scenario": sc.name, "mode": sc.mode, "samples": traj.sample_count,
+    run = stream_run(sc, out / "trajectory.csv")
+    wall = time.perf_counter() - start - run.write_seconds
+    record = {"scenario": sc.name, "mode": sc.mode, "samples": run.sample_count,
               "null_reason": None}
     try:
-        verdict = run_verdict(traj)
+        verdict = run_verdict(run)
     except ValueError as exc:
         # no verdict: its fields are null but for the two a short run still knows
         record.update(dict.fromkeys(f.name for f in dataclasses.fields(RunVerdict)),
-                      diverged=traj.diverged,
-                      final_error=float(np.linalg.norm(traj.final_errors)),
+                      diverged=run.diverged,
+                      final_error=float(np.linalg.norm(run.final_errors)),
                       null_reason=str(exc))
     else:
         record.update(vars(verdict))
     (out / "verdict.json").write_text(canonical_json(record) + "\n")
-    return record, traj, wall
+    return record, run, wall
 
 
 def cmd_run(args) -> int:
     sc = _resolve_scenario(args.scenario)
     if args.mode is not None and args.mode != sc.mode:
         sc = dataclasses.replace(sc, mode=args.mode)
-    record, traj, wall = _execute_run(sc, args.out)
+    record, run, wall = _execute_run(sc, args.out)
     _say(f"run {sc.name} ({sc.mode}): {record['samples']} samples in {wall:.2f} s")
     _say(
         f"final error {record['final_error']:.6e}; converged {record['converged']}; "
         f"orbit {record['orbit_detected']}; rate {record['rate']}"
     )
     _say(f"wrote {args.out}/trajectory.csv and {args.out}/verdict.json")
-    if traj.diverged:
-        step = traj.divergence_step
+    if run.diverged:
+        step = run.divergence_step
         print(
             f"run diverged at step {step} (t = {step * sc.dt:.6g} s of simulated time): "
-            f"{traj.divergence_reason}",
+            f"{run.divergence_reason}",
             file=sys.stderr,
         )
         return 2
@@ -145,25 +145,20 @@ def cmd_replicate(args) -> int:
     summary = {"scenario": args.name, "legs": legs}
     for mode, leg_dir in (("gradient_only", "gradient"), ("estimator", "estimator")):
         sc = base if base.mode == mode else dataclasses.replace(base, mode=mode)
-        record, traj, wall = _execute_run(sc, out / leg_dir)
+        record, run, wall = _execute_run(sc, out / leg_dir)
         legs[mode] = {**record, "wall_seconds": wall}
-        diverged = diverged or traj.diverged
+        diverged = diverged or run.diverged
         if mode == "gradient_only":
             _say(
                 f"{args.name} gradient_only: orbit_detected={record['orbit_detected']}, "
                 f"steady_speed={record['steady_speed']}, wall {wall:.1f} s"
             )
         else:
-            mu_final = traj.mu[-1]
-            mu_hat_final = traj.mu_hat[-1]
-            mu_norm = float(np.linalg.norm(mu_final))
-            recovery = (
-                float(np.linalg.norm(mu_hat_final - mu_final)) / mu_norm
-                if mu_norm > 0.0
-                else None
-            )
-            summary["mu_final"] = [float(v) for v in mu_final]
-            summary["mu_hat_final"] = [float(v) for v in mu_hat_final]
+            mu_norm = float(np.linalg.norm(run.last_mu))
+            gap = float(np.linalg.norm(run.last_mu_hat - run.last_mu))
+            recovery = gap / mu_norm if mu_norm > 0.0 else None
+            summary["mu_final"] = run.last_mu.tolist()
+            summary["mu_hat_final"] = run.last_mu_hat.tolist()
             summary["mu_recovery_relative_error"] = recovery
             shown = "n/a" if recovery is None else f"{recovery:.3e}"
             _say(

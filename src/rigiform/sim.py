@@ -2,43 +2,34 @@
 
 The closed-loop state is one flat float64 vector y = [x | xi | w]: agent
 positions (n, dim), estimator bank (E, q) and signal generators (E, q),
-each stored row-major, so xi and w also form one (2|E|, q) matrix.  It is
-the only state layout: `integrate` packs y at t = 0 straight from the
-scenario.  `_ClosedLoop` is the only implementation of the control law:
-its `rates` writes the derivative into a given buffer and leaves the edge
-columns a Trajectory records in its own work buffers.  Every buffer is
-made once per run with the views read or written (in `_rk4`, the one RK4
-loop: state, next state, stage state and the four slopes), so a step is a
-fixed sequence of ufuncs; what one holds lasts until the next evaluation,
-so `integrate` copies e, mu and mu_hat when it records them and
-`evaluate` returns fresh arrays.  On a sampled step `integrate` records
-from the evaluation that also serves as the next step's k1, so every step
-costs four evaluations.
-A sample keeps only what a run reports (see Trajectory), and the
-recorded-value cap counts exactly those values.
-Integration is classical fourth-order Runge-Kutta with a constant step,
-so a run is bitwise reproducible; adaptive stepping would trade that away
-for speed this problem does not need.  The generator block is integrated
-like everything else rather than sampled from its closed form; the closed
-form stays available as a test oracle.
+each stored row-major, so xi and w also form one (2|E|, q) matrix.
+`_ClosedLoop` is the only implementation of the control law: its `rates`
+writes the derivative into a given buffer and leaves the recorded edge
+columns in its work buffers.  `_rk4` is the one RK4 loop, on buffers made
+once per run, and `_sample` the one guard and sampling around it: a
+sampled step records from the evaluation that also serves as the next
+step's k1, so every step costs four evaluations.  Integration is
+classical RK4 with a constant step, so a run is bitwise reproducible; the
+generator block is integrated too, its closed form kept as a test oracle.
+
+`integrate` samples into whole-run arrays and returns a Trajectory.
+`stream_run`, what the `run` command calls, samples into a chunk of CSV
+rows that is written once full, and keeps per sample only what
+run_verdict reads, so its memory does not grow with the width of a row.
+Both write the bytes `write_csv` writes: every value exactly as '%.17g'
+prints it, formatted by the private `_g17` module in full blocks.
 
 Scenarios are duck-typed: framework_initial / basis / xi0_array, the
 disturbance spec, and the mode / kappa / dt / t_end / output_every fields.
 Integration certifies nothing and never reads the target embedding;
 `check` does the certifying.
-
-`write_csv` prints every value exactly as '%.17g' does, with numpy array
-operations on full blocks of values whatever the row width: the private
-`_g17` module reads the 17 digits off a long double product, settles
-their rounding with integers where the power of ten is exact, lays the
-text out through lookup tables built on the first write, and hands every
-other value, inf and nan among them, to Python's '%.17g'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -58,6 +49,10 @@ MAX_RECORDED_VALUES = 50_000_000
 VERDICT_WINDOW = 0.2  # run_verdict reads this last share of the samples
 VERDICT_TOL = 1e-6  # errors and speeds below it there count as converged
 _CSV_BLOCK_VALUES = 1 << 12  # values per _g17.text call but a file's last; 2048, 6144, 8192: slower
+# most values stream_run gathers before formatting: formatting interleaved with
+# the kernel evicts its data, so runs formatting every 4096 values took 9-14% longer
+# and those formatting every 2**16 values 1-3% longer (2-D n=200, 3-D n=400)
+_CSV_CHUNK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +118,10 @@ class Trajectory:
     @property
     def sample_count(self) -> int:
         return self.times.size
+
+    @property
+    def error_norms(self) -> np.ndarray:
+        return np.linalg.norm(self.errors, axis=1)
 
 
 def _frozen(values) -> np.ndarray:
@@ -220,6 +219,7 @@ class _ClosedLoop:
         self.rows, self.sq = np.empty((2, self.dim, 2 * g.edge_count))
         self.rows_flat, self.weights = self.rows.ravel(), self.sq[0]  # weights: in place
         self.sq_rest = tuple(self.sq[:0:-1])  # the rows added onto weights, last first
+        self.weight_copies = self.sq[1:]  # weights again: a same-shape push is faster
         self.r, self.e = np.split(self.weights, 2)
         self.kappa_r, self.pushed = np.empty(g.edge_count), np.empty(self.ne)
 
@@ -255,7 +255,8 @@ class _ClosedLoop:
             self.kappa_r.take(self.edge_of, out=self.pushed, mode="clip")
             np.multiply(self.pushed, self.b_tiled, self.pushed)
             np.add(dxi, self.pushed, dxi)
-        np.multiply(rows, weights, rows)
+        np.copyto(self.weight_copies, weights)
+        np.multiply(rows, sq, rows)
         dx[...] = np.bincount(self.slots, weights=self.rows_flat, minlength=self.nx)
 
     def evaluate(self, y):
@@ -324,27 +325,26 @@ def _rk4(rates, views, y0, dt, steps):
         yield step, y, y_next, k1
 
 
-def integrate(scenario) -> Trajectory:
-    """Run the scenario from t = 0 to t_end, sampling every output_every steps.
-
-    Raises ScenarioError when the grid does not end on a recorded sample at
-    t_end or the run would pass a cap.  Aborts with a partial trajectory
-    when the divergence guard trips; its final_errors are then those of the
-    last state that passed the guard.
-    """
+def _prepare(scenario):
+    """(closed loop, dt, output_every, steps, y0) of a run whose grid and caps pass."""
     loop = _ClosedLoop(scenario)
-    n, dim, edges = loop.n, loop.dim, loop.edge_count
     dt, every = float(scenario.dt), int(scenario.output_every)
-    # per sample: t, positions, speeds and three edge columns
-    steps = _step_count(dt, float(scenario.t_end), every, 1 + n * dim + n + 3 * edges)
-    count = steps // every + 1
-    positions = np.empty((count, n, dim))
-    errors, mu, mu_hat = (np.empty((count, edges)) for _ in range(3))
-    speeds, squares = np.empty((count, n)), np.empty((n, dim))
-
+    values = 1 + loop.nx + loop.n + 3 * loop.edge_count  # t, positions, speeds, 3 edge columns
+    steps = _step_count(dt, float(scenario.t_end), every, values)
     y0 = np.concatenate([scenario.framework_initial().positions.ravel(), scenario.xi0_array().ravel(),
                          exosystem_initial_state(scenario.disturbance, scenario.basis()).w.ravel()])
-    flat_positions, nothing = positions.reshape(count, -1), np.zeros(y0.size)
+    return loop, dt, every, steps, y0
+
+
+def _sample(loop, dt, every, steps, y0, table, flush):
+    """The one guarded, sampled RK4 loop.  Sample i goes into row i % rows
+    of table = (times, flat positions, errors, speeds, mu, mu_hat), and
+    flush(rows filled) runs when the rows are full and after the last
+    sample.  Returns the sample count, divergence_step, final_errors and
+    divergence_reason, the last three as Trajectory holds them."""
+    times, positions, errors, speeds, mu, mu_hat = table
+    rows, count, n, dim = times.size, 0, loop.n, loop.dim
+    squares, nothing = np.empty((n, dim)), np.zeros(y0.size)
     divergence_step = reason = final_errors = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step, y, y_before, k1 in _rk4(loop.rates, loop.views, y0, dt, steps):
@@ -354,23 +354,84 @@ def integrate(scenario) -> Trajectory:
                 divergence_step, reason = step, loop.guard_reason(y[0])
                 # the buffers hold the rejected state's terms: evaluate the last good state again
                 final_errors = loop.evaluate(y_before[0])[1]
-                count = (step - 1) // every + 1
                 break
             if step % every == 0:
-                i = step // every
-                flat_positions[i] = y[1]
-                errors[i], mu[i], mu_hat[i] = loop.e, loop.mu, loop.mu_hat
+                j = count % rows
+                times[j], positions[j] = step * dt, y[1]  # as np.arange(count) * every * dt
+                errors[j], mu[j], mu_hat[j] = loop.e, loop.mu, loop.mu_hat
                 # the ufuncs np.linalg.norm(velocities, axis=1) runs, without its argument handling
-                velocities, speed = k1[1].reshape(n, dim), speeds[i]
+                velocities, speed = k1[1].reshape(n, dim), speeds[j]
                 np.multiply(velocities, velocities, squares)
                 np.sqrt(np.add.reduce(squares, axis=1, out=speed), speed)
+                count += 1
+                if j == rows - 1:
+                    flush(rows)
+    if count % rows:
+        flush(count % rows)
+    return count, divergence_step, final_errors, reason
 
-    for buffer in (positions, errors, speeds, mu, mu_hat):
+
+def integrate(scenario) -> Trajectory:
+    """Run the scenario from t = 0 to t_end, sampling every output_every steps.
+
+    Raises ScenarioError when the grid does not end on a recorded sample at
+    t_end or the run would pass a cap.  Aborts with a partial trajectory
+    when the divergence guard trips; its final_errors are then those of the
+    last state that passed the guard.
+    """
+    loop, dt, every, steps, y0 = _prepare(scenario)
+    count, n, edges = steps // every + 1, loop.n, loop.edge_count
+    arrays = [np.empty((count, *shape)) for shape in ((), (n, loop.dim), (edges,), (n,),
+                                                     (edges,), (edges,))]
+    table = arrays[0], arrays[1].reshape(count, -1), *arrays[2:]
+    count, *ending = _sample(loop, dt, every, steps, y0, table, lambda rows: None)
+    for buffer in arrays:
         buffer.setflags(write=False)  # the Trajectory keeps them without a copy
-    return Trajectory(
-        np.arange(count) * every * dt, positions[:count], errors[:count], speeds[:count],
-        mu[:count], mu_hat[:count], divergence_step, final_errors, reason,
-    )
+    return Trajectory(*(a[:count] for a in arrays), *ending)
+
+
+@dataclass(frozen=True, eq=False)
+class StreamedRun:
+    """What `stream_run` keeps of a run: per sample the time, error norm and
+    agent speeds that run_verdict reads, the last sample's mu and mu_hat,
+    how the run ended as Trajectory says it, and the seconds spent writing."""
+
+    times: np.ndarray
+    error_norms: np.ndarray
+    speeds: np.ndarray
+    last_mu: np.ndarray
+    last_mu_hat: np.ndarray
+    divergence_step: int | None
+    final_errors: np.ndarray
+    divergence_reason: str | None
+    write_seconds: float
+
+    diverged, sample_count = Trajectory.diverged, Trajectory.sample_count
+
+
+def stream_run(scenario, path) -> StreamedRun:
+    """integrate(scenario) written to path as write_csv writes it, a chunk
+    of rows at a time, without keeping the rows.  Raises as integrate
+    does, before path is opened."""
+    loop, dt, every, steps, y0 = _prepare(scenario)
+    count, done = steps // every + 1, 0
+    norms, speeds = np.empty(count), np.empty((count, loop.n))
+
+    def flush(rows):
+        nonlocal done
+        csv.flush(rows)
+        norms[done:done + rows] = np.linalg.norm(csv.table[2][:rows], axis=1)
+        speeds[done:done + rows] = csv.table[3][:rows]
+        done += rows
+
+    with open(path, "wb") as file:
+        csv = _CsvChunks(file, loop.n, loop.dim, loop.edge_count, _CSV_CHUNK_VALUES, count)
+        count, step, final_errors, reason = _sample(loop, dt, every, steps, y0, csv.table, flush)
+        csv.flush(0, last=True)
+    last = (count - 1) % csv.table[0].size
+    errors, _, mu, mu_hat = (column[last].copy() for column in csv.table[2:])
+    return StreamedRun(np.arange(count) * every * dt, norms[:count], speeds[:count], mu, mu_hat,
+                       step, errors if final_errors is None else final_errors, reason, csv.seconds)
 
 
 def _fit_exponential(times, norms):
@@ -411,26 +472,27 @@ def _fit_exponential(times, norms):
     return float(coef[0]), r_sq, None
 
 
-def run_verdict(traj: Trajectory) -> RunVerdict:
-    """Classify a finished run from its tail window (last VERDICT_WINDOW of
-    the samples, which must hold at least 50 of them)."""
-    window = math.ceil(VERDICT_WINDOW * traj.sample_count)
+def run_verdict(run) -> RunVerdict:
+    """Classify a finished run, a Trajectory or a StreamedRun, from its tail
+    window (last VERDICT_WINDOW of the samples, which must hold at least 50
+    of them): its times, error norms, speeds, final errors and divergence."""
+    window = math.ceil(VERDICT_WINDOW * run.sample_count)
     if window < 50:
         raise ValueError(
             f"analysis window holds {window} samples, need at least 50; "
             "run longer or sample more often"
         )
-    err_norms = np.linalg.norm(traj.errors, axis=1)
+    err_norms = run.error_norms
     tail_err = err_norms[-window:]
-    tail_speed = traj.speeds[-window:]
+    tail_speed = run.speeds[-window:]
     converged = bool(tail_err.max() < VERDICT_TOL and tail_speed.max() < VERDICT_TOL)
     means = tail_speed.mean(axis=0)
     spreads = tail_speed.std(axis=0)
     orbit = bool((means > 10.0 * VERDICT_TOL).all() and (spreads <= 1e-3 * means).all())
     steady = float(means.mean()) if orbit else None
-    rate, r_sq, rate_null_reason = _fit_exponential(traj.times, err_norms)
+    rate, r_sq, rate_null_reason = _fit_exponential(run.times, err_norms)
     # a diverged run's last sample predates the last state that passed the guard
-    final_error = np.linalg.norm(traj.final_errors) if traj.diverged else err_norms[-1]
+    final_error = np.linalg.norm(run.final_errors) if run.diverged else err_norms[-1]
     return RunVerdict(
         converged=converged,
         final_error=float(final_error),
@@ -438,7 +500,7 @@ def run_verdict(traj: Trajectory) -> RunVerdict:
         rate_r_squared=r_sq,
         steady_speed=steady,
         orbit_detected=orbit,
-        diverged=traj.diverged,
+        diverged=run.diverged,
         rate_null_reason=rate_null_reason,
     )
 
@@ -467,37 +529,64 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
     return np.arange(0, steps + 1, every) * dt, states
 
 
+class _CsvChunks:
+    """The trajectory.csv writer.  Callers fill the rows of `table` =
+    (times, flat positions, errors, speeds, mu, mu_hat), at most `values`
+    values but one row at least and never more than the run's `count`, and
+    flush them; it adds alpha and formats full blocks of values, which may
+    start anywhere in a row, keeping what no full block took in front of
+    the rows.  seconds is the time spent in it."""
+
+    def __init__(self, file, n, dim, edges, values, count):
+        start = perf_counter()
+        names = ["t", *(f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, dim + 1))]
+        for name, size in (("e", edges), ("speed", n), ("mu", edges), ("muhat", edges),
+                           ("alpha", edges)):
+            names += [f"{name}_{k}" for k in range(1, size + 1)]
+        file.write((",".join(names) + "\n").encode())
+        # imported here: an interpreter that writes no CSV never loads or compiles it
+        from . import _g17
+
+        self.file, self.text, self.columns = file, _g17.text, len(names)
+        rows = min(max(1, values // self.columns), count)
+        self.buffer = np.empty(_CSV_BLOCK_VALUES + rows * self.columns)
+        t, *table, self.alpha = np.split(self.buffer[_CSV_BLOCK_VALUES:].reshape(rows, -1),
+                                         np.cumsum([1, n * dim, edges, n, edges, edges]), axis=1)
+        self.table = (t[:, 0], *table)
+        self.kept = self.done = 0  # values in front of the rows, values written
+        self.seconds = perf_counter() - start
+
+    def flush(self, rows, last=False):
+        """Write the full blocks of the kept values and the first `rows`
+        rows, and with last=True the rest too; keep what is left."""
+        start, block, buffer = perf_counter(), _CSV_BLOCK_VALUES, self.buffer
+        _, _, errors, _, mu, mu_hat = self.table
+        alpha = self.alpha[:rows]
+        np.subtract(np.add(errors[:rows], mu[:rows], alpha), mu_hat[:rows], alpha)
+        first, end = block - self.kept, block + rows * self.columns
+        full = end if last else end - (end - first) % block
+        for at in range(first, full, block):
+            values = buffer[at:min(at + block, full)]
+            self.file.write(self.text(values, self.columns, self.done + at - first))
+        self.kept, self.done = end - full, self.done + full - first
+        buffer[block - self.kept:block] = buffer[full:end]
+        self.seconds += perf_counter() - start
+
+
 def write_csv(traj: Trajectory, path) -> None:
     """One row per sample: t, positions (agent-major), errors, speeds, mu,
     mu_hat, alpha; each value printed as '%.17g' prints it, so values
-    round-trip exactly.  Rows are gathered a few at a time behind the
-    values the last full block left over, and _g17.text formats full
-    blocks, so the whole run is never staged as one table."""
+    round-trip exactly.  Rows go through the writer `stream_run` uses, a
+    block's values at a time, so the whole run is never staged as one
+    table."""
     t_count, n, m = traj.positions.shape
-    e_count = traj.errors.shape[1]
-    names = ["t", *(f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, m + 1))]
-    for name, count in (("e", e_count), ("speed", n), ("mu", e_count), ("muhat", e_count),
-                        ("alpha", e_count)):
-        names += [f"{name}_{k}" for k in range(1, count + 1)]
-    # imported here: an interpreter that writes no CSV never loads or compiles it
-    from . import _g17
-
-    columns, block = len(names), _CSV_BLOCK_VALUES
-    step = -(-block // columns)  # rows gathered at a time: a block's values or more
-    parts = (traj.times[:, None], traj.positions.reshape(t_count, n * m), traj.errors,
-             traj.speeds, traj.mu, traj.mu_hat)
-    buffer = np.empty(block + step * columns)
-    kept = done = 0  # values in buffer that no block took, values written
-    with open(path, "wb") as fh:
-        fh.write((",".join(names) + "\n").encode())
-        for start in range(0, t_count, step):
-            rows = slice(start, start + step)
-            alpha = traj.errors[rows] + traj.mu[rows] - traj.mu_hat[rows]
-            end = kept + alpha.shape[0] * columns
-            np.concatenate([a[rows] for a in parts] + [alpha], axis=1,
-                           out=buffer[kept:end].reshape(-1, columns))
-            full = end if start + step >= t_count else end - end % block
-            for first in range(0, full, block):
-                fh.write(_g17.text(buffer[first:min(first + block, full)], columns, done + first))
-            kept, done = end - full, done + full
-            buffer[:kept] = buffer[full:end]
+    parts = (traj.times, traj.positions.reshape(t_count, n * m), traj.errors, traj.speeds,
+             traj.mu, traj.mu_hat)
+    with open(path, "wb") as file:
+        csv = _CsvChunks(file, n, m, traj.errors.shape[1], _CSV_BLOCK_VALUES, t_count)
+        rows = csv.table[0].size
+        for start in range(0, t_count, rows):
+            filled = min(rows, t_count - start)
+            for column, part in zip(csv.table, parts):
+                column[:filled] = part[start:start + filled]
+            csv.flush(filled, last=start + rows >= t_count)

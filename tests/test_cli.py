@@ -412,6 +412,96 @@ def test_run_rejects_a_grid_that_drops_the_final_state(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"t_end": 0.0105}, "t_end 0.0105 is not a whole number of dt 0.001 steps"),
+    ({"t_end": 0.5, "output_every": 1000},
+     "500 steps is not a multiple of output_every 1000, so the final state would not be recorded"),
+    ({"t_end": 10_000.0, "output_every": 1},
+     "the run would record 190000019 values, over the cap of 50000000; "
+     "raise output_every or shorten t_end"),
+], ids=["off-grid", "stride", "value-cap"])
+def test_refused_runs_write_neither_file(tmp_path, capsys, overrides, message):
+    out = tmp_path / "out"
+    assert main(["run", _triangle_file(tmp_path, **overrides), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (out / "trajectory.csv").exists() and not (out / "verdict.json").exists()
+
+
+def test_an_out_below_a_regular_file_is_refused_before_integrating(tmp_path, capsys,
+                                                                  monkeypatch):
+    from rigiform import sim
+
+    def no_loop(scenario):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(sim, "_ClosedLoop", no_loop)
+    (tmp_path / "file").write_text("")
+    path = _triangle_file(tmp_path, t_end=0.1)
+    assert main(["run", path, "--out", str(tmp_path / "file" / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_value_cap_refuses_exactly_the_runs_past_it(tmp_path, capsys, monkeypatch):
+    from rigiform import sim
+
+    path = _triangle_file(tmp_path, t_end=0.1, output_every=1)  # 101 samples of 19 values
+    monkeypatch.setattr(sim, "MAX_RECORDED_VALUES", 101 * 19)
+    assert main(["run", path, "--out", str(tmp_path / "at")]) == 0
+    monkeypatch.setattr(sim, "MAX_RECORDED_VALUES", 101 * 19 - 1)
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(tmp_path / "past")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the run would record 1919 values, over the cap of 1918; "
+        "raise output_every or shorten t_end\n")
+
+
+def test_run_memory_grows_only_by_what_the_verdict_keeps(tmp_path):
+    # a run keeps per sample its time, error norm and n speeds, and writes
+    # its CSV rows a chunk at a time (at most 2**17 values: 59 rows of 2189
+    # here), so once the chunk is full the traced peak grows by n + 2 floats
+    # a sample; a run that kept its whole Trajectory grew by 1792
+    from rigiform import _g17
+
+    n = 200
+    sc = generate_scenario(n, 2, 0)
+    _g17.tables()  # built once per process
+    paths = {samples: _write_scenario(
+        tmp_path / f"run{samples}.json",
+        dataclasses.replace(sc, t_end=(samples - 1) * sc.dt, output_every=1))
+        for samples in (60, 300)}
+    assert main(["run", paths[60], "--out", str(tmp_path / "warm")]) == 0
+    peaks = []
+    for samples, path in paths.items():
+        tracemalloc.start()
+        try:
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= (n + 2) * 8 * (300 - 60) + 0.25 * 2**20
+
+
+def test_replicate_reports_the_last_sample_it_streamed(tmp_path, monkeypatch):
+    import rigiform.cli
+
+    def short(name):
+        return dataclasses.replace(builtin_scenario(name), t_end=1.0)
+
+    monkeypatch.setattr(rigiform.cli, "builtin_scenario", short)
+    assert main(["replicate", "epuck2d", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    with open(tmp_path / "estimator" / "trajectory.csv") as fh:
+        header = fh.readline().strip().split(",")
+        last = [float(v) for v in fh.readlines()[-1].split(",")]
+    columns = dict(zip(header, last))
+    edges = len(builtin_scenario("epuck2d").edges)
+    assert summary["mu_final"] == [columns[f"mu_{k}"] for k in range(1, edges + 1)]
+    assert summary["mu_hat_final"] == [columns[f"muhat_{k}"] for k in range(1, edges + 1)]
+    assert all(isinstance(leg["wall_seconds"], float) for leg in summary["legs"].values())
+    assert set(summary["legs"]) == {"gradient_only", "estimator"}
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json\n")
