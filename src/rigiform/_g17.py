@@ -1,7 +1,7 @@
 """'%.17g' text of float64 arrays without a Python call per value.
 
-`sim.write_csv` imports this module on its first write, so importing
-rigiform does not compile it.
+`sim` imports this module on its first CSV write, and so does `_writer`,
+itself imported only then, so importing rigiform does not compile it.
 
 A finite nonzero x with decimal exponent k (10**k <= |x| < 10**(k+1))
 prints the 17 digits D = round(|x| * 10**(16-k)), trailing zeros dropped,

@@ -83,7 +83,8 @@ def cmd_check(args) -> int:
 
 def _execute_run(sc, out_dir):
     """Integrate while writing trajectory.csv, write verdict.json, return
-    (record, streamed run, seconds integrating, the CSV writes not counted)."""
+    (record, streamed run, seconds integrating): the time spent formatting
+    the CSV, or handing it to the writer process and waiting, not counted."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()

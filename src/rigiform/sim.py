@@ -16,8 +16,12 @@ generator block is integrated too, its closed form kept as a test oracle.
 `stream_run`, what the `run` command calls, samples into a chunk of CSV
 rows that is written once full, and keeps per sample only what
 run_verdict reads, so its memory does not grow with the width of a row.
-Both write the bytes `write_csv` writes: every value exactly as '%.17g'
-prints it, formatted by the private `_g17` module in full blocks.
+A run whose rows pass one chunk hands them, half a chunk at a time, to a
+writer process (the private `_writer` module) that formats and writes
+them while the loop integrates on, and formats the share of each half
+chunk that evens out the two processes' work itself.  Both write the bytes
+`write_csv` writes: every value exactly as '%.17g' prints it, formatted
+by the private `_g17` module in full blocks.
 
 Scenarios are duck-typed: framework_initial / basis / xi0_array, the
 disturbance spec, and the mode / kappa / dt / t_end / output_every fields.
@@ -28,6 +32,7 @@ Integration certifies nothing and never reads the target embedding;
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -51,8 +56,10 @@ VERDICT_TOL = 1e-6  # errors and speeds below it there count as converged
 _CSV_BLOCK_VALUES = 1 << 12  # values per _g17.text call but a file's last; 2048, 6144, 8192: slower
 # most values stream_run gathers before formatting: formatting interleaved with
 # the kernel evicts its data, so runs formatting every 4096 values took 9-14% longer
-# and those formatting every 2**16 values 1-3% longer (2-D n=200, 3-D n=400)
+# and those formatting every 2**16 values 1-3% longer (2-D n=200, 3-D n=400); a
+# writer process takes them in _WRITER_SLOTS tables of a share each
 _CSV_CHUNK_VALUES = 1 << 17
+_WRITER_SLOTS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +347,9 @@ def _sample(loop, dt, every, steps, y0, table, flush):
     """The one guarded, sampled RK4 loop.  Sample i goes into row i % rows
     of table = (times, flat positions, errors, speeds, mu, mu_hat), and
     flush(rows filled) runs when the rows are full and after the last
-    sample.  Returns the sample count, divergence_step, final_errors and
-    divergence_reason, the last three as Trajectory holds them."""
+    sample; it returns the table the next rows go into.  Returns the
+    sample count, divergence_step, final_errors and divergence_reason, the
+    last three as Trajectory holds them."""
     times, positions, errors, speeds, mu, mu_hat = table
     rows, count, n, dim = times.size, 0, loop.n, loop.dim
     squares, nothing = np.empty((n, dim)), np.zeros(y0.size)
@@ -365,7 +373,7 @@ def _sample(loop, dt, every, steps, y0, table, flush):
                 np.sqrt(np.add.reduce(squares, axis=1, out=speed), speed)
                 count += 1
                 if j == rows - 1:
-                    flush(rows)
+                    times, positions, errors, speeds, mu, mu_hat = flush(rows)
     if count % rows:
         flush(count % rows)
     return count, divergence_step, final_errors, reason
@@ -384,7 +392,7 @@ def integrate(scenario) -> Trajectory:
     arrays = [np.empty((count, *shape)) for shape in ((), (n, loop.dim), (edges,), (n,),
                                                      (edges,), (edges,))]
     table = arrays[0], arrays[1].reshape(count, -1), *arrays[2:]
-    count, *ending = _sample(loop, dt, every, steps, y0, table, lambda rows: None)
+    count, *ending = _sample(loop, dt, every, steps, y0, table, lambda rows: table)
     for buffer in arrays:
         buffer.setflags(write=False)  # the Trajectory keeps them without a copy
     return Trajectory(*(a[:count] for a in arrays), *ending)
@@ -394,7 +402,9 @@ def integrate(scenario) -> Trajectory:
 class StreamedRun:
     """What `stream_run` keeps of a run: per sample the time, error norm and
     agent speeds that run_verdict reads, the last sample's mu and mu_hat,
-    how the run ended as Trajectory says it, and the seconds spent writing."""
+    how the run ended as Trajectory says it, and the seconds the run spent
+    on trajectory.csv: formatting it, or, with a writer process, starting
+    it, handing it rows and waiting for it."""
 
     times: np.ndarray
     error_norms: np.ndarray
@@ -411,27 +421,44 @@ class StreamedRun:
 
 def stream_run(scenario, path) -> StreamedRun:
     """integrate(scenario) written to path as write_csv writes it, a chunk
-    of rows at a time, without keeping the rows.  Raises as integrate
-    does, before path is opened."""
+    of rows at a time, without keeping the rows.  A run whose rows pass
+    one chunk, where os.fork exists, hands them half a chunk at a time to
+    a writer process that formats them while the loop integrates on, and
+    formats itself the share of each that evens out the two processes' work.
+    Raises as integrate does, before path is opened."""
     loop, dt, every, steps, y0 = _prepare(scenario)
-    count, done = steps // every + 1, 0
+    count, done, filled = steps // every + 1, 0, None
     norms, speeds = np.empty(count), np.empty((count, loop.n))
+    shape = loop.n, loop.dim, loop.edge_count, _CSV_CHUNK_VALUES, count
+    columns = 1 + loop.nx + loop.n + 4 * loop.edge_count  # alpha's too
+    forked = count * columns > _CSV_CHUNK_VALUES and hasattr(os, "fork")
 
     def flush(rows):
-        nonlocal done
-        csv.flush(rows)
-        norms[done:done + rows] = np.linalg.norm(csv.table[2][:rows], axis=1)
-        speeds[done:done + rows] = csv.table[3][:rows]
+        nonlocal done, filled
+        filled = writer.table
+        norms[done:done + rows] = np.linalg.norm(filled[2][:rows], axis=1)
+        speeds[done:done + rows] = filled[3][:rows]
         done += rows
+        writer.flush(rows)
+        return writer.table
 
     with open(path, "wb") as file:
-        csv = _CsvChunks(file, loop.n, loop.dim, loop.edge_count, _CSV_CHUNK_VALUES, count)
-        count, step, final_errors, reason = _sample(loop, dt, every, steps, y0, csv.table, flush)
-        csv.flush(0, last=True)
-    last = (count - 1) % csv.table[0].size
-    errors, _, mu, mu_hat = (column[last].copy() for column in csv.table[2:])
+        if forked:
+            # imported here, as _g17 is: a run that fits one chunk never compiles it
+            from . import _writer
+
+            writer = _writer.Writer(_CsvChunks(file, *shape, _WRITER_SLOTS, _writer.shared))
+        else:
+            writer = _CsvChunks(file, *shape)
+        with writer:
+            count, step, final_errors, reason = _sample(loop, dt, every, steps, y0, writer.table,
+                                                        flush)
+            writer.flush(0, last=True)
+    last = (count - 1) % filled[0].size
+    errors, _, mu, mu_hat = (column[last].copy() for column in filled[2:])
     return StreamedRun(np.arange(count) * every * dt, norms[:count], speeds[:count], mu, mu_hat,
-                       step, errors if final_errors is None else final_errors, reason, csv.seconds)
+                       step, errors if final_errors is None else final_errors, reason,
+                       writer.seconds)
 
 
 def _fit_exponential(times, norms):
@@ -530,14 +557,16 @@ def propagate_exosystem(spec, basis, t_end, dt: float = 1e-3, output_every: int 
 
 
 class _CsvChunks:
-    """The trajectory.csv writer.  Callers fill the rows of `table` =
-    (times, flat positions, errors, speeds, mu, mu_hat), at most `values`
-    values but one row at least and never more than the run's `count`, and
-    flush them; it adds alpha and formats full blocks of values, which may
-    start anywhere in a row, keeping what no full block took in front of
-    the rows.  seconds is the time spent in it."""
+    """The trajectory.csv writer.  Its buffer holds `slots` tables of rows =
+    (times, flat positions, errors, speeds, mu, mu_hat), each of at most
+    values / slots values but one row at least and never more than the
+    run's `count`, and each behind a block of values; `allocate(shape)`
+    makes it.  Callers fill the rows of `table` and flush them, which moves
+    `table` to the next slot; it adds alpha and formats full blocks of
+    values, which may start anywhere in a row, keeping what no full block
+    took in front of the next slot's rows.  seconds is the time spent in it."""
 
-    def __init__(self, file, n, dim, edges, values, count):
+    def __init__(self, file, n, dim, edges, values, count, slots=1, allocate=np.empty):
         start = perf_counter()
         names = ["t", *(f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, dim + 1))]
         for name, size in (("e", edges), ("speed", n), ("mu", edges), ("muhat", edges),
@@ -548,29 +577,62 @@ class _CsvChunks:
         from . import _g17
 
         self.file, self.text, self.columns = file, _g17.text, len(names)
-        rows = min(max(1, values // self.columns), count)
-        self.buffer = np.empty(_CSV_BLOCK_VALUES + rows * self.columns)
-        t, *table, self.alpha = np.split(self.buffer[_CSV_BLOCK_VALUES:].reshape(rows, -1),
-                                         np.cumsum([1, n * dim, edges, n, edges, edges]), axis=1)
-        self.table = (t[:, 0], *table)
-        self.kept = self.done = 0  # values in front of the rows, values written
+        rows = min(max(1, values // slots // self.columns), count)
+        self.buffers = allocate((slots, _CSV_BLOCK_VALUES + rows * self.columns))
+        self.tables, self.alphas = [], []
+        for buffer in self.buffers:
+            t, *table, alpha = np.split(buffer[_CSV_BLOCK_VALUES:].reshape(rows, -1),
+                                        np.cumsum([1, n * dim, edges, n, edges, edges]), axis=1)
+            self.tables.append((t[:, 0], *table))
+            self.alphas.append(alpha)
+        self.table = self.tables[0]
+        self.slot = self.kept = self.done = 0  # slot flushed next, values in front of it, written
         self.seconds = perf_counter() - start
 
-    def flush(self, rows, last=False):
-        """Write the full blocks of the kept values and the first `rows`
-        rows, and with last=True the rest too; keep what is left."""
-        start, block, buffer = perf_counter(), _CSV_BLOCK_VALUES, self.buffer
-        _, _, errors, _, mu, mu_hat = self.table
-        alpha = self.alpha[:rows]
-        np.subtract(np.add(errors[:rows], mu[:rows], alpha), mu_hat[:rows], alpha)
+    def flush(self, rows, last=False, tail=0):
+        """Write the full blocks of the kept values and the slot's first
+        `rows` rows, and with last=True the rest too; keep what is left.
+        With tail > 0, the slot's next `tail` rows follow in the file,
+        formatted by `tail_texts`: the rest is written and they count as
+        written."""
+        start, block, buffer = perf_counter(), _CSV_BLOCK_VALUES, self.buffers[self.slot]
+        self.add_alpha(self.slot, 0, rows)
         first, end = block - self.kept, block + rows * self.columns
-        full = end if last else end - (end - first) % block
-        for at in range(first, full, block):
-            values = buffer[at:min(at + block, full)]
-            self.file.write(self.text(values, self.columns, self.done + at - first))
-        self.kept, self.done = end - full, self.done + full - first
-        buffer[block - self.kept:block] = buffer[full:end]
+        full = end if last or tail else end - (end - first) % block
+        for text in self.texts(buffer[first:full], self.done):
+            self.file.write(text)
+        self.kept, self.done = end - full, self.done + full - first + tail * self.columns
+        self.slot = (self.slot + 1) % len(self.buffers)
+        self.table = self.tables[self.slot]
+        self.buffers[self.slot][block - self.kept:block] = buffer[full:end]
         self.seconds += perf_counter() - start
+
+    def tail_texts(self, slot, start, rows):
+        """The texts of the slot's rows start .. rows, alpha added: those a
+        flush of its first `start` rows leaves to another writer."""
+        self.add_alpha(slot, start, rows)
+        block = _CSV_BLOCK_VALUES
+        return self.texts(self.buffers[slot][block + start * self.columns:
+                                             block + rows * self.columns], 0)
+
+    def add_alpha(self, slot, start, rows):
+        """alpha = e + mu - mu_hat of the slot's rows start .. rows."""
+        _, _, errors, _, mu, mu_hat = (column[start:rows] for column in self.tables[slot])
+        alpha = self.alphas[slot][start:rows]
+        np.subtract(np.add(errors, mu, alpha), mu_hat, alpha)
+
+    def texts(self, values, first):
+        """The '%.17g' texts of values, a block at a time, where values[i]
+        is in column (first + i) % columns."""
+        block = _CSV_BLOCK_VALUES
+        return (self.text(values[at:at + block], self.columns, first + at)
+                for at in range(0, values.size, block))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        """Nothing to stop: this writer runs in the caller's process."""
 
 
 def write_csv(traj: Trajectory, path) -> None:

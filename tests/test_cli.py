@@ -456,13 +456,18 @@ def test_the_value_cap_refuses_exactly_the_runs_past_it(tmp_path, capsys, monkey
         "raise output_every or shorten t_end\n")
 
 
-def test_run_memory_grows_only_by_what_the_verdict_keeps(tmp_path):
+def test_run_memory_grows_only_by_what_the_verdict_keeps(tmp_path, monkeypatch):
     # a run keeps per sample its time, error norm and n speeds, and writes
     # its CSV rows a chunk at a time (at most 2**17 values: 59 rows of 2189
     # here), so once the chunk is full the traced peak grows by n + 2 floats
-    # a sample; a run that kept its whole Trajectory grew by 1792
-    from rigiform import _g17
+    # a sample; a run that kept its whole Trajectory grew by 1792.  Both runs
+    # here pass a chunk, so a writer process formats them, and the parent
+    # formats a share of each half chunk that it measures while running;
+    # that share is fixed here, so that a formatting's peak (about 0.45 MB,
+    # once per run) counts in both runs or in neither
+    from rigiform import _g17, _writer
 
+    monkeypatch.setattr(_writer.Writer, "_share", lambda writer, rows, seconds: rows // 2)
     n = 200
     sc = generate_scenario(n, 2, 0)
     _g17.tables()  # built once per process
@@ -872,12 +877,14 @@ def _fresh_process(argv):
 
 def test_importing_the_cli_leaves_the_csv_formatter_unloaded():
     # sim.write_csv imports rigiform._g17 when it first writes a trajectory,
-    # so a fresh interpreter that only checks or generates never compiles it
+    # and stream_run imports rigiform._writer when it first forks a writer,
+    # so a fresh interpreter that only checks or generates compiles neither
     src = str(Path(importlib.import_module("rigiform").__file__).parents[1])
-    code = "import sys, rigiform.cli; print('rigiform._g17' in sys.modules)"
+    code = "import sys, rigiform.cli; print([m in sys.modules for m in " \
+           "('rigiform._g17', 'rigiform._writer')])"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False]\n", "")
 
 
 def test_one_process_answers_each_command_like_a_fresh_one(tmp_path, monkeypatch):
